@@ -40,6 +40,7 @@ from .maxmod import (
     derivative_half,
     evaluate,
     find_max_reduced,
+    golden_max,
     half_derivative,
     locate_interval,
     localization_interval,
@@ -70,6 +71,7 @@ from .spectrum import (
     Multiplier,
     ReducedForm,
     SpectrumError,
+    SpectrumGeometry,
     SpectrumStats,
     Transcript,
     Trinomial,
@@ -79,6 +81,7 @@ from .spectrum import (
     make_reduced_form,
     modular_inverse,
     opposition_signs,
+    spectrum_geometry,
     symmetry_axis,
     wrap_angle,
 )

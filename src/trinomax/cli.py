@@ -29,7 +29,7 @@ from .spectrum import (
     SpectrumError,
     Trinomial,
     canonical_reduction,
-    derive_spectrum_stats,
+    spectrum_geometry,
 )
 
 SCHEMA_VERSION = 1
@@ -94,8 +94,7 @@ def _max_result_dict(res: MaxResult) -> dict:
 
 def _cmd_analyze(args) -> int:
     trinomial = _trinomial_from_args(args)
-    stats = derive_spectrum_stats(trinomial)
-    form, _, transcript = canonical_reduction(trinomial)
+    form, stats, transcript = canonical_reduction(trinomial)
     res = max_points_global(trinomial)
     results = {
         "spectrum": {
@@ -197,12 +196,13 @@ def _cmd_multiplier(args) -> int:
     freqs = tuple(args.frequencies)
     mult = Multiplier(*_phases(args))
     norm, witness = multiplier_norm(freqs, mult)
-    stats = derive_spectrum_stats(Trinomial(*freqs, 1.0, 1.0, 1.0, *mult.phases))
-    lift = lift_to_measure(stats.k, stats.l, stats.tau / stats.D)
+    geo = spectrum_geometry(freqs)
+    tau = abs(geo.signed_tau(mult.phases))
+    lift = lift_to_measure(geo.k, geo.l, tau / geo.D)
     results = {
         "norm": norm,
-        "tau": stats.tau,
-        "D": stats.D,
+        "tau": tau,
+        "D": geo.D,
         "witness": {
             "frequencies": list(witness.frequencies),
             "moduli": list(witness.moduli),
@@ -223,7 +223,7 @@ def _cmd_multiplier(args) -> int:
         _print_table(
             [
                 ("multiplier norm", _g9(norm)),
-                ("tau", _g9(stats.tau)),
+                ("tau", _g9(tau)),
                 ("measure atoms", f"|a0| = {_g9(abs(lift.atom0))}  |a1| = {_g9(abs(lift.atom1))}"),
                 ("total variation", _g9(lift.total_variation)),
             ]

@@ -21,9 +21,11 @@ from .spectrum import (
     TWO_PI,
     Multiplier,
     SpectrumError,
+    SpectrumGeometry,
     Trinomial,
-    derive_spectrum_stats,
+    _top_two_adic_pair,
     modular_inverse,
+    spectrum_geometry,
 )
 
 __all__ = [
@@ -96,22 +98,13 @@ class UnconditionalConstants:
     non_isometric_patterns: tuple[tuple[int, int, int], ...]
 
 
-def _stats_for_phases(frequencies, phases):
-    probe = Trinomial(*frequencies, 1.0, 1.0, 1.0, *phases)
-    return derive_spectrum_stats(probe)
+def _norm_at(tau: float, big_d: int) -> float:
+    return math.cos((math.pi - tau) / (2.0 * big_d)) / math.cos(math.pi / (2.0 * big_d))
 
 
-def _extremal_witness(frequencies, phases_sorted, attained) -> Witness:
-    ts, _ = Trinomial(*frequencies, 1.0, 1.0, 1.0).sorted_by_frequency()
-    d = gcd(ts.lambda2 - ts.lambda1, ts.lambda3 - ts.lambda2)
-    k = (ts.lambda2 - ts.lambda1) // d
-    l = (ts.lambda3 - ts.lambda2) // d
-    return Witness(
-        frequencies=ts.frequencies,
-        moduli=(float(l), float(k + l), float(k)),
-        phases=phases_sorted,
-        attained=attained,
-    )
+def _extremal_trinomial(geo: SpectrumGeometry) -> Trinomial:
+    # moduli (l, k+l, k) and phases (0, pi/D, 0), so tau = pi
+    return Trinomial(*geo.lams, geo.l, geo.D, geo.k, 0.0, math.pi / geo.D, 0.0)
 
 
 def multiplier_norm(
@@ -124,21 +117,12 @@ def multiplier_norm(
     isometry.  The witness attains the norm: max|M W| / max|W| is returned
     in ``attained``.
     """
-    stats = _stats_for_phases(frequencies, multiplier.phases)
-    norm = math.cos((math.pi - stats.tau) / (2.0 * stats.D)) / math.cos(
-        math.pi / (2.0 * stats.D)
-    )
-    witness = _extremal_witness(frequencies, (0.0, math.pi / stats.D, 0.0), norm)
-
-    probe = Trinomial(*frequencies, 1.0, 1.0, 1.0, *multiplier.phases)
-    ts, _ = probe.sorted_by_frequency()
-    w = witness.trinomial
-    shifted = Trinomial(
-        *w.frequencies, *w.moduli,
-        w.t1 + ts.t1, w.t2 + ts.t2, w.t3 + ts.t3,
-    )
+    geo = spectrum_geometry(frequencies)
+    norm = _norm_at(abs(geo.signed_tau(multiplier.phases)), geo.D)
+    w = _extremal_trinomial(geo)
+    shifted = Multiplier(*geo.sort(multiplier.phases)).apply(w)
     attained = max_points_global(shifted).value / max_points_global(w).value
-    return norm, Witness(witness.frequencies, witness.moduli, witness.phases, attained)
+    return norm, Witness(w.frequencies, w.moduli, w.phases, attained)
 
 
 def sidon_constant(frequencies: tuple[int, int, int]) -> tuple[float, Witness]:
@@ -151,12 +135,11 @@ def sidon_constant(frequencies: tuple[int, int, int]) -> tuple[float, Witness]:
     r1 + r2 + r3 <= C * max|T| over all phase choices; coincides with the
     multiplier norm at tau = pi.
     """
-    stats = _stats_for_phases(frequencies, (0.0, 0.0, 0.0))
-    constant = 1.0 / math.cos(math.pi / (2.0 * stats.D))
-    witness = _extremal_witness(frequencies, (0.0, math.pi / stats.D, 0.0), constant)
-    w = witness.trinomial
+    geo = spectrum_geometry(frequencies)
+    constant = 1.0 / math.cos(math.pi / (2.0 * geo.D))
+    w = _extremal_trinomial(geo)
     attained = (w.r1 + w.r2 + w.r3) / max_points_global(w).value
-    return constant, Witness(witness.frequencies, witness.moduli, witness.phases, attained)
+    return constant, Witness(w.frequencies, w.moduli, w.phases, attained)
 
 
 def lift_to_measure(k: int, l: int, t: float) -> MeasureLift:
@@ -181,11 +164,6 @@ def lift_to_measure(k: int, l: int, t: float) -> MeasureLift:
     return MeasureLift(atom0=atom0, atom1=atom1, position0=0.0, position1=position1)
 
 
-def _two_adic(n: int) -> int:
-    n = abs(n)
-    return (n & -n).bit_length() - 1
-
-
 def unconditional_constants(
     frequencies: tuple[int, int, int]
 ) -> UnconditionalConstants:
@@ -196,14 +174,9 @@ def unconditional_constants(
     four each have phase invariant pi and realise the common constant
     sec(pi/(2D)).
     """
-    if len(set(frequencies)) != 3:
-        raise SpectrumError(f"frequencies must be pairwise distinct, got {frequencies}")
     complex_constant, _ = sidon_constant(frequencies)
-
-    pairs = ((0, 1), (0, 2), (1, 2))
-    vals = [_two_adic(frequencies[i] - frequencies[j]) for i, j in pairs]
-    top = max(range(3), key=lambda idx: vals[idx])
-    equal_pair = tuple(i + 1 for i in pairs[top])
+    geo = spectrum_geometry(frequencies)
+    equal_pair = tuple(i + 1 for i in _top_two_adic_pair(frequencies))
 
     isometric: list[tuple[int, int, int]] = []
     non_isometric: list[tuple[int, int, int]] = []
@@ -211,12 +184,9 @@ def unconditional_constants(
     for bits in range(8):
         signs = tuple(1 if bits & (1 << j) == 0 else -1 for j in range(3))
         phases = tuple(0.0 if s > 0 else math.pi for s in signs)
-        stats = _stats_for_phases(frequencies, phases)
-        norm = math.cos((math.pi - stats.tau) / (2.0 * stats.D)) / math.cos(
-            math.pi / (2.0 * stats.D)
-        )
-        real_constant = max(real_constant, norm)
-        if stats.tau <= 1e-9:
+        tau = abs(geo.signed_tau(phases))
+        real_constant = max(real_constant, _norm_at(tau, geo.D))
+        if tau <= 1e-9:
             isometric.append(signs)
         else:
             non_isometric.append(signs)

@@ -16,16 +16,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .maxmod import (
     evaluate,
+    golden_max,
     max_points_global,
     modulus_squared_trinomial,
 )
-from .spectrum import TWO_PI, SpectrumError, Trinomial
+from .spectrum import TWO_PI, SpectrumError, Trinomial, spectrum_geometry
 
 __all__ = [
     "NoSolution",
@@ -100,7 +100,7 @@ def unit_ball_point(
     return UnitBallPoint(tuple(frequencies), tuple(moduli), tuple(phases), sup)
 
 
-def _zero_multiplicity_sum(trinomial: Trinomial, samples: int = 4096) -> int:
+def _zero_multiplicity_sum(trinomial: Trinomial, sup: float, samples: int = 4096) -> int:
     """Total multiplicity of the zeros of sup^2 - |P|^2 over one period.
 
     Zeros are located from a dense sample (local minima of the gap) and
@@ -108,11 +108,8 @@ def _zero_multiplicity_sum(trinomial: Trinomial, samples: int = 4096) -> int:
     derivative vanishes at the tolerance scale, in which case the fourth
     derivative must confirm a quadruple zero.
     """
-    ts, _ = trinomial.sorted_by_frequency()
-    d = gcd(ts.lambda2 - ts.lambda1, ts.lambda3 - ts.lambda2)
-    period = TWO_PI / d
-    res = max_points_global(trinomial)
-    sup_sq = res.value**2
+    period = TWO_PI / spectrum_geometry(trinomial.frequencies).d
+    sup_sq = sup**2
 
     xs = np.linspace(0.0, period, samples, endpoint=False)
     gap = sup_sq - np.abs(evaluate(trinomial, xs)) ** 2
@@ -122,23 +119,10 @@ def _zero_multiplicity_sum(trinomial: Trinomial, samples: int = 4096) -> int:
         r[a] * r[b] * (f[a] - f[b]) ** 2 for a in range(3) for b in range(a + 1, 3)
     )
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    def modulus_sq(x: float) -> float:
+        return modulus_squared_trinomial(trinomial, x)
 
-    def polish(x0: float) -> float:
-        a = x0 - period / samples
-        b = x0 + period / samples
-        for _ in range(80):
-            h = b - a
-            c = b - inv_phi * h
-            e = a + inv_phi * h
-            gc = sup_sq - modulus_squared_trinomial(trinomial, c)
-            ge = sup_sq - modulus_squared_trinomial(trinomial, e)
-            if gc < ge:
-                b = e
-            else:
-                a = c
-        return 0.5 * (a + b)
-
+    h = period / samples
     zeros: list[float] = []
     total = 0
     zero_tol = 1e-8 * max(sup_sq, 1.0)
@@ -149,8 +133,8 @@ def _zero_multiplicity_sum(trinomial: Trinomial, samples: int = 4096) -> int:
             continue
         if gap[i] > 1e-4 * max(sup_sq, 1.0):
             continue
-        x = polish(float(xs[i]))
-        if sup_sq - modulus_squared_trinomial(trinomial, x) > zero_tol:
+        x, value_sq, _ = golden_max(modulus_sq, float(xs[i]) - h, float(xs[i]) + h)
+        if sup_sq - value_sq > zero_tol:
             continue
         folded = x % period
         if any(min(abs(folded - z), period - abs(folded - z)) < 1e-4 * period for z in zeros):
@@ -192,7 +176,7 @@ def classify_unit_ball_point(
     trinomial = Trinomial(*point.frequencies, *point.moduli, *point.phases)
     res = max_points_global(trinomial)
     count = len(res.points)
-    zsum = _zero_multiplicity_sum(trinomial)
+    zsum = _zero_multiplicity_sum(trinomial, res.value)
     return ExtremalClass(
         exposed=count == 2,
         extreme=zsum == 4,
@@ -216,17 +200,12 @@ def reconstruct_from_two_points(
     the two points.  Raises SingularConfiguration when a sine factor of the
     system vanishes and NoSolution when the data is inconsistent.
     """
-    if len(set(frequencies)) != 3:
-        raise SpectrumError(f"frequencies must be pairwise distinct, got {frequencies}")
+    _, lams, d, k, l = spectrum_geometry(frequencies)
     rho_x, rho_y = abs(value_x), abs(value_y)
     if rho_x <= 0.0 or rho_y <= 0.0:
         raise NoSolution("values at the maximum points must be nonzero")
     if abs(rho_x - rho_y) > 1e-9 * max(rho_x, rho_y):
         raise NoSolution(f"values must share one modulus, got {rho_x} and {rho_y}")
-    lams = sorted(frequencies)
-    d = gcd(lams[1] - lams[0], lams[2] - lams[1])
-    k = (lams[1] - lams[0]) // d
-    l = (lams[2] - lams[1]) // d
     period = TWO_PI / d
     if abs(math.remainder(x - y, period)) < 1e-9:
         raise SpectrumError("the two points must differ modulo 2*pi/d")

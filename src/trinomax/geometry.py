@@ -16,10 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .maxmod import max_points_global
-from .spectrum import SpectrumError, Trinomial
+from .spectrum import SpectrumError, Trinomial, spectrum_geometry
 
 __all__ = ["Curve", "hypotrochoid_sample", "curve_point", "farthest_points"]
 
@@ -33,12 +32,18 @@ class Curve:
     cusp_count: int | None
 
 
+def _outer_curve(trinomial: Trinomial):
+    """The outer-coefficient curve as a function of its parameter x."""
+    geo = spectrum_geometry(trinomial.frequencies)
+    r1, _, r3 = geo.sort(trinomial.moduli)
+    t1, _, t3 = geo.sort(trinomial.phases)
+    gap1, gap3 = geo.lams[1] - geo.lams[0], geo.lams[2] - geo.lams[1]
+    return lambda x: r1 * cmath.exp(1j * (t1 - gap1 * x)) + r3 * cmath.exp(1j * (t3 + gap3 * x))
+
+
 def curve_point(trinomial: Trinomial, x: float) -> complex:
     """Point of the outer-coefficient curve at parameter x."""
-    ts, _ = trinomial.sorted_by_frequency()
-    return ts.r1 * cmath.exp(1j * (ts.t1 - (ts.lambda2 - ts.lambda1) * x)) + ts.r3 * cmath.exp(
-        1j * (ts.t3 + (ts.lambda3 - ts.lambda2) * x)
-    )
+    return _outer_curve(trinomial)(x)
 
 
 def _is_hypocycloid(r1: float, r3: float, k: int, l: int) -> bool:
@@ -55,14 +60,12 @@ def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
     """
     if n < 16:
         raise SpectrumError(f"need at least 16 samples, got {n}")
-    ts, _ = trinomial.sorted_by_frequency()
-    d = gcd(ts.lambda2 - ts.lambda1, ts.lambda3 - ts.lambda2)
-    k = (ts.lambda2 - ts.lambda1) // d
-    l = (ts.lambda3 - ts.lambda2) // d
-    cusps = (ts.lambda3 - ts.lambda1) // d if _is_hypocycloid(ts.r1, ts.r3, k, l) else None
+    geo = spectrum_geometry(trinomial.frequencies)
+    r1, _, r3 = geo.sort(trinomial.moduli)
+    cusps = geo.D if _is_hypocycloid(r1, r3, geo.k, geo.l) else None
+    point = _outer_curve(trinomial)
     samples = tuple(
-        (x, curve_point(trinomial, x))
-        for x in (-math.pi + 2.0 * math.pi * (j + 1) / n for j in range(n))
+        (x, point(x)) for x in (-math.pi + 2.0 * math.pi * (j + 1) / n for j in range(n))
     )
     return Curve(samples=samples, closed=True, cusp_count=cusps)
 

@@ -28,10 +28,12 @@ from .spectrum import (
     TWO_PI,
     ReducedForm,
     SpectrumError,
+    SpectrumGeometry,
     Trinomial,
     canonical_reduction,
     modular_inverse,
     phase_combination,
+    spectrum_geometry,
     wrap_angle,
 )
 
@@ -52,7 +54,15 @@ __all__ = [
     "closed_form_k1_l1",
     "closed_form_k2_l1",
     "binomial_max",
+    "golden_max",
 ]
+
+# |t*(k+l) - pi| at or below this counts as tau = pi
+TAU_PI_TOL = 1e-9
+# relative distance to the knife edge k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 that
+# counts as on it
+DEGENERATE_REL_TOL = 1e-10
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class BracketFailure(RuntimeError):
@@ -111,16 +121,7 @@ def modulus_at(trinomial: Trinomial, x: float) -> float:
 
 def modulus_squared_reduced(form: ReducedForm, x: float) -> float:
     """|R(x)|^2 via the real cross-term expansion."""
-    k, l = form.k, form.l
-    r1, r2, r3, t = form.r1, form.r2, form.r3, form.t
-    return (
-        r1 * r1 + r2 * r2 + r3 * r3
-        + 2.0 * (
-            r1 * r2 * math.cos(t + k * x)
-            + r1 * r3 * math.cos((k + l) * x)
-            + r2 * r3 * math.cos(t - l * x)
-        )
-    )
+    return 2.0 * half_derivative(form, x, 0)
 
 
 def _cos_deriv(arg: float, rate: float, order: int) -> float:
@@ -240,26 +241,21 @@ def _bisect_symmetric_edge(form: ReducedForm) -> float:
     return t - 0.5 * (lo + hi)
 
 
-def find_max_reduced(
-    form: ReducedForm,
-    *,
-    tau_pi_tol: float = 1e-9,
-    degenerate_rel_tol: float = 1e-10,
-) -> MaxResult:
+def find_max_reduced(form: ReducedForm) -> MaxResult:
     """Maximum-modulus points of a reduced-form trinomial, modulo 2*pi.
 
     Bisection runs on derivative_half over [0, t/l], where the sign change
     from + to - is guaranteed.  tau = pi (detected as |t*(k+l) - pi| <=
-    tau_pi_tol) switches on the symmetric branches: a pair {x, s - x} with
+    TAU_PI_TOL) switches on the symmetric branches: a pair {x, s - x} with
     s = 2*m*pi/(k+l), or for l = 1 the boundary point t with the maximum
     value r2 + r3 - r1, with multiplicity 4 on the knife edge
     k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 (relative tolerance
-    degenerate_rel_tol).
+    DEGENERATE_REL_TOL).
     """
     k, l = form.k, form.l
     r1, r2, r3, t = form.r1, form.r2, form.r3, form.t
     big_d = k + l
-    symmetric = abs(t * big_d - math.pi) <= tau_pi_tol
+    symmetric = abs(t * big_d - math.pi) <= TAU_PI_TOL
     at_zero = abs(k * r1 - l * r3) <= 1e-12 * max(k * r1, l * r3)
 
     if t <= 1e-15:
@@ -280,7 +276,7 @@ def find_max_reduced(
     if symmetric and l == 1:
         edge = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3 - r2 * r3
         edge_scale = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3 + r2 * r3
-        if abs(edge) <= degenerate_rel_tol * edge_scale:
+        if abs(edge) <= DEGENERATE_REL_TOL * edge_scale:
             return MaxResult(
                 ((t % TWO_PI, r2 + r3 - r1),), 4, MaxClassification.DEGENERATE4, 2.0 * t
             )
@@ -303,7 +299,7 @@ def find_max_reduced(
         value2 = math.sqrt(modulus_squared_reduced(form, partner))
         if abs(value2 - value) > 1e-8 * value:
             raise BracketFailure(
-                f"symmetric pair values diverge: {value} vs {value2} at tau within {tau_pi_tol} of pi"
+                f"symmetric pair values diverge: {value} vs {value2} at tau within {TAU_PI_TOL} of pi"
             )
         points = tuple(sorted(((x_star % TWO_PI, value), (partner, value2))))
         return MaxResult(points, 2, MaxClassification.SYMMETRIC_PAIR, axis)
@@ -323,17 +319,28 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_u, old_w
 
 
-def _adjusted_outer_phases(trinomial: Trinomial) -> tuple[float, float, int, int, int]:
-    """Phases t1, t3 shifted by full turns so the combination lands in (-pi, pi]."""
-    ts, _ = trinomial.sorted_by_frequency()
-    d = math.gcd(ts.lambda2 - ts.lambda1, ts.lambda3 - ts.lambda2)
-    k = (ts.lambda2 - ts.lambda1) // d
-    l = (ts.lambda3 - ts.lambda2) // d
-    comb = phase_combination(k, l, ts.t1, ts.t2, ts.t3)
+def _localization_endpoints(
+    trinomial: Trinomial,
+) -> tuple[SpectrumGeometry, float, float, float]:
+    """Maximum points of the three binomials left by dropping one coefficient.
+
+    Returns the spectrum geometry and the points e1 (first coefficient
+    kept with the middle one), e2 (middle with last) and e3 (first with
+    last), computed from the phases alone after shifting t1, t3 by full
+    turns so that the phase combination lands in (-pi, pi].
+    """
+    geo = spectrum_geometry(trinomial.frequencies)
+    l1, l2, l3 = geo.lams
+    t1, t2, t3 = geo.sort(trinomial.phases)
+    comb = phase_combination(geo.k, geo.l, t1, t2, t3)
     shift = round((wrap_angle(comb) - comb) / TWO_PI)
-    u, w = _bezout(l, k)
-    a1, a3 = shift * u, shift * w
-    return ts.t1 - TWO_PI * a1, ts.t3 - TWO_PI * a3, d, k, l
+    u, w = _bezout(geo.l, geo.k)
+    t1a = t1 - TWO_PI * (shift * u)
+    t3a = t3 - TWO_PI * (shift * w)
+    e1 = (t1a - t2) / (l2 - l1)
+    e2 = (t2 - t3a) / (l3 - l2)
+    e3 = (t1a - t3a) / (l3 - l1)
+    return geo, e1, e2, e3
 
 
 def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
@@ -342,10 +349,7 @@ def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
     The endpoints are the maximum points of the two binomials obtained by
     dropping an outer coefficient, computed from the phases alone.
     """
-    ts, _ = trinomial.sorted_by_frequency()
-    t1a, t3a, _, _, _ = _adjusted_outer_phases(trinomial)
-    e1 = (t1a - ts.t2) / (ts.lambda2 - ts.lambda1)
-    e2 = (ts.t2 - t3a) / (ts.lambda3 - ts.lambda2)
+    _, e1, e2, _ = _localization_endpoints(trinomial)
     return (min(e1, e2), max(e1, e2))
 
 
@@ -356,16 +360,13 @@ def _check_localization(
     period: float,
     tol: float = 1e-7,
 ) -> None:
-    ts, _ = trinomial.sorted_by_frequency()
-    t1a, t3a, _, _, _ = _adjusted_outer_phases(trinomial)
-    e1 = (t1a - ts.t2) / (ts.lambda2 - ts.lambda1)
-    e2 = (ts.t2 - t3a) / (ts.lambda3 - ts.lambda2)
-    e3 = (t1a - t3a) / (ts.lambda3 - ts.lambda1)
+    geo, e1, e2, e3 = _localization_endpoints(trinomial)
     lo, hi = min(e1, e2), max(e1, e2)
-    if tau < math.pi - 1e-9:
+    if tau < math.pi - TAU_PI_TOL:
         # refinement by the weight comparison; valid off the symmetric case
-        left = ts.r1 * (ts.lambda2 - ts.lambda1)
-        right = ts.r3 * (ts.lambda3 - ts.lambda2)
+        r1, _, r3 = geo.sort(trinomial.moduli)
+        left = r1 * (geo.lams[1] - geo.lams[0])
+        right = r3 * (geo.lams[2] - geo.lams[1])
         if left < right:
             lo, hi = min(e3, e2), max(e3, e2)
         elif left > right:
@@ -382,7 +383,7 @@ def _check_localization(
     )
 
 
-def max_points_global(trinomial: Trinomial, *, tau_pi_tol: float = 1e-9) -> MaxResult:
+def max_points_global(trinomial: Trinomial) -> MaxResult:
     """Maximum-modulus points of a general trinomial, modulo 2*pi/d.
 
     Runs the canonical reduction, locates the maximum of the reduced form and
@@ -391,7 +392,7 @@ def max_points_global(trinomial: Trinomial, *, tau_pi_tol: float = 1e-9) -> MaxR
     is checked against the phase-only localization interval.
     """
     form, stats, transcript = canonical_reduction(trinomial)
-    res = find_max_reduced(form, tau_pi_tol=tau_pi_tol)
+    res = find_max_reduced(form)
     period = TWO_PI / stats.d
     points = tuple(
         sorted((transcript.from_reduced(x) % period, v) for x, v in res.points)
@@ -403,6 +404,36 @@ def max_points_global(trinomial: Trinomial, *, tau_pi_tol: float = 1e-9) -> MaxR
         ) % period
     _check_localization(trinomial, stats.tau, tuple(x for x, _ in points), period)
     return MaxResult(points, res.multiplicity, res.classification, axis)
+
+
+def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float, int]:
+    """Golden-section search for a maximum of ``fun`` on [lo, hi].
+
+    Reuses one interior evaluation per step; returns the best probe, its
+    value and the number of evaluations.  Meant for unimodal brackets.
+    """
+    a, b = lo, hi
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc = fun(c)
+    fd = fun(d)
+    count = 2
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INV_PHI * h
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INV_PHI * h
+            fd = fun(d)
+        count += 1
+    if fc > fd:
+        return c, fc, count
+    return d, fd, count
 
 
 def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[float, ...]]:

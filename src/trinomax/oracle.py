@@ -2,8 +2,10 @@
 
 Grid maximisation of |T| with golden-section refinement, phase-space
 minimisation for the empirical Sidon constant, and a sup-search for
-multiplier norms.  The only code shared with the analytic path is
-``evaluate``; everything else (period handling aside) is plain search.
+multiplier norms.  The oracle shares three pieces with the rest of the
+library: ``evaluate``, the period 2*pi/d from ``spectrum_geometry``, and
+the ``golden_max`` routine.  The analytic solver ``find_max_reduced`` uses
+none of them, so the comparison with it stays independent.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -15,8 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxmod import evaluate, max_points_global, modulus_at
-from .spectrum import TWO_PI, Multiplier, SpectrumError, Trinomial
+from .maxmod import evaluate, golden_max, max_points_global, modulus_at
+from .spectrum import (
+    TWO_PI,
+    Multiplier,
+    SpectrumError,
+    SpectrumGeometry,
+    Trinomial,
+    spectrum_geometry,
+)
 
 __all__ = [
     "OracleReport",
@@ -29,9 +38,6 @@ __all__ = [
     "run_verification",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class OracleReport:
     value: float
@@ -39,38 +45,6 @@ class OracleReport:
     grid_size: int
     refine_tol: float
     evaluations: int
-
-
-def _period_data(trinomial: Trinomial) -> tuple[int, int]:
-    """(d, D): gcd of the gaps and diameter/d, from the sorted spectrum."""
-    ts, _ = trinomial.sorted_by_frequency()
-    d = math.gcd(ts.lambda2 - ts.lambda1, ts.lambda3 - ts.lambda2)
-    return d, (ts.lambda3 - ts.lambda1) // d
-
-
-def _golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float, int]:
-    a, b = lo, hi
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc = fun(c)
-    fd = fun(d)
-    count = 2
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = fun(d)
-        count += 1
-    if fc > fd:
-        return c, fc, count
-    return d, fd, count
 
 
 def brute_max(
@@ -88,8 +62,7 @@ def brute_max(
     """
     if grid_n < 1024:
         raise SpectrumError(f"oracle grid must have at least 1024 points, got {grid_n}")
-    d, _ = _period_data(trinomial)
-    period = TWO_PI / d
+    period = TWO_PI / spectrum_geometry(trinomial.frequencies).d
     h = period / grid_n
     xs = np.arange(grid_n) * h
     vals = np.abs(evaluate(trinomial, xs))
@@ -128,7 +101,7 @@ def brute_max(
     for start, stop in clusters:
         lo = (start - 1) * h
         hi = (stop + 1) * h
-        x, v, n = _golden_max(lambda x: modulus_at(trinomial, x), lo, hi)
+        x, v, n = golden_max(lambda x: modulus_at(trinomial, x), lo, hi)
         refined.append((x % period, v))
         evaluations += n
 
@@ -161,7 +134,7 @@ def _simplex_grid(n: int) -> np.ndarray:
 
 
 def _coarse_ratio_scan(
-    freqs: tuple[int, int, int],
+    geo: SpectrumGeometry,
     phase_grid: np.ndarray,
     moduli: np.ndarray,
     grid_n: int,
@@ -173,10 +146,8 @@ def _coarse_ratio_scan(
     moduli sum is 1, so this is the Sidon objective).  Otherwise yields the
     ratio grid-max|MT| / grid-max|T|.
     """
-    lams = np.asarray(sorted(freqs))
-    d = math.gcd(int(lams[1] - lams[0]), int(lams[2] - lams[1]))
-    xs = np.linspace(0.0, TWO_PI / d, grid_n, endpoint=False)
-    basis = np.exp(1j * np.outer(lams, xs))
+    xs = np.linspace(0.0, TWO_PI / geo.d, grid_n, endpoint=False)
+    basis = np.exp(1j * np.outer(geo.lams, xs))
     rows = []
     for u2 in phase_grid:
         coeff = moduli.astype(complex).copy()
@@ -212,7 +183,7 @@ def _coordinate_descent(
             hi = min(bounds[axis][1], point[axis] + spans[axis])
             if hi <= lo:
                 continue
-            x, v, _ = _golden_max(lambda v: -scalar(v, axis), lo, hi, iters=48)
+            x, v, _ = golden_max(lambda v: -scalar(v, axis), lo, hi, iters=48)
             if -v < best:
                 best = -v
                 point[axis] = x
@@ -232,12 +203,11 @@ def brute_sidon(
     can be rotated away by an isometry), over a full-turn grid followed by
     coordinate-descent refinement of (r1, r2, u2) on the unit simplex.
     """
-    lams = tuple(sorted(frequencies))
-    if len(set(lams)) != 3:
-        raise SpectrumError(f"spectrum must have three distinct points, got {frequencies}")
+    geo = spectrum_geometry(frequencies)
+    lams = geo.lams
     phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
     moduli = _simplex_grid(simplex_n)
-    table = _coarse_ratio_scan(lams, phase_grid, moduli, min(grid_n, 512), None)
+    table = _coarse_ratio_scan(geo, phase_grid, moduli, min(grid_n, 512), None)
     p_idx, m_idx = np.unravel_index(np.argmin(table), table.shape)
     r1, r2, _ = moduli[m_idx]
     u2 = float(phase_grid[p_idx])
@@ -272,13 +242,12 @@ def brute_multiplier_norm(
     grid_n: int = 1024,
 ) -> float:
     """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|."""
-    probe = Trinomial(*frequencies, 1.0, 1.0, 1.0, *multiplier.phases)
-    ts, _ = probe.sorted_by_frequency()
-    lams = ts.frequencies
-    mult_phases = ts.phases
+    geo = spectrum_geometry(frequencies)
+    lams = geo.lams
+    mult_phases = geo.sort(multiplier.phases)
     phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
     moduli = _simplex_grid(simplex_n)
-    table = _coarse_ratio_scan(lams, phase_grid, moduli, min(grid_n, 384), mult_phases)
+    table = _coarse_ratio_scan(geo, phase_grid, moduli, min(grid_n, 384), mult_phases)
     p_idx, m_idx = np.unravel_index(np.argmax(table), table.shape)
     r1, r2, _ = moduli[m_idx]
     u2 = float(phase_grid[p_idx])

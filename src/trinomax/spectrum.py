@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,10 +32,12 @@ __all__ = [
     "Trinomial",
     "Multiplier",
     "SpectrumStats",
+    "SpectrumGeometry",
     "Transcript",
     "ReducedForm",
     "wrap_angle",
     "modular_inverse",
+    "spectrum_geometry",
     "derive_spectrum_stats",
     "phase_combination",
     "is_isometry",
@@ -114,16 +117,8 @@ class Trinomial:
         The permutation maps sorted slot j to the original coefficient index
         perm[j] (0-based).
         """
-        perm = tuple(sorted(range(3), key=lambda j: self.frequencies[j]))
-        f = self.frequencies
-        r = self.moduli
-        t = self.phases
-        out = Trinomial(
-            f[perm[0]], f[perm[1]], f[perm[2]],
-            r[perm[0]], r[perm[1]], r[perm[2]],
-            t[perm[0]], t[perm[1]], t[perm[2]],
-        )
-        return out, perm
+        geo = spectrum_geometry(self.frequencies)
+        return Trinomial(*geo.lams, *geo.sort(self.moduli), *geo.sort(self.phases)), geo.perm
 
 
 @dataclass(frozen=True)
@@ -250,21 +245,59 @@ def phase_combination(k: int, l: int, t1: float, t2: float, t3: float) -> float:
     return math.fsum((-l * t1, (k + l) * t2, -k * t3))
 
 
-def _sorted_gaps(trinomial: Trinomial) -> tuple[Trinomial, tuple[int, int, int], int, int, int]:
-    ts, perm = trinomial.sorted_by_frequency()
-    d = gcd(ts.lambda2 - ts.lambda1, ts.lambda3 - ts.lambda2)
-    k = (ts.lambda2 - ts.lambda1) // d
-    l = (ts.lambda3 - ts.lambda2) // d
-    return ts, perm, d, k, l
+class SpectrumGeometry(NamedTuple):
+    """Sort order and gap structure of a three-point spectrum.
+
+    perm maps sorted slot j to the original index perm[j]; lams are the
+    sorted frequencies, d the gcd of their gaps and k, l the coprime gaps
+    divided by d.
+    """
+
+    perm: tuple[int, int, int]
+    lams: tuple[int, int, int]
+    d: int
+    k: int
+    l: int
+
+    @property
+    def D(self) -> int:
+        return self.k + self.l
+
+    def sort(self, values) -> tuple:
+        """Per-coefficient values reordered into sorted-frequency order."""
+        p = self.perm
+        return (values[p[0]], values[p[1]], values[p[2]])
+
+    def signed_tau(self, phases) -> float:
+        """The phase combination wrapped into (-pi, pi]; tau is its absolute value."""
+        t1, t2, t3 = self.sort(phases)
+        return wrap_angle(phase_combination(self.k, self.l, t1, t2, t3))
+
+
+def spectrum_geometry(frequencies) -> SpectrumGeometry:
+    """Sort permutation, sorted frequencies, step d and coprime gaps (k, l).
+
+    Raises SpectrumError unless the three frequencies are pairwise distinct.
+    """
+    f = tuple(frequencies)
+    if len(set(f)) != 3:
+        raise SpectrumError(f"frequencies must be pairwise distinct, got {f}")
+    perm = tuple(sorted(range(3), key=f.__getitem__))
+    l1, l2, l3 = (f[j] for j in perm)
+    d = gcd(l2 - l1, l3 - l2)
+    return SpectrumGeometry(perm, (l1, l2, l3), d, (l2 - l1) // d, (l3 - l2) // d)
+
+
+def _stats(geo: SpectrumGeometry, tau: float) -> SpectrumStats:
+    return SpectrumStats(
+        d=geo.d, k=geo.k, l=geo.l, m=modular_inverse(geo.l, geo.D), D=geo.D, tau=tau
+    )
 
 
 def derive_spectrum_stats(trinomial: Trinomial) -> SpectrumStats:
     """Spectrum invariants (d, k, l, m, D) and the phase invariant tau."""
-    ts, _, d, k, l = _sorted_gaps(trinomial)
-    big_d = k + l
-    comb = phase_combination(k, l, ts.t1, ts.t2, ts.t3)
-    tau = abs(wrap_angle(comb))
-    return SpectrumStats(d=d, k=k, l=l, m=modular_inverse(l, big_d), D=big_d, tau=tau)
+    geo = spectrum_geometry(trinomial.frequencies)
+    return _stats(geo, abs(geo.signed_tau(trinomial.phases)))
 
 
 def _solve_common_shift(
@@ -302,17 +335,18 @@ def is_isometry(
 ) -> tuple[bool, tuple[float, float] | None]:
     """Decide whether a phase multiplier acts as a rotation plus translation.
 
-    Returns (flag, (alpha, v)) where, when the flag is true, applying the
-    multiplier to any function with this spectrum equals e^(i*alpha) times
-    the translate by v:  Mf(x) = e^(i*alpha) * f(x - v).
+    That is the case exactly when the phase invariant of the multiplier
+    vanishes, whatever the step d.  Returns (flag, (alpha, v)) where, when
+    the flag is true, applying the multiplier to any function with this
+    spectrum equals e^(i*alpha) times the translate by v:
+    Mf(x) = e^(i*alpha) * f(x - v).
     """
-    probe = Trinomial(*frequencies, 1.0, 1.0, 1.0, *multiplier.phases)
-    ts, _, d, k, l = _sorted_gaps(probe)
-    comb = phase_combination(k, l, ts.t1, ts.t2, ts.t3) / d
-    if abs(wrap_angle(comb)) > tol:
+    geo = spectrum_geometry(frequencies)
+    if abs(geo.signed_tau(multiplier.phases)) > tol:
         return False, None
-    v = _solve_common_shift(ts.frequencies, ts.phases, 4.0 * tol)
-    alpha = wrap_angle(ts.t2 + ts.lambda2 * v)
+    phases = geo.sort(multiplier.phases)
+    v = _solve_common_shift(geo.lams, phases, 4.0 * tol)
+    alpha = wrap_angle(phases[1] + geo.lams[1] * v)
     return True, (alpha, v)
 
 
@@ -327,22 +361,19 @@ def canonical_reduction(
     coefficients if k*r1 > l*r3.  The maximum modulus is preserved at every
     step and |T(x)| = |R(epsilon*d*(x - v))| for all x.
     """
-    ts, perm, d, k, l = _sorted_gaps(trinomial)
-    big_d = k + l
-    comb = phase_combination(k, l, ts.t1, ts.t2, ts.t3)
-    tau_signed = wrap_angle(comb)
-    tau = abs(tau_signed)
-    stats = SpectrumStats(d=d, k=k, l=l, m=modular_inverse(l, big_d), D=big_d, tau=tau)
+    geo = spectrum_geometry(trinomial.frequencies)
+    k, l, big_d = geo.k, geo.l, geo.D
+    tau_signed = geo.signed_tau(trinomial.phases)
+    stats = _stats(geo, abs(tau_signed))
+    t1, t2, t3 = geo.sort(trinomial.phases)
+    r1, r2, r3 = geo.sort(trinomial.moduli)
 
     t2_target = tau_signed / big_d
-    v = _solve_common_shift(
-        ts.frequencies, (ts.t1, ts.t2 - t2_target, ts.t3), tol=1e-7
-    )
-    alpha = wrap_angle(ts.t2 - t2_target + ts.lambda2 * v)
+    v = _solve_common_shift(geo.lams, (t1, t2 - t2_target, t3), tol=1e-7)
+    alpha = wrap_angle(t2 - t2_target + geo.lams[1] * v)
 
     epsilon = 1 if t2_target >= 0.0 else -1
     t_red = abs(t2_target)
-    r1, r2, r3 = ts.r1, ts.r2, ts.r3
     k_red, l_red = k, l
     swapped = k * r1 > l * r3
     if swapped:
@@ -353,12 +384,12 @@ def canonical_reduction(
     edge = math.pi / big_d
     form = ReducedForm(k_red, l_red, r1, r2, r3, min(t_red, edge))
     transcript = Transcript(
-        sort_permutation=perm,
+        sort_permutation=geo.perm,
         alpha=alpha,
         v=v,
         epsilon=epsilon,
         swapped=swapped,
-        homothety=d,
+        homothety=geo.d,
     )
     return form, stats, transcript
 
@@ -370,29 +401,34 @@ def _two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
+def _top_two_adic_pair(frequencies: tuple[int, int, int]) -> tuple[int, int]:
+    """Index pair (i, j), i < j, whose frequency difference carries the
+    strictly largest power of two.
+
+    Such a pair always exists: of the three gaps of distinct integers, two
+    share the smallest 2-adic valuation and the third exceeds it.
+    """
+    pairs = ((0, 1), (0, 2), (1, 2))
+    vals = [_two_adic_valuation(frequencies[i] - frequencies[j]) for i, j in pairs]
+    top = max(range(3), key=vals.__getitem__)
+    assert vals.count(vals[top]) == 1, "no strictly maximal 2-adic gap"
+    return pairs[top]
+
+
 def opposition_signs(
     lambda1: int, lambda2: int, lambda3: int
 ) -> tuple[int, int, int]:
     """Sign pattern (+-1, +-1, +-1) whose phase invariant is exactly pi.
 
     The pair of indices whose frequency difference carries the strictly
-    largest power of two receives opposite signs; such a pair always exists
-    because the three gaps cannot all share the same 2-adic valuation.
+    largest power of two receives opposite signs.
     """
     freqs = (lambda1, lambda2, lambda3)
-    if len(set(freqs)) != 3:
-        raise SpectrumError(f"frequencies must be pairwise distinct, got {freqs}")
-    pairs = ((0, 1), (0, 2), (1, 2))
-    vals = [_two_adic_valuation(freqs[i] - freqs[j]) for i, j in pairs]
-    top = max(range(3), key=lambda idx: vals[idx])
-    others = [vals[idx] for idx in range(3) if idx != top]
-    assert vals[top] > max(others), "no strictly maximal 2-adic gap; impossible for distinct integers"
+    geo = spectrum_geometry(freqs)
     signs = [1, 1, 1]
-    signs[pairs[top][1]] = -1
-    check = derive_spectrum_stats(
-        Trinomial(*freqs, 1.0, 1.0, 1.0, *(0.0 if s > 0 else math.pi for s in signs))
-    )
-    assert abs(check.tau - math.pi) < 1e-9
+    signs[_top_two_adic_pair(freqs)[1]] = -1
+    phases = tuple(0.0 if s > 0 else math.pi for s in signs)
+    assert abs(abs(geo.signed_tau(phases)) - math.pi) < 1e-9
     return tuple(signs)
 
 
@@ -402,11 +438,11 @@ def symmetry_axis(trinomial: Trinomial, tol: float = 1e-6) -> float:
     Exists exactly when tau = pi; then |T(s - x)| = |T(x)| for all x and s is
     unique modulo 2*pi/d.  Returned in [0, 2*pi/d).
     """
-    ts, _, d, k, l = _sorted_gaps(trinomial)
-    tau = abs(wrap_angle(phase_combination(k, l, ts.t1, ts.t2, ts.t3)))
+    geo = spectrum_geometry(trinomial.frequencies)
+    tau = abs(geo.signed_tau(trinomial.phases))
     if abs(tau - math.pi) > 1e-6:
         raise SpectrumError(f"symmetry axis requires tau = pi, got tau = {tau}")
     s = _solve_common_shift(
-        ts.frequencies, (2.0 * ts.t1, 2.0 * ts.t2, 2.0 * ts.t3), tol
+        geo.lams, tuple(2.0 * t for t in geo.sort(trinomial.phases)), tol
     )
-    return s % (TWO_PI / d)
+    return s % (TWO_PI / geo.d)

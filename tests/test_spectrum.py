@@ -88,7 +88,7 @@ class TestIsometry:
         freqs = (-3, 1, 5)
         v_true = rng.uniform(-math.pi, math.pi)
         alpha_true = rng.uniform(-math.pi, math.pi)
-        mult = Multiplier(*(alpha_true - f * v_true for f in freqs))
+        mult = Multiplier(*(wrap_angle(alpha_true - f * v_true) for f in freqs))
         ok, (alpha, v) = is_isometry(freqs, mult)
         assert ok
         tri = Trinomial(*freqs, *rng.uniform(0.5, 2.0, 3), *rng.uniform(0, TWO_PI, 3))
