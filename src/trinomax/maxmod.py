@@ -30,11 +30,10 @@ from .spectrum import (
     SpectrumError,
     SpectrumGeometry,
     Trinomial,
+    _turn_shifts,
     canonical_reduction,
     modular_inverse,
-    phase_combination,
     spectrum_geometry,
-    wrap_angle,
 )
 
 __all__ = [
@@ -306,19 +305,6 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     return MaxResult(((x_star % TWO_PI, value),), 2, MaxClassification.INTERIOR_UNIQUE, None)
 
 
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    # returns (u, w) with u*a + w*b = gcd(a, b)
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_w, w = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_w, w = w, old_w - q * w
-    return old_u, old_w
-
-
 def _localization_endpoints(
     trinomial: Trinomial,
 ) -> tuple[SpectrumGeometry, float, float, float]:
@@ -326,17 +312,16 @@ def _localization_endpoints(
 
     Returns the spectrum geometry and the points e1 (first coefficient
     kept with the middle one), e2 (middle with last) and e3 (first with
-    last), computed from the phases alone after shifting t1, t3 by full
-    turns so that the phase combination lands in (-pi, pi].
+    last), computed from the phases alone after shifting t1, t3 by the
+    whole turns of _turn_shifts, so that the phase combination lands in
+    (-pi, pi] and the endpoints stay within a few turns of the origin.
     """
     geo = spectrum_geometry(trinomial.frequencies)
     l1, l2, l3 = geo.lams
     t1, t2, t3 = geo.sort(trinomial.phases)
-    comb = phase_combination(geo.k, geo.l, t1, t2, t3)
-    shift = round((wrap_angle(comb) - comb) / TWO_PI)
-    u, w = _bezout(geo.l, geo.k)
-    t1a = t1 - TWO_PI * (shift * u)
-    t3a = t3 - TWO_PI * (shift * w)
+    u, w = _turn_shifts(geo, (t1, t2, t3))
+    t1a = t1 - TWO_PI * u
+    t3a = t3 - TWO_PI * w
     e1 = (t1a - t2) / (l2 - l1)
     e2 = (t2 - t3a) / (l3 - l2)
     e3 = (t1a - t3a) / (l3 - l1)

@@ -143,12 +143,14 @@ def sweep_rows(
         tau = math.pi * i / (n - 1)
         t = tau / big_d
         value = fstar(k, l, r1, r2, r3, t)
+        # t lies in [0, pi/(k+l)], where ratio_gstar's fold is the identity
+        at_zero = math.hypot(r1 + r3 + r2 * math.cos(t), r2 * math.sin(t))
         rows.append(
             SweepRow(
                 tau=tau,
                 t=t,
                 fstar=value,
-                ratio=ratio_gstar(k, l, r1, r2, r3, t),
+                ratio=value / at_zero,
                 bound=math.cos(tau / (2.0 * big_d)),
             )
         )

@@ -300,32 +300,42 @@ def derive_spectrum_stats(trinomial: Trinomial) -> SpectrumStats:
     return _stats(geo, abs(geo.signed_tau(trinomial.phases)))
 
 
-def _solve_common_shift(
-    freqs: tuple[int, int, int], phases: tuple[float, float, float], tol: float
-) -> float:
-    """Solve phases[j] + freqs[j]*v = const (mod 2*pi) for v.
+def _turn_shifts(geo: SpectrumGeometry, phases: tuple[float, float, float]) -> tuple[int, int]:
+    """Whole turns (U, W) to take off the sorted phases t1 and t3.
 
-    freqs must be strictly increasing.  A solution exists exactly when the
-    weighted phase combination lies in 2*pi*Z; candidates are enumerated from
-    the first congruence and checked against the second, returning the one
-    with the smallest residual.
+    0 <= U < k and U*l + W*k is the number of turns that brings the phase
+    combination into (-pi, pi], so t1 - 2*pi*U, t2, t3 - 2*pi*W carry the
+    wrapped combination.  Integer arithmetic throughout: U is the shift
+    times the inverse of l modulo k, W follows exactly.
     """
-    l1, l2, l3 = freqs
+    comb = phase_combination(geo.k, geo.l, *phases)
+    shift = round((wrap_angle(comb) - comb) / TWO_PI)
+    u = shift * pow(geo.l, -1, geo.k) % geo.k
+    return u, (shift - u * geo.l) // geo.k
+
+
+def _solve_common_shift(
+    geo: SpectrumGeometry, phases: tuple[float, float, float], tol: float
+) -> float:
+    """Solve phases[j] + lams[j]*v = const (mod 2*pi) for v, lams = geo.lams.
+
+    phases are in sorted-frequency order.  A solution exists exactly when the
+    weighted phase combination lies in 2*pi*Z.  Taking U whole turns off t1
+    (see _turn_shifts) makes the combination vanish, so with n = -U mod k
+    v = (t1 - t2 + 2*pi*n)/(l2 - l1) solves the first congruence and, up to
+    rounding, the second; its residual there is checked against tol.  The
+    cost is one modular inverse, O(log gap).
+    """
+    l1, l2, l3 = geo.lams
     t1, t2, t3 = phases
-    a = l2 - l1
-    best_v = None
-    best_res = math.inf
-    for n in range(a):
-        v = (t1 - t2 + TWO_PI * n) / a
-        res = abs(wrap_angle((l3 - l2) * v - (t2 - t3)))
-        if res < best_res:
-            best_res = res
-            best_v = v
-    if best_v is None or best_res > tol:
+    n = -_turn_shifts(geo, phases)[0] % geo.k
+    v = (t1 - t2 + TWO_PI * n) / (l2 - l1)
+    res = abs(wrap_angle((l3 - l2) * v - (t2 - t3)))
+    if res > tol:
         raise SpectrumError(
-            f"no common translation exists (best residual {best_res:.3e} > tol {tol:.1e})"
+            f"no common translation exists (residual {res:.3e} > tol {tol:.1e})"
         )
-    return wrap_angle(best_v)
+    return wrap_angle(v)
 
 
 def is_isometry(
@@ -345,7 +355,7 @@ def is_isometry(
     if abs(geo.signed_tau(multiplier.phases)) > tol:
         return False, None
     phases = geo.sort(multiplier.phases)
-    v = _solve_common_shift(geo.lams, phases, 4.0 * tol)
+    v = _solve_common_shift(geo, phases, 4.0 * tol)
     alpha = wrap_angle(phases[1] + geo.lams[1] * v)
     return True, (alpha, v)
 
@@ -369,7 +379,7 @@ def canonical_reduction(
     r1, r2, r3 = geo.sort(trinomial.moduli)
 
     t2_target = tau_signed / big_d
-    v = _solve_common_shift(geo.lams, (t1, t2 - t2_target, t3), tol=1e-7)
+    v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), tol=1e-7)
     alpha = wrap_angle(t2 - t2_target + geo.lams[1] * v)
 
     epsilon = 1 if t2_target >= 0.0 else -1
@@ -442,7 +452,5 @@ def symmetry_axis(trinomial: Trinomial, tol: float = 1e-6) -> float:
     tau = abs(geo.signed_tau(trinomial.phases))
     if abs(tau - math.pi) > 1e-6:
         raise SpectrumError(f"symmetry axis requires tau = pi, got tau = {tau}")
-    s = _solve_common_shift(
-        geo.lams, tuple(2.0 * t for t in geo.sort(trinomial.phases)), tol
-    )
+    s = _solve_common_shift(geo, tuple(2.0 * t for t in geo.sort(trinomial.phases)), tol)
     return s % (TWO_PI / geo.d)

@@ -21,6 +21,7 @@ from trinomax import (
     make_reduced_form,
     max_points_global,
     modulus_squared_reduced,
+    modulus_squared_trinomial,
     symmetry_axis,
 )
 
@@ -360,3 +361,42 @@ def test_uniqueness_for_sub_pi_invariant():
             spread = near.max() - near.min()
             # all near-max samples cluster around the single argmax
             assert spread < 0.1 or spread > TWO_PI - 0.1
+
+
+def wide_gap_trinomial(rng, big, on_top):
+    """Random trinomial whose lower sorted gap is big (or whose upper one is,
+    when on_top), the other gap in [1, 12]."""
+    small = int(rng.integers(1, 13))
+    low = int(rng.integers(-12, 13))
+    first, second = (small, big) if on_top else (big, small)
+    return Trinomial(
+        low, low + first, low + first + second,
+        *rng.uniform(0.2, 5.0, 3),
+        *rng.uniform(0, TWO_PI, 3),
+    )
+
+
+class TestLargeGaps:
+    @pytest.mark.parametrize("on_top", [False, True])
+    def test_max_points_pass_oracle_free_checks(self, on_top):
+        # the reduction costs O(log gap), so a gap of 10**6 is solved directly
+        rng = np.random.default_rng(600 + on_top)
+        for _ in range(20):
+            tri = wide_gap_trinomial(rng, 10**6, on_top)
+            f, r = tri.frequencies, tri.moduli
+            scale = sum(
+                2.0 * r[a] * r[b] * abs(f[a] - f[b]) for a in range(3) for b in range(a + 1, 3)
+            )
+            res = max_points_global(tri)
+            for x, value in res.points:
+                assert abs(evaluate(tri, x)) == pytest.approx(value, rel=1e-12)
+                assert abs(modulus_squared_trinomial(tri, x, 1)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("big", [10**3, 10**6, 10**9])
+    @pytest.mark.parametrize("on_top", [False, True])
+    def test_localization_interval_stays_near_origin(self, big, on_top):
+        # whole turns are taken off the phases exactly, never as big float shifts
+        rng = np.random.default_rng(big + on_top)
+        for _ in range(20):
+            lo, hi = localization_interval(wide_gap_trinomial(rng, big, on_top))
+            assert -2.0 * TWO_PI <= lo <= hi <= 2.0 * TWO_PI

@@ -19,6 +19,12 @@ from trinomax import (
     opposition_signs,
     wrap_angle,
 )
+from trinomax.spectrum import (
+    _solve_common_shift,
+    _turn_shifts,
+    phase_combination,
+    spectrum_geometry,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -236,3 +242,84 @@ def test_opposition_signs_random_spectra():
         phases = tuple(0.0 if s > 0 else math.pi for s in signs)
         stats = derive_spectrum_stats(Trinomial(*(int(f) for f in freqs), 1, 1, 1, *phases))
         assert stats.tau == pytest.approx(math.pi, abs=1e-9)
+
+
+def enumerated_common_shift(freqs, phases, tol):
+    """The O(gap) search that _solve_common_shift replaced, kept as a reference:
+    every candidate of the first congruence, checked against the second."""
+    l1, l2, l3 = freqs
+    t1, t2, t3 = phases
+    a = l2 - l1
+    best_v, best_res = None, math.inf
+    for n in range(a):
+        v = (t1 - t2 + TWO_PI * n) / a
+        res = abs(wrap_angle((l3 - l2) * v - (t2 - t3)))
+        if res < best_res:
+            best_v, best_res = v, res
+    if best_res > tol:
+        raise SpectrumError(f"no common translation (best residual {best_res:.3e})")
+    return wrap_angle(best_v)
+
+
+def wide_spectrum(rng):
+    """Sorted spectrum with step d in {1, 2, 3, 5} and gaps up to 300."""
+    d = int(rng.choice([1, 2, 3, 5]))
+    while True:
+        k, l = (int(g) for g in rng.integers(1, 300 // d + 1, size=2))
+        if math.gcd(k, l) == 1:
+            break
+    low = int(rng.integers(-50, 51))
+    return spectrum_geometry((low, low + d * k, low + d * (k + l)))
+
+
+class TestClosedFormCommonShift:
+    def assert_same_translation(self, geo, phases):
+        v = _solve_common_shift(geo, phases, 1e-7)
+        v_ref = enumerated_common_shift(geo.lams, phases, 1e-7)
+        assert abs(math.remainder(v - v_ref, TWO_PI / geo.d)) <= 1e-12
+
+    def test_isometric_multipliers(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            geo = wide_spectrum(rng)
+            v, alpha = rng.uniform(-math.pi, math.pi, 2)
+            self.assert_same_translation(
+                geo, tuple(wrap_angle(alpha - f * v) for f in geo.lams)
+            )
+
+    def test_canonical_reduction_phases(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            geo = wide_spectrum(rng)
+            t1, t2, t3 = rng.uniform(0, TWO_PI, 3)
+            target = geo.signed_tau((t1, t2, t3)) / geo.D
+            self.assert_same_translation(geo, (t1, t2 - target, t3))
+
+    def test_unsolvable_raise_in_both(self):
+        rng = np.random.default_rng(43)
+        cases = 0
+        while cases < 200:
+            geo = wide_spectrum(rng)
+            phases = tuple(rng.uniform(0, TWO_PI, 3))
+            if abs(geo.signed_tau(phases)) < 0.5:
+                continue
+            cases += 1
+            with pytest.raises(SpectrumError):
+                _solve_common_shift(geo, phases, 1e-7)
+            with pytest.raises(SpectrumError):
+                enumerated_common_shift(geo.lams, phases, 1e-7)
+
+    def test_turn_shift_contract(self):
+        rng = np.random.default_rng(44)
+        for _ in range(500):
+            geo = wide_spectrum(rng)
+            k, l = geo.k, geo.l
+            t1, t2, t3 = rng.uniform(-50.0, 50.0, 3)
+            comb = phase_combination(k, l, t1, t2, t3)
+            shift = round((wrap_angle(comb) - comb) / TWO_PI)
+            u, w = _turn_shifts(geo, (t1, t2, t3))
+            assert isinstance(u, int) and isinstance(w, int)
+            assert 0 <= u < k
+            assert u * l + w * k == shift
+            shifted = phase_combination(k, l, t1 - TWO_PI * u, t2, t3 - TWO_PI * w)
+            assert abs(shifted - wrap_angle(comb)) <= 1e-9
