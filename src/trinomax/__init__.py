@@ -37,10 +37,8 @@ from .maxmod import (
     binomial_max,
     closed_form_k1_l1,
     closed_form_k2_l1,
-    derivative_half,
     evaluate,
     find_max_reduced,
-    golden_max,
     half_derivative,
     locate_interval,
     localization_interval,
@@ -54,6 +52,7 @@ from .oracle import (
     brute_max,
     brute_multiplier_norm,
     brute_sidon,
+    golden_max,
     random_symmetric_pair,
     random_trinomial,
     run_verification,

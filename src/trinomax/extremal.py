@@ -6,6 +6,10 @@ single exponential or a trinomial attaining modulus 1 at two points modulo
 which 1 - |P|^2 has total zero multiplicity four over one period (two double
 zeros, or one quadruple zero).  No binomial is extreme.
 
+Both facts are read off the branch of ``max_points_global`` that found the
+maximum: the zeros of 1 - |P|^2 are exactly its maximum points, each of the
+multiplicity that branch reports (four on the knife edge, two elsewhere).
+
 Reconstruction: a trinomial that attains its maximum modulus at two given
 points is pinned down by its values there, via a 3-equation linear system in
 the signed coefficients after translating the midpoint to the origin.
@@ -17,14 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .maxmod import (
-    evaluate,
-    golden_max,
-    max_points_global,
-    modulus_squared_trinomial,
-)
+from .maxmod import evaluate, max_points_global
 from .spectrum import TWO_PI, SpectrumError, Trinomial, spectrum_geometry
 
 __all__ = [
@@ -100,59 +97,6 @@ def unit_ball_point(
     return UnitBallPoint(tuple(frequencies), tuple(moduli), tuple(phases), sup)
 
 
-def _zero_multiplicity_sum(trinomial: Trinomial, sup: float, samples: int = 4096) -> int:
-    """Total multiplicity of the zeros of sup^2 - |P|^2 over one period.
-
-    Zeros are located from a dense sample (local minima of the gap) and
-    polished by golden-section; each zero is double unless the second
-    derivative vanishes at the tolerance scale, in which case the fourth
-    derivative must confirm a quadruple zero.
-    """
-    period = TWO_PI / spectrum_geometry(trinomial.frequencies).d
-    sup_sq = sup**2
-
-    xs = np.linspace(0.0, period, samples, endpoint=False)
-    gap = sup_sq - np.abs(evaluate(trinomial, xs)) ** 2
-    f = trinomial.frequencies
-    r = trinomial.moduli
-    scale2 = 2.0 * sum(
-        r[a] * r[b] * (f[a] - f[b]) ** 2 for a in range(3) for b in range(a + 1, 3)
-    )
-
-    def modulus_sq(x: float) -> float:
-        return modulus_squared_trinomial(trinomial, x)
-
-    h = period / samples
-    zeros: list[float] = []
-    total = 0
-    zero_tol = 1e-8 * max(sup_sq, 1.0)
-    for i in range(samples):
-        before = gap[(i - 1) % samples]
-        after = gap[(i + 1) % samples]
-        if not (gap[i] <= before and gap[i] <= after):
-            continue
-        if gap[i] > 1e-4 * max(sup_sq, 1.0):
-            continue
-        x, value_sq, _ = golden_max(modulus_sq, float(xs[i]) - h, float(xs[i]) + h)
-        if sup_sq - value_sq > zero_tol:
-            continue
-        folded = x % period
-        if any(min(abs(folded - z), period - abs(folded - z)) < 1e-4 * period for z in zeros):
-            continue
-        zeros.append(folded)
-        second = -modulus_squared_trinomial(trinomial, x, 2)
-        if second > 1e-6 * scale2:
-            total += 2
-        else:
-            fourth = -modulus_squared_trinomial(trinomial, x, 4)
-            if fourth <= 0.0:
-                raise SpectrumError(
-                    f"zero of 1 - |P|^2 at {x} has no definite multiplicity"
-                )
-            total += 4
-    return total
-
-
 def classify_unit_ball_point(
     point: UnitBallPoint, norm_tol: float = 1e-6
 ) -> ExtremalClass:
@@ -162,7 +106,8 @@ def classify_unit_ball_point(
     most ``norm_tol``.  Monomials are both; binomials are neither; a
     trinomial is exposed exactly when it attains its maximum at two points
     modulo 2*pi/d and extreme exactly when the zero multiplicities of
-    1 - |P|^2 sum to four.
+    1 - |P|^2 sum to four.  The evidence is the point count and the
+    multiplicity of one ``max_points_global`` result.
     """
     if abs(point.sup_norm - 1.0) > norm_tol:
         raise SpectrumError(
@@ -176,7 +121,7 @@ def classify_unit_ball_point(
     trinomial = Trinomial(*point.frequencies, *point.moduli, *point.phases)
     res = max_points_global(trinomial)
     count = len(res.points)
-    zsum = _zero_multiplicity_sum(trinomial, res.value)
+    zsum = res.multiplicity * count
     return ExtremalClass(
         exposed=count == 2,
         extreme=zsum == 4,

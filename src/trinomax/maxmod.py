@@ -43,7 +43,6 @@ __all__ = [
     "evaluate",
     "modulus_at",
     "modulus_squared_reduced",
-    "derivative_half",
     "half_derivative",
     "modulus_squared_trinomial",
     "locate_interval",
@@ -53,7 +52,6 @@ __all__ = [
     "closed_form_k1_l1",
     "closed_form_k2_l1",
     "binomial_max",
-    "golden_max",
 ]
 
 # |t*(k+l) - pi| at or below this counts as tau = pi
@@ -61,7 +59,6 @@ TAU_PI_TOL = 1e-9
 # relative distance to the knife edge k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 that
 # counts as on it
 DEGENERATE_REL_TOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class BracketFailure(RuntimeError):
@@ -151,14 +148,6 @@ def half_derivative(form: ReducedForm, x: float, order: int = 1) -> float:
     return out
 
 
-def derivative_half(form: ReducedForm, x: float) -> float:
-    """Half the derivative of the squared modulus:
-
-    -k*r1*r2*sin(t + kx) - (k+l)*r1*r3*sin((k+l)x) + l*r2*r3*sin(t - lx).
-    """
-    return half_derivative(form, x, 1)
-
-
 def modulus_squared_trinomial(trinomial: Trinomial, x: float, order: int = 0) -> float:
     """d^order/dx^order of |T(x)|^2 for a general trinomial."""
     f = trinomial.frequencies
@@ -187,14 +176,14 @@ def _derivative_scale(form: ReducedForm) -> float:
     return k * form.r1 * form.r2 + (k + l) * form.r1 * form.r3 + l * form.r2 * form.r3
 
 
-def _bisect_plus_to_minus(fun, lo: float, hi: float, guard: float, iters: int = 60) -> float:
+def _bisect_plus_to_minus(fun, lo: float, hi: float, guard: float) -> float:
     flo = fun(lo)
     fhi = fun(hi)
     if flo < -guard or fhi > guard:
         raise BracketFailure(
             f"endpoint derivative signs violate the bracket: f({lo})={flo}, f({hi})={fhi}"
         )
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if fun(mid) > 0.0:
             lo = mid
@@ -204,7 +193,7 @@ def _bisect_plus_to_minus(fun, lo: float, hi: float, guard: float, iters: int = 
 
 
 def _newton_polish(form: ReducedForm, x: float, lo: float, hi: float) -> float:
-    d1 = derivative_half(form, x)
+    d1 = half_derivative(form, x)
     d2 = half_derivative(form, x, 2)
     if d2 < 0.0:
         step = d1 / d2
@@ -221,29 +210,20 @@ def _bisect_symmetric_edge(form: ReducedForm) -> float:
     t = form.t
 
     def phi(x: float) -> float:
-        return -derivative_half(form, t - x) / math.sin(x)
+        return -half_derivative(form, t - x) / math.sin(x)
 
     lo = 1e-7 * t
     hi = t * (1.0 - 1e-12)
     if phi(lo) <= 0.0:
         # maximum indistinguishable from the boundary point at this scale
         return t - lo
-    guard = 1e-9 * _derivative_scale(form)
-    if phi(hi) > guard:
-        raise BracketFailure(f"symmetric-edge bracket failed: phi({hi}) = {phi(hi)}")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return t - 0.5 * (lo + hi)
+    return t - _bisect_plus_to_minus(phi, lo, hi, 1e-9 * _derivative_scale(form))
 
 
 def find_max_reduced(form: ReducedForm) -> MaxResult:
     """Maximum-modulus points of a reduced-form trinomial, modulo 2*pi.
 
-    Bisection runs on derivative_half over [0, t/l], where the sign change
+    Bisection runs on half_derivative over [0, t/l], where the sign change
     from + to - is guaranteed.  tau = pi (detected as |t*(k+l) - pi| <=
     TAU_PI_TOL) switches on the symmetric branches: a pair {x, s - x} with
     s = 2*m*pi/(k+l), or for l = 1 the boundary point t with the maximum
@@ -287,7 +267,7 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     else:
         guard = 1e-10 * _derivative_scale(form)
         x_star = _bisect_plus_to_minus(
-            lambda x: derivative_half(form, x), 0.0, t / l, guard
+            lambda x: half_derivative(form, x), 0.0, t / l, guard
         )
 
     x_star = _newton_polish(form, x_star, 0.0, t / l)
@@ -389,36 +369,6 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
         ) % period
     _check_localization(trinomial, stats.tau, tuple(x for x, _ in points), period)
     return MaxResult(points, res.multiplicity, res.classification, axis)
-
-
-def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float, int]:
-    """Golden-section search for a maximum of ``fun`` on [lo, hi].
-
-    Reuses one interior evaluation per step; returns the best probe, its
-    value and the number of evaluations.  Meant for unimodal brackets.
-    """
-    a, b = lo, hi
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc = fun(c)
-    fd = fun(d)
-    count = 2
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = fun(d)
-        count += 1
-    if fc > fd:
-        return c, fc, count
-    return d, fd, count
 
 
 def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[float, ...]]:

@@ -2,10 +2,11 @@
 
 Grid maximisation of |T| with golden-section refinement, phase-space
 minimisation for the empirical Sidon constant, and a sup-search for
-multiplier norms.  The oracle shares three pieces with the rest of the
-library: ``evaluate``, the period 2*pi/d from ``spectrum_geometry``, and
-the ``golden_max`` routine.  The analytic solver ``find_max_reduced`` uses
-none of them, so the comparison with it stays independent.
+multiplier norms.  The oracle shares two pieces with the rest of the
+library: ``evaluate`` and the period 2*pi/d from ``spectrum_geometry``.
+The analytic solver ``find_max_reduced`` uses neither, so the comparison
+with it stays independent.  The golden-section routine ``golden_max`` lives
+here; nothing on the analytic side searches numerically.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxmod import evaluate, golden_max, max_points_global, modulus_at
+from .maxmod import evaluate, max_points_global, modulus_at
 from .spectrum import (
     TWO_PI,
     Multiplier,
@@ -31,12 +32,16 @@ __all__ = [
     "OracleReport",
     "VerificationRow",
     "brute_max",
+    "golden_max",
     "brute_sidon",
     "brute_multiplier_norm",
     "random_trinomial",
     "random_symmetric_pair",
     "run_verification",
 ]
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -47,6 +52,36 @@ class OracleReport:
     evaluations: int
 
 
+def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float, int]:
+    """Golden-section search for a maximum of ``fun`` on [lo, hi].
+
+    Reuses one interior evaluation per step; returns the best probe, its
+    value and the number of evaluations.  Meant for unimodal brackets.
+    """
+    a, b = lo, hi
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc = fun(c)
+    fd = fun(d)
+    count = 2
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INV_PHI * h
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INV_PHI * h
+            fd = fun(d)
+        count += 1
+    if fc > fd:
+        return c, fc, count
+    return d, fd, count
+
+
 def brute_max(
     trinomial: Trinomial,
     grid_n: int = 2048,
@@ -54,11 +89,12 @@ def brute_max(
 ) -> OracleReport:
     """Grid scan of |T| over one period 2*pi/d with golden-section refinement.
 
-    Every sample that could hide the global maximum given the quadratic droop
-    of |T|^2 between grid points (and at least every sample within a 1e-7
-    relative band of the grid maximum) is refined; refined points within
-    ``tol`` relative of the best refined value are reported as maximum
-    points, clustered with radius 1e-4 of the period.
+    Every grid local maximum that could hide the global maximum given the
+    quadratic droop of |T|^2 between grid points (and at least every one
+    within a 1e-7 relative band of the grid maximum) is refined over its two
+    neighbouring grid cells; refined points within ``tol`` relative of the
+    best refined value are reported as maximum points, clustered with radius
+    1e-4 of the period.
     """
     if grid_n < 1024:
         raise SpectrumError(f"oracle grid must have at least 1024 points, got {grid_n}")
@@ -77,31 +113,15 @@ def brute_max(
     )
     droop_sq = curvature * h * h / 6.0
     threshold = min(vmax * (1.0 - 1e-7), math.sqrt(max(vmax * vmax - droop_sq, 0.0)))
-    candidate = vals >= threshold
-
-    # cluster contiguous candidate indices, cyclically
-    idx = np.flatnonzero(candidate)
-    clusters: list[tuple[int, int]] = []
-    if idx.size:
-        start = prev = int(idx[0])
-        for i in idx[1:]:
-            i = int(i)
-            if i == prev + 1:
-                prev = i
-            else:
-                clusters.append((start, prev))
-                start = prev = i
-        clusters.append((start, prev))
-        if len(clusters) > 1 and clusters[0][0] == 0 and clusters[-1][1] == grid_n - 1:
-            s, _ = clusters.pop()
-            first = clusters[0]
-            clusters[0] = (s - grid_n, first[1])
+    # a band as wide as the whole period can hold several local maxima, so
+    # each grid peak in it gets its own bracket (neighbours taken cyclically)
+    idx = np.flatnonzero(vals >= threshold)
+    top = vals[idx]
+    peaks = idx[(top >= vals[idx - 1]) & (top >= vals[(idx + 1) % grid_n])]
 
     refined: list[tuple[float, float]] = []
-    for start, stop in clusters:
-        lo = (start - 1) * h
-        hi = (stop + 1) * h
-        x, v, n = golden_max(lambda x: modulus_at(trinomial, x), lo, hi)
+    for i in peaks.tolist():
+        x, v, n = golden_max(lambda x: modulus_at(trinomial, x), (i - 1) * h, (i + 1) * h)
         refined.append((x % period, v))
         evaluations += n
 

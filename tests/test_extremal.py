@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from trinomax import (
+    MaxClassification,
     NoSolution,
     SingularConfiguration,
     SpectrumError,
     Trinomial,
+    brute_max,
     classify_unit_ball_point,
+    derive_spectrum_stats,
     evaluate,
     max_points_global,
     parabola_invariant,
+    random_symmetric_pair,
+    random_trinomial,
     reconstruct_from_two_points,
     unit_ball_point,
 )
@@ -85,6 +90,60 @@ class TestClassification:
             )
             cls = classify_unit_ball_point(point)
             assert cls.exposed and cls.extreme
+
+    def test_tau_just_below_pi_is_neither(self):
+        # 1e-8 short of the symmetric case: one maximum point, one double zero
+        point = normalized_trinomial_point(
+            (-1, 0, 1), (1.0, 2.0, 1.3), (0.0, (math.pi - 1e-8) / 2, 0.0)
+        )
+        cls = classify_unit_ball_point(point)
+        assert (cls.evidence.max_point_count, cls.evidence.zero_multiplicity_sum) == (1, 2)
+        assert cls.extreme is False and cls.exposed is False
+
+    def test_just_off_the_knife_edge_is_neither(self):
+        # r2 raised by 1e-6 relative: the maximum moves to the boundary point
+        k, r1, r3 = 2, 0.3, 2.0
+        r2 = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1) * (1.0 + 1e-6)
+        point = normalized_trinomial_point(
+            (-k, 0, 1), (r1, r2, r3), (0.0, math.pi / (k + 1), 0.0)
+        )
+        cls = classify_unit_ball_point(point)
+        assert (cls.evidence.max_point_count, cls.evidence.zero_multiplicity_sum) == (1, 2)
+        assert cls.extreme is False and cls.exposed is False
+
+    def test_classes_follow_the_maximum_branch_on_wide_moduli(self):
+        rng = np.random.default_rng(23)
+        symmetric = {MaxClassification.SYMMETRIC_PAIR}
+        extreme = symmetric | {MaxClassification.DEGENERATE4}
+        cases = [(random_trinomial(rng), True) for _ in range(150)]
+        cases += [(random_symmetric_pair(rng), True) for _ in range(40)]
+        for _ in range(20):
+            # knife edge and both sides of it, k*r1 <= r3
+            k = int(rng.integers(1, 4))
+            r1 = float(np.exp(rng.uniform(math.log(1e-2), math.log(1.0))))
+            r3 = k * k * r1 * float(np.exp(rng.uniform(math.log(1.5), math.log(1e2))))
+            r2 = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1)
+            for scale in (1.0, 0.9, 1.1):
+                tri = Trinomial(-k, 0, 1, r1, r2 * scale, r3, 0.0, math.pi / (k + 1), 0.0)
+                cases.append((tri, False))
+        seen = set()
+        for tri, against_oracle in cases:
+            res = max_points_global(tri)
+            seen.add(res.classification)
+            point = normalized_trinomial_point(tri.frequencies, tri.moduli, tri.phases)
+            cls = classify_unit_ball_point(point)
+            assert cls.exposed == (res.classification in symmetric)
+            assert cls.extreme == (res.classification in extreme)
+            if not against_oracle:
+                continue
+            if res.classification not in symmetric:
+                if derive_spectrum_stats(tri).tau >= math.pi - 1e-3:
+                    continue
+                report = brute_max(tri, 1024)
+            else:
+                report = brute_max(tri, 4096)
+            assert cls.exposed == (len(report.argmaxes) == 2)
+        assert seen == set(MaxClassification) - {MaxClassification.AT_ZERO}
 
     def test_rejects_unnormalized(self):
         point = unit_ball_point((-1, 0, 1), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))

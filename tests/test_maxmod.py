@@ -12,7 +12,6 @@ from trinomax import (
     binomial_max,
     closed_form_k1_l1,
     closed_form_k2_l1,
-    derivative_half,
     evaluate,
     find_max_reduced,
     half_derivative,
@@ -82,7 +81,7 @@ class TestModulusSquared:
 class TestDerivativeHalf:
     def test_even_at_origin_when_phase_zero(self):
         form = ReducedForm(2, 3, 1.0, 2.0, 1.0, 0.0)
-        assert derivative_half(form, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert half_derivative(form, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("k,l,r,t", [
         (1, 2, (0.5, 1.5, 2.0), 0.3),
@@ -92,7 +91,7 @@ class TestDerivativeHalf:
     def test_origin_closed_form(self, k, l, r, t):
         form = ReducedForm(k, l, *r, t)
         expected = (l * r[2] - k * r[0]) * r[1] * math.sin(t)
-        assert derivative_half(form, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert half_derivative(form, 0.0) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("k,l,r,t", [
         (1, 2, (0.5, 1.5, 2.0), 0.3),
@@ -102,20 +101,20 @@ class TestDerivativeHalf:
         form = ReducedForm(k, l, *r, t)
         x = t / l
         expected = (-k * r[0] * r[1] - (k + l) * r[0] * r[2]) * math.sin((k + l) * t / l)
-        assert derivative_half(form, x) == pytest.approx(expected, rel=1e-12)
+        assert half_derivative(form, x) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_differences(self):
         form = ReducedForm(2, 3, 0.7, 1.1, 0.9, 0.55)
         h = 1e-6
         for x in np.linspace(-0.5, 0.5, 11):
             fd = (modulus_squared_reduced(form, x + h) - modulus_squared_reduced(form, x - h)) / (4 * h)
-            assert derivative_half(form, float(x)) == pytest.approx(fd, abs=1e-8)
+            assert half_derivative(form, float(x)) == pytest.approx(fd, abs=1e-8)
 
     def test_higher_orders_match_finite_differences(self):
         form = ReducedForm(1, 3, 0.8, 1.3, 0.6, 0.4)
         h = 1e-4
         for x in (0.0, 0.1, 0.25):
-            d2_fd = (derivative_half(form, x + h) - derivative_half(form, x - h)) / (2 * h)
+            d2_fd = (half_derivative(form, x + h) - half_derivative(form, x - h)) / (2 * h)
             assert half_derivative(form, x, 2) == pytest.approx(d2_fd, abs=1e-6)
 
 

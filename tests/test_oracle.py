@@ -87,6 +87,16 @@ class TestAgreementWithAnalyticPath:
                 math.remainder(analytic.points[0][0] - report.argmaxes[0], period)
             ) < 1e-6
 
+    def test_wide_moduli_values_agree(self):
+        # one dominant modulus flattens |T| until the refinement band spans
+        # the whole period; every grid peak in it must still be refined
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            tri = random_trinomial(rng, modulus_range=(1e-6, 1e6))
+            analytic = max_points_global(tri).value
+            report = brute_max(tri, 1024)
+            assert report.value == pytest.approx(analytic, rel=1e-9, abs=0.0)
+
     def test_symmetric_pairs_found_by_both(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
