@@ -3,9 +3,10 @@
 Angles are radians unless --degrees is passed; output is always radians.
 JSON output uses Python's shortest round-trip float formatting (17
 significant digits where needed); human tables show 9 significant digits.
-Exit codes: 0 ok, 2 invalid input, 3 verification failure.  No colour is
-ever emitted, so NO_COLOR is honoured trivially; no network access and no
-environment variables are required.
+Exit codes: 0 ok, 2 invalid input, 3 verification failure (including a
+BracketFailure of the root finder).  No colour is ever emitted, so NO_COLOR
+is honoured trivially; no network access and no environment variables are
+required.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict
 from . import __version__
 from .constants import lift_to_measure, multiplier_norm, sidon_constant
 from .geometry import farthest_points, hypotrochoid_sample
-from .maxmod import MaxResult, max_points_global
+from .maxmod import BracketFailure, MaxResult, max_points_global
 from .oracle import brute_max, brute_sidon, run_verification
 from .phasecurves import sweep_rows
 from .spectrum import (
@@ -368,12 +369,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpectrumError as exc:
+    except (SpectrumError, BracketFailure) as exc:
         if getattr(args, "json", False):
             print(json.dumps({"error": {"message": str(exc), "command": args.command}}))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BAD_INPUT
+        return _EXIT_BAD_INPUT if isinstance(exc, SpectrumError) else _EXIT_VERIFY_FAILED
 
 
 def entrypoint() -> None:

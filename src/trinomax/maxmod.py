@@ -7,12 +7,13 @@ is
            + 2*(r1*r2*cos(t + kx) + r1*r3*cos((k+l)x) + r2*r3*cos(t - lx)),
 
 and under the normalisation k*r1 <= l*r3 its derivative changes sign exactly
-once on [0, t/l], from + to -.  That guaranteed bracket makes plain bisection
-the right root finder; a single Newton step polishes the result.  The
-absolute maximum is attained once modulo 2*pi/d unless tau = pi, in which
-case the modulus has an axis of symmetry and the maximum is attained either
-at a symmetric pair of points or, on a knife-edge coefficient set, at one
-point with multiplicity four.
+once on [0, t/l], from + to -.  That guaranteed bracket makes bracket-keeping
+Newton (rtsafe) safe: it converges quadratically, and falls back to
+bisection wherever a Newton step would leave the bracket.  The absolute
+maximum is attained once modulo 2*pi/d unless tau = pi, in which case the
+modulus has an axis of symmetry and the maximum is attained either at a
+symmetric pair of points or, on a knife-edge coefficient set, at one point
+with multiplicity four.
 """
 
 from __future__ import annotations
@@ -176,60 +177,75 @@ def _derivative_scale(form: ReducedForm) -> float:
     return k * form.r1 * form.r2 + (k + l) * form.r1 * form.r3 + l * form.r2 * form.r3
 
 
-def _bisect_plus_to_minus(fun, lo: float, hi: float, guard: float) -> float:
-    flo = fun(lo)
-    fhi = fun(hi)
-    if flo < -guard or fhi > guard:
+def _slope_and_curvature(form: ReducedForm, x: float) -> tuple[float, float]:
+    """half_derivative orders 1 and 2, bit for bit, from one set of sines and cosines."""
+    k, kl, l = form.k, form.k + form.l, form.l
+    a, b, c = form.r1 * form.r2, form.r1 * form.r3, form.r2 * form.r3
+    u, v, w = form.t + k * x, kl * x, form.t - l * x
+    su, sv, sw = math.sin(u), math.sin(v), math.sin(w)
+    cu, cv, cw = math.cos(u), math.cos(v), math.cos(w)
+    return (
+        -(a * (k * su) + b * (kl * sv) - c * (l * sw)),
+        -(a * (k * k * cu) + b * (kl * kl * cv) + c * (l * l * cw)),
+    )
+
+
+def _root_plus_to_minus(fun, lo: float, hi: float, scale: float) -> float:
+    """Root in [lo, hi] of a g that changes sign once there, from + to -.
+
+    fun(x) returns (g, g'); scale bounds the terms g sums and sets the
+    endpoint guard (1e-10*scale) and the rounding noise (8 ulp of it).
+    Bracket-keeping Newton (rtsafe, Numerical Recipes 9.4) from the endpoint
+    with the shorter step: each evaluation narrows [lo, hi] by the sign of
+    g, and a Newton step that leaves the bracket or exceeds half the step
+    before last gives way to bisection.  Ends at g >= 0 on hi, at a Newton
+    step within 2 ulp of the bracket (tested first, so a step resolved on
+    the bracket edge ends it), or at a refused step with g' < 0 and |g|
+    within the noise, where bisecting would only follow the noise.
+    """
+    glo, dlo = fun(lo)
+    ghi, dhi = fun(hi)
+    if glo < -1e-10 * scale or ghi > 1e-10 * scale:
         raise BracketFailure(
-            f"endpoint derivative signs violate the bracket: f({lo})={flo}, f({hi})={fhi}"
+            f"endpoint derivative signs violate the bracket: f({lo})={glo}, f({hi})={ghi}"
         )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if fun(mid) > 0.0:
-            lo = mid
+    if ghi >= 0.0:
+        return hi
+    tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+    x, g, dg = (lo, glo, dlo) if abs(glo * dhi) <= abs(ghi * dlo) else (hi, ghi, dhi)
+    step = hi - lo
+    for _ in range(200):
+        newton = g / dg if dg else math.inf
+        if abs(newton) <= tol:
+            return x - newton
+        older, step = step, newton
+        if lo < x - newton < hi and abs(newton) <= 0.5 * abs(older):
+            x -= newton
+        elif dg < 0.0 and abs(g) <= 8.0 * math.ulp(scale):
+            return x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(form: ReducedForm, x: float, lo: float, hi: float) -> float:
-    d1 = half_derivative(form, x)
-    d2 = half_derivative(form, x, 2)
-    if d2 < 0.0:
-        step = d1 / d2
-        xn = x - step
-        if lo <= xn <= hi and abs(step) <= (hi - lo):
-            return xn
+            step = 0.5 * (hi - lo)
+            x = lo + step
+            if x == lo or x == hi:
+                break
+        g, dg = fun(x)
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
     return x
-
-
-def _bisect_symmetric_edge(form: ReducedForm) -> float:
-    # l = 1, t = pi/(k+1): the derivative vanishes identically at t/l, so the
-    # sign is read off g'(x)/sin(x) with g(x) = f(t - x), which decreases
-    # strictly and changes sign once on (0, t).
-    t = form.t
-
-    def phi(x: float) -> float:
-        return -half_derivative(form, t - x) / math.sin(x)
-
-    lo = 1e-7 * t
-    hi = t * (1.0 - 1e-12)
-    if phi(lo) <= 0.0:
-        # maximum indistinguishable from the boundary point at this scale
-        return t - lo
-    return t - _bisect_plus_to_minus(phi, lo, hi, 1e-9 * _derivative_scale(form))
 
 
 def find_max_reduced(form: ReducedForm) -> MaxResult:
     """Maximum-modulus points of a reduced-form trinomial, modulo 2*pi.
 
-    Bisection runs on half_derivative over [0, t/l], where the sign change
-    from + to - is guaranteed.  tau = pi (detected as |t*(k+l) - pi| <=
-    TAU_PI_TOL) switches on the symmetric branches: a pair {x, s - x} with
-    s = 2*m*pi/(k+l), or for l = 1 the boundary point t with the maximum
-    value r2 + r3 - r1, with multiplicity 4 on the knife edge
-    k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 (relative tolerance
-    DEGENERATE_REL_TOL).
+    Bracket-keeping Newton runs on the first and second half_derivative over
+    [0, t/l], where the sign change from + to - is guaranteed.  tau = pi
+    (detected as |t*(k+l) - pi| <= TAU_PI_TOL) switches on the symmetric
+    branches: a pair {x, s - x} with s = 2*m*pi/(k+l), or for l = 1 the
+    boundary point t with the maximum value r2 + r3 - r1, with multiplicity
+    4 on the knife edge k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 (relative
+    tolerance DEGENERATE_REL_TOL).
     """
     k, l = form.k, form.l
     r1, r2, r3, t = form.r1, form.r2, form.r3, form.t
@@ -263,14 +279,14 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
             return MaxResult(
                 ((t % TWO_PI, r2 + r3 - r1),), 2, MaxClassification.AT_BOUNDARY, 2.0 * t
             )
-        x_star = _bisect_symmetric_edge(form)
+        # the derivative vanishes identically at t, so the bracket stops short
+        # of it; a maximum closer to t than that is taken as t - 1e-7 * t
+        hi = t - 1e-7 * t
     else:
-        guard = 1e-10 * _derivative_scale(form)
-        x_star = _bisect_plus_to_minus(
-            lambda x: half_derivative(form, x), 0.0, t / l, guard
-        )
-
-    x_star = _newton_polish(form, x_star, 0.0, t / l)
+        hi = t / l
+    x_star = _root_plus_to_minus(
+        lambda x: _slope_and_curvature(form, x), 0.0, hi, _derivative_scale(form)
+    )
     value = math.sqrt(modulus_squared_reduced(form, x_star))
     if symmetric:
         axis = TWO_PI * modular_inverse(l, big_d) / big_d
@@ -354,7 +370,11 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     Runs the canonical reduction, locates the maximum of the reduced form and
     maps the points back through the transcript.  When tau = pi the symmetry
     axis s (with x + y = s for the pair) is reported as well, and the result
-    is checked against the phase-only localization interval.
+    is checked against the phase-only localization interval.  The points are
+    stationary to spectrum.STATIONARY_REL_TOL relative; spectra past float
+    resolution for that (2*(l3 - l1)*ulp(2*pi/d) above it, a diameter
+    l3 - l1 beyond about 5.6e6 for d = 1) raise SpectrumError from the
+    reduction.
     """
     form, stats, transcript = canonical_reduction(trinomial)
     res = find_max_reduced(form)

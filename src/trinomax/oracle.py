@@ -424,7 +424,7 @@ def run_verification(
         worst_cf = max(worst_cf, err)
         if err > 1e-10:
             cf_fail += 1
-    rows.append(VerificationRow("closed forms vs bisection (rel, tol 1e-10)", n_cf, cf_fail, worst_cf))
+    rows.append(VerificationRow("closed forms vs find_max_reduced (rel, tol 1e-10)", n_cf, cf_fail, worst_cf))
 
     if include_constants:
         from .constants import multiplier_norm, sidon_constant

@@ -26,6 +26,12 @@ from math import gcd
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
+# relative residual |(|T|^2)'(x)| / sum(2*ri*rj*|gap|) that maximum points are
+# held to.  |T| depends on the gaps only, and a float x in [0, 2*pi/d) fixes
+# the phase differences gap*x only to about 2*(l3 - l1)*ulp(2*pi/d) of it, so
+# canonical_reduction refuses spectra past that: a diameter l3 - l1 above
+# about 5.6e6 for d = 1, twice that for d = 2 or 3.
+STATIONARY_REL_TOL = 1e-8
 
 __all__ = [
     "SpectrumError",
@@ -369,9 +375,18 @@ def canonical_reduction(
     phase shift so the phases become (0, tau_signed/(k+l), 0); conjugate if
     the remaining phase is negative; rescale x by d; swap the outer
     coefficients if k*r1 > l*r3.  The maximum modulus is preserved at every
-    step and |T(x)| = |R(epsilon*d*(x - v))| for all x.
+    step and |T(x)| = |R(epsilon*d*(x - v))| for all x.  Raises SpectrumError
+    for frequencies past float resolution (see STATIONARY_REL_TOL).
     """
     geo = spectrum_geometry(trinomial.frequencies)
+    diameter = geo.lams[2] - geo.lams[0]
+    resolution = 2.0 * diameter * math.ulp(TWO_PI / geo.d)
+    if resolution > STATIONARY_REL_TOL:
+        raise SpectrumError(
+            f"frequency diameter {diameter} is past float resolution: a point in "
+            f"[0, 2*pi/{geo.d}) fixes the phase gaps only to {resolution:.1e} relative, "
+            f"above {STATIONARY_REL_TOL:.0e}"
+        )
     k, l, big_d = geo.k, geo.l, geo.D
     tau_signed = geo.signed_tau(trinomial.phases)
     stats = _stats(geo, abs(tau_signed))

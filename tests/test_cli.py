@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from trinomax import cli
 from trinomax.cli import main
+from trinomax.maxmod import BracketFailure
 
 PI_HALF = "1.5707963267948966"
 
@@ -95,6 +97,22 @@ class TestAnalyze:
         )
         assert code == 2
         assert "error" in json.loads(out)
+
+    def test_bracket_failure_exits_3_with_json_error_body(self, capsys, monkeypatch):
+        def fail(trinomial):
+            raise BracketFailure("endpoint derivative signs violate the bracket: injected")
+
+        monkeypatch.setattr(cli, "max_points_global", fail)
+        code, out = run(
+            capsys, "analyze", "-l", "-1", "0", "1", "-r", "1", "2", "1", "--json"
+        )
+        assert code == 3
+        assert json.loads(out) == {
+            "error": {
+                "message": "endpoint derivative signs violate the bracket: injected",
+                "command": "analyze",
+            }
+        }
 
 
 class TestSidon:

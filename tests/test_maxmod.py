@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trinomax import (
     MaxClassification,
     ReducedForm,
+    SpectrumError,
     Trinomial,
     binomial_max,
     closed_form_k1_l1,
@@ -23,6 +24,10 @@ from trinomax import (
     modulus_squared_trinomial,
     symmetry_axis,
 )
+from trinomax import maxmod
+from trinomax.maxmod import BracketFailure
+from trinomax.oracle import random_symmetric_pair, random_trinomial
+from trinomax.spectrum import canonical_reduction
 
 TWO_PI = 2.0 * math.pi
 
@@ -391,6 +396,33 @@ class TestLargeGaps:
                 assert abs(evaluate(tri, x)) == pytest.approx(value, rel=1e-12)
                 assert abs(modulus_squared_trinomial(tri, x, 1)) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("on_top", [False, True])
+    def test_gap_past_float_resolution_raises(self, on_top):
+        rng = np.random.default_rng(900 + on_top)
+        for _ in range(20):
+            with pytest.raises(SpectrumError, match="past float resolution"):
+                max_points_global(wide_gap_trinomial(rng, 10**9, on_top))
+
+    @pytest.mark.parametrize(
+        "freqs,tol",
+        [
+            ((0, 1, 5_600_000), 1e-8),  # 2*diameter*ulp(2*pi) just below 1e-8
+            ((10**9, 10**9 + 1, 10**9 + 3), 1e-12),  # a common offset costs nothing
+        ],
+    )
+    def test_solves_inside_the_resolution_limit(self, freqs, tol):
+        tri = Trinomial(*freqs, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+        f, r = tri.frequencies, tri.moduli
+        scale = sum(
+            2.0 * r[a] * r[b] * abs(f[a] - f[b]) for a in range(3) for b in range(a + 1, 3)
+        )
+        for x, _ in max_points_global(tri).points:
+            assert abs(modulus_squared_trinomial(tri, x, 1)) <= tol * scale
+
+    def test_diameter_just_past_the_limit_raises(self):
+        with pytest.raises(SpectrumError, match="past float resolution"):
+            max_points_global(Trinomial(0, 1, 5_700_000, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3))
+
     @pytest.mark.parametrize("big", [10**3, 10**6, 10**9])
     @pytest.mark.parametrize("on_top", [False, True])
     def test_localization_interval_stays_near_origin(self, big, on_top):
@@ -399,3 +431,79 @@ class TestLargeGaps:
         for _ in range(20):
             lo, hi = localization_interval(wide_gap_trinomial(rng, big, on_top))
             assert -2.0 * TWO_PI <= lo <= hi <= 2.0 * TWO_PI
+
+
+def near_knife_edge_form(rng) -> ReducedForm:
+    """l = 1, tau = pi, r2 just below the knife edge: an interior symmetric
+    pair whose points approach t as r2 approaches the edge."""
+    k = int(rng.integers(1, 5))
+    r1, r3 = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 2))
+    r3 = max(r3, k * k * r1 * (1.0 + rng.uniform(0.1, 3.0)))
+    r2 = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1) * (1.0 - 10 ** rng.uniform(-9, -1))
+    return ReducedForm(k, 1, float(r1), float(r2), float(r3), math.pi / (k + 1))
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize(
+        "fun",
+        [lambda x: (-0.5 - x, -1.0), lambda x: (1.5 - x, -1.0)],
+        ids=["negative-at-left-end", "positive-at-right-end"],
+    )
+    def test_endpoint_signs_are_guarded(self, fun):
+        with pytest.raises(BracketFailure, match="endpoint derivative signs violate the bracket"):
+            maxmod._root_plus_to_minus(fun, 0.0, 1.0, 1.0)
+
+    def test_converges_to_float_resolution(self):
+        root = maxmod._root_plus_to_minus(
+            lambda x: (2.0 - math.exp(x), -math.exp(x)), 0.0, 2.0, 2.0
+        )
+        assert abs(root - math.log(2.0)) <= 2.0 * math.ulp(2.0)
+
+    def test_few_evaluations_and_stationary_points(self, monkeypatch):
+        calls = []
+        helper = maxmod._slope_and_curvature
+
+        def counted(form, x):
+            calls.append(x)
+            return helper(form, x)
+
+        monkeypatch.setattr(maxmod, "_slope_and_curvature", counted)
+        rng = np.random.default_rng(66)
+        forms = (
+            [canonical_reduction(random_trinomial(rng))[0] for _ in range(400)]
+            + [
+                canonical_reduction(random_trinomial(rng, modulus_range=(1e-6, 1e6)))[0]
+                for _ in range(400)
+            ]
+            + [canonical_reduction(random_symmetric_pair(rng))[0] for _ in range(200)]
+            + [near_knife_edge_form(rng) for _ in range(200)]
+        )
+        counts = []
+        for form in forms:
+            calls.clear()
+            res = find_max_reduced(form)
+            if calls:
+                counts.append(len(calls))
+            tri = reduced_as_trinomial(form)
+            k, l = form.k, form.l
+            scale = 2.0 * (
+                k * form.r1 * form.r2 + (k + l) * form.r1 * form.r3 + l * form.r2 * form.r3
+            )
+            for x, _ in res.points:
+                assert abs(modulus_squared_trinomial(tri, x, 1)) <= 1e-12 * scale
+        assert len(counts) >= 1100
+        assert np.mean(counts) <= 12
+        assert max(counts) <= 60
+
+    def test_closed_forms_match(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            r = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 3))
+            form1, _ = make_reduced_form(1, 1, *r, math.pi / 2)
+            assert find_max_reduced(form1).value == pytest.approx(
+                closed_form_k1_l1(*r)[0], rel=1e-10
+            )
+            form2, _ = make_reduced_form(2, 1, *r, math.pi / 3)
+            assert find_max_reduced(form2).value == pytest.approx(
+                closed_form_k2_l1(*r), rel=1e-10
+            )
