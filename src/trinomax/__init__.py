@@ -47,8 +47,10 @@ from .maxmod import (
     modulus_squared_trinomial,
 )
 from .oracle import (
+    Agreement,
     OracleReport,
     VerificationRow,
+    agreement,
     brute_max,
     brute_multiplier_norm,
     brute_sidon,

@@ -22,10 +22,9 @@ from . import __version__
 from .constants import lift_to_measure, multiplier_norm, sidon_constant
 from .geometry import farthest_points, hypotrochoid_sample
 from .maxmod import BracketFailure, MaxResult, max_points_global
-from .oracle import brute_max, brute_sidon, run_verification
+from .oracle import agreement, brute_max, brute_sidon, run_verification
 from .phasecurves import sweep_rows
 from .spectrum import (
-    TWO_PI,
     Multiplier,
     SpectrumError,
     Trinomial,
@@ -93,19 +92,22 @@ def _max_result_dict(res: MaxResult) -> dict:
     }
 
 
+def _witness_dict(witness) -> dict:
+    return {
+        "frequencies": list(witness.frequencies),
+        "moduli": list(witness.moduli),
+        "phases": list(witness.phases),
+        "attained": witness.attained,
+    }
+
+
 def _cmd_analyze(args) -> int:
     trinomial = _trinomial_from_args(args)
-    form, stats, transcript = canonical_reduction(trinomial)
     res = max_points_global(trinomial)
+    form, stats, transcript = res.reduction
     results = {
-        "spectrum": {
-            "d": stats.d, "k": stats.k, "l": stats.l,
-            "m": stats.m, "D": stats.D, "tau": stats.tau,
-        },
-        "reduced": {
-            "k": form.k, "l": form.l,
-            "r1": form.r1, "r2": form.r2, "r3": form.r3, "t": form.t,
-        },
+        "spectrum": asdict(stats),
+        "reduced": asdict(form),
         "transcript": {
             "sortPermutation": list(transcript.sort_permutation),
             "alpha": transcript.alpha,
@@ -119,25 +121,14 @@ def _cmd_analyze(args) -> int:
     verified_ok = True
     if args.verify:
         report = brute_max(trinomial, args.grid)
-        period = TWO_PI / stats.d
-        value_err = abs(report.value - res.value) / report.value
-        count_match = len(report.argmaxes) == len(res.points)
-        pos_err = 0.0
-        if count_match:
-            pos_err = max(
-                min(
-                    abs(math.remainder(x - bx, period))
-                    for bx in report.argmaxes
-                )
-                for x, _ in res.points
-            )
-        verified_ok = count_match and value_err <= 1e-8 and pos_err <= 1e-6
+        agreed = agreement(res, report)
+        verified_ok = agreed.ok
         results["oracle"] = {
             "value": report.value,
             "argmaxes": list(report.argmaxes),
             "gridSize": report.grid_size,
             "evaluations": report.evaluations,
-            "valueError": value_err,
+            "valueError": agreed.value_error,
             "agreement": verified_ok,
         }
     if args.json:
@@ -168,15 +159,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sidon(args) -> int:
     constant, witness = sidon_constant(tuple(args.frequencies))
-    results = {
-        "constant": constant,
-        "witness": {
-            "frequencies": list(witness.frequencies),
-            "moduli": list(witness.moduli),
-            "phases": list(witness.phases),
-            "attained": witness.attained,
-        },
-    }
+    results = {"constant": constant, "witness": _witness_dict(witness)}
     verified_ok = True
     if args.verify:
         empirical = brute_sidon(tuple(args.frequencies))
@@ -204,12 +187,7 @@ def _cmd_multiplier(args) -> int:
         "norm": norm,
         "tau": tau,
         "D": geo.D,
-        "witness": {
-            "frequencies": list(witness.frequencies),
-            "moduli": list(witness.moduli),
-            "phases": list(witness.phases),
-            "attained": witness.attained,
-        },
+        "witness": _witness_dict(witness),
         "measureLift": {
             "atom0": {"re": lift.atom0.real, "im": lift.atom0.imag, "abs": abs(lift.atom0)},
             "atom1": {"re": lift.atom1.real, "im": lift.atom1.imag, "abs": abs(lift.atom1)},

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .maxmod import evaluate, max_points_global
+from .maxmod import MaxResult, evaluate, max_points_global
 from .spectrum import TWO_PI, SpectrumError, Trinomial, spectrum_geometry
 
 __all__ = [
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _ZERO_COEFF_REL = 1e-12
+# a point is classified only when its sup norm is within this of 1; the
+# maximum itself is accurate far below that
+NORM_TOL = 1e-6
 
 
 class NoSolution(ValueError):
@@ -49,12 +52,17 @@ class SingularConfiguration(ValueError):
 
 @dataclass(frozen=True)
 class UnitBallPoint:
-    """Element of the span, allowing zero coefficients, with its sup norm."""
+    """Element of the span, allowing zero coefficients, with its sup norm.
+
+    maximum is the max_points_global result the sup norm of a trinomial
+    was read from; None for monomials and binomials.
+    """
 
     frequencies: tuple[int, int, int]
     moduli: tuple[float, float, float]
     phases: tuple[float, float, float]
     sup_norm: float
+    maximum: MaxResult | None = None
 
     @property
     def kind(self) -> str:
@@ -81,35 +89,33 @@ def unit_ball_point(
     moduli: tuple[float, float, float],
     phases: tuple[float, float, float],
 ) -> UnitBallPoint:
-    """Build a point of the span and compute its sup norm."""
+    """Build a point of the span and compute its sup norm, keeping the
+    maximum of a trinomial for the classification."""
     if len(set(frequencies)) != 3:
         raise SpectrumError(f"frequencies must be pairwise distinct, got {frequencies}")
     if any(r < 0.0 for r in moduli) or max(moduli) <= 0.0:
         raise SpectrumError(f"moduli must be nonnegative with at least one positive, got {moduli}")
     threshold = _ZERO_COEFF_REL * max(moduli)
-    live = [j for j in range(3) if moduli[j] > threshold]
+    live = [r for r in moduli if r > threshold]
+    maximum = None
     if len(live) == 3:
-        sup = max_points_global(Trinomial(*frequencies, *moduli, *phases)).value
-    elif len(live) == 2:
-        sup = moduli[live[0]] + moduli[live[1]]
-    else:
-        sup = moduli[live[0]]
-    return UnitBallPoint(tuple(frequencies), tuple(moduli), tuple(phases), sup)
+        maximum = max_points_global(Trinomial(*frequencies, *moduli, *phases))
+    # a monomial or a binomial attains the sum of its moduli
+    sup = maximum.value if maximum is not None else sum(live)
+    return UnitBallPoint(tuple(frequencies), tuple(moduli), tuple(phases), sup, maximum)
 
 
-def classify_unit_ball_point(
-    point: UnitBallPoint, norm_tol: float = 1e-6
-) -> ExtremalClass:
+def classify_unit_ball_point(point: UnitBallPoint) -> ExtremalClass:
     """Decide whether a norm-one element is exposed and/or extreme.
 
     The element must be normalised: its sup norm may differ from 1 by at
-    most ``norm_tol``.  Monomials are both; binomials are neither; a
+    most NORM_TOL.  Monomials are both; binomials are neither; a
     trinomial is exposed exactly when it attains its maximum at two points
     modulo 2*pi/d and extreme exactly when the zero multiplicities of
     1 - |P|^2 sum to four.  The evidence is the point count and the
-    multiplicity of one ``max_points_global`` result.
+    multiplicity of the ``max_points_global`` result the point keeps.
     """
-    if abs(point.sup_norm - 1.0) > norm_tol:
+    if abs(point.sup_norm - 1.0) > NORM_TOL:
         raise SpectrumError(
             f"classification needs sup norm 1, got {point.sup_norm}"
         )
@@ -118,8 +124,9 @@ def classify_unit_ball_point(
         return ExtremalClass(True, True, ExtremalEvidence(None, None))
     if kind == "Binomial":
         return ExtremalClass(False, False, ExtremalEvidence(None, None))
-    trinomial = Trinomial(*point.frequencies, *point.moduli, *point.phases)
-    res = max_points_global(trinomial)
+    res = point.maximum
+    if res is None:
+        raise SpectrumError("a trinomial point needs its maximum; build it with unit_ball_point")
     count = len(res.points)
     zsum = res.multiplicity * count
     return ExtremalClass(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .maxmod import max_points_global
@@ -87,11 +87,6 @@ def farthest_points(
     else:
         if center == 0:
             raise SpectrumError("center must be nonzero; the problem degenerates to a binomial")
-        middle = -center
-        assembled = Trinomial(
-            ts.lambda1, ts.lambda2, ts.lambda3,
-            ts.r1, abs(middle), ts.r3,
-            ts.t1, cmath.phase(middle), ts.t3,
-        )
+        assembled = replace(ts, r2=abs(center), t2=cmath.phase(-center))
     res = max_points_global(assembled)
     return [(x, abs(curve_point(trinomial, x) - center)) for x, _ in res.points]

@@ -30,6 +30,8 @@ from .spectrum import (
     ReducedForm,
     SpectrumError,
     SpectrumGeometry,
+    SpectrumStats,
+    Transcript,
     Trinomial,
     _turn_shifts,
     canonical_reduction,
@@ -60,6 +62,9 @@ TAU_PI_TOL = 1e-9
 # relative distance to the knife edge k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 that
 # counts as on it
 DEGENERATE_REL_TOL = 1e-10
+# slack on the localization interval: a maximum point further outside it
+# than this is a BracketFailure, not rounding of the endpoints
+LOCALIZATION_TOL = 1e-7
 
 
 class BracketFailure(RuntimeError):
@@ -82,13 +87,16 @@ class MaxResult:
     tau = pi.  multiplicity is 2 except on the degenerate coefficient set
     where the maximum is attained with multiplicity 4.  s is the symmetry
     axis parameter, present exactly when tau = pi (then x + y = s for the
-    symmetric pair).
+    symmetric pair).  reduction is the (form, stats, transcript) of the
+    canonical reduction max_points_global solved through; find_max_reduced,
+    which starts from a reduced form, leaves it None.
     """
 
     points: tuple[tuple[float, float], ...]
     multiplicity: int
     classification: MaxClassification
     s: float | None
+    reduction: tuple[ReducedForm, SpectrumStats, Transcript] | None = None
 
     @property
     def value(self) -> float:
@@ -253,40 +261,27 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     symmetric = abs(t * big_d - math.pi) <= TAU_PI_TOL
     at_zero = abs(k * r1 - l * r3) <= 1e-12 * max(k * r1, l * r3)
 
-    if t <= 1e-15:
-        value = math.sqrt(modulus_squared_reduced(form, 0.0))
-        cls = MaxClassification.AT_ZERO if at_zero else MaxClassification.INTERIOR_UNIQUE
-        return MaxResult(((0.0, value),), 2, cls, None)
-
-    if at_zero:
-        value = math.sqrt(modulus_squared_reduced(form, 0.0))
-        if symmetric:
-            axis = TWO_PI * modular_inverse(l, big_d) / big_d
-            partner = axis % TWO_PI
-            value2 = math.sqrt(modulus_squared_reduced(form, partner))
-            points = tuple(sorted(((0.0, value), (partner, value2))))
-            return MaxResult(points, 2, MaxClassification.SYMMETRIC_PAIR, axis)
-        return MaxResult(((0.0, value),), 2, MaxClassification.AT_ZERO, None)
-
-    if symmetric and l == 1:
-        edge = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3 - r2 * r3
-        edge_scale = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3 + r2 * r3
-        if abs(edge) <= DEGENERATE_REL_TOL * edge_scale:
-            return MaxResult(
-                ((t % TWO_PI, r2 + r3 - r1),), 4, MaxClassification.DEGENERATE4, 2.0 * t
-            )
-        if edge < 0.0:
-            return MaxResult(
-                ((t % TWO_PI, r2 + r3 - r1),), 2, MaxClassification.AT_BOUNDARY, 2.0 * t
-            )
-        # the derivative vanishes identically at t, so the bracket stops short
-        # of it; a maximum closer to t than that is taken as t - 1e-7 * t
-        hi = t - 1e-7 * t
+    if at_zero or t <= 1e-15:
+        x_star = 0.0
     else:
         hi = t / l
-    x_star = _root_plus_to_minus(
-        lambda x: _slope_and_curvature(form, x), 0.0, hi, _derivative_scale(form)
-    )
+        if symmetric and l == 1:
+            edge = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3 - r2 * r3
+            edge_scale = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3 + r2 * r3
+            if abs(edge) <= DEGENERATE_REL_TOL * edge_scale:
+                return MaxResult(
+                    ((t % TWO_PI, r2 + r3 - r1),), 4, MaxClassification.DEGENERATE4, 2.0 * t
+                )
+            if edge < 0.0:
+                return MaxResult(
+                    ((t % TWO_PI, r2 + r3 - r1),), 2, MaxClassification.AT_BOUNDARY, 2.0 * t
+                )
+            # the derivative vanishes identically at t, so the bracket stops
+            # short of it; a maximum closer to t than that is taken as t - 1e-7 * t
+            hi = t - 1e-7 * t
+        x_star = _root_plus_to_minus(
+            lambda x: _slope_and_curvature(form, x), 0.0, hi, _derivative_scale(form)
+        )
     value = math.sqrt(modulus_squared_reduced(form, x_star))
     if symmetric:
         axis = TWO_PI * modular_inverse(l, big_d) / big_d
@@ -298,7 +293,8 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
             )
         points = tuple(sorted(((x_star % TWO_PI, value), (partner, value2))))
         return MaxResult(points, 2, MaxClassification.SYMMETRIC_PAIR, axis)
-    return MaxResult(((x_star % TWO_PI, value),), 2, MaxClassification.INTERIOR_UNIQUE, None)
+    cls = MaxClassification.AT_ZERO if at_zero else MaxClassification.INTERIOR_UNIQUE
+    return MaxResult(((x_star % TWO_PI, value),), 2, cls, None)
 
 
 def _localization_endpoints(
@@ -335,11 +331,7 @@ def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
 
 
 def _check_localization(
-    trinomial: Trinomial,
-    tau: float,
-    points: tuple[float, ...],
-    period: float,
-    tol: float = 1e-7,
+    trinomial: Trinomial, tau: float, points: tuple[float, ...], period: float
 ) -> None:
     geo, e1, e2, e3 = _localization_endpoints(trinomial)
     lo, hi = min(e1, e2), max(e1, e2)
@@ -357,7 +349,7 @@ def _check_localization(
     mid = 0.5 * (lo + hi)
     for x in points:
         folded = x - period * round((x - mid) / period)
-        if lo - tol <= folded <= hi + tol:
+        if lo - LOCALIZATION_TOL <= folded <= hi + LOCALIZATION_TOL:
             return
     raise BracketFailure(
         f"maximum points {points} escape the localization interval [{lo}, {hi}] mod {period}"
@@ -370,7 +362,8 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     Runs the canonical reduction, locates the maximum of the reduced form and
     maps the points back through the transcript.  When tau = pi the symmetry
     axis s (with x + y = s for the pair) is reported as well, and the result
-    is checked against the phase-only localization interval.  The points are
+    is checked against the phase-only localization interval; the result
+    keeps the reduction it solved through.  The points are
     stationary to spectrum.STATIONARY_REL_TOL relative; spectra past float
     resolution for that (2*(l3 - l1)*ulp(2*pi/d) above it, a diameter
     l3 - l1 beyond about 5.6e6 for d = 1) raise SpectrumError from the
@@ -388,7 +381,7 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
             2.0 * transcript.v + res.s / (transcript.epsilon * transcript.homothety)
         ) % period
     _check_localization(trinomial, stats.tau, tuple(x for x, _ in points), period)
-    return MaxResult(points, res.multiplicity, res.classification, axis)
+    return MaxResult(points, res.multiplicity, res.classification, axis, (form, stats, transcript))
 
 
 def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[float, ...]]:

@@ -5,8 +5,9 @@ minimisation for the empirical Sidon constant, and a sup-search for
 multiplier norms.  The oracle shares two pieces with the rest of the
 library: ``evaluate`` and the period 2*pi/d from ``spectrum_geometry``.
 The analytic solver ``find_max_reduced`` uses neither, so the comparison
-with it stays independent.  The golden-section routine ``golden_max`` lives
-here; nothing on the analytic side searches numerically.
+with it stays independent; ``agreement`` is the one rule that judges it.
+The golden-section routine ``golden_max`` lives here; nothing on the
+analytic side searches numerically.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxmod import evaluate, max_points_global, modulus_at
+from .maxmod import MaxResult, evaluate, max_points_global, modulus_at
 from .spectrum import (
     TWO_PI,
     Multiplier,
@@ -29,8 +30,10 @@ from .spectrum import (
 )
 
 __all__ = [
+    "Agreement",
     "OracleReport",
     "VerificationRow",
+    "agreement",
     "brute_max",
     "golden_max",
     "brute_sidon",
@@ -41,6 +44,13 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# refined peaks within this relative of the best one are maximum points too
+TIE_REL_TOL = 1e-10
+# the analytic maximum and the oracle's agree within these: relative value,
+# and circular argmax distance (golden section on |T| resolves x only to
+# about sqrt(eps) relative)
+AGREEMENT_VALUE_TOL = 1e-9
+AGREEMENT_ARGMAX_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,43 @@ class OracleReport:
     value: float
     argmaxes: tuple[float, ...]
     grid_size: int
-    refine_tol: float
+    period: float
     evaluations: int
+
+
+@dataclass(frozen=True)
+class Agreement:
+    """An analytic maximum held against the oracle's, by ``agreement``."""
+
+    count_match: bool
+    value_error: float
+    argmax_error: float
+
+    @property
+    def value_ok(self) -> bool:
+        return self.value_error <= AGREEMENT_VALUE_TOL
+
+    @property
+    def argmax_ok(self) -> bool:
+        return self.argmax_error <= AGREEMENT_ARGMAX_TOL
+
+    @property
+    def ok(self) -> bool:
+        return self.count_match and self.value_ok and self.argmax_ok
+
+
+def agreement(result: MaxResult, report: OracleReport) -> Agreement:
+    """Whether the point counts match, the relative value error, and the
+    largest circular distance from an analytic point to its nearest oracle
+    point modulo the report's period."""
+    return Agreement(
+        count_match=len(result.points) == len(report.argmaxes),
+        value_error=abs(report.value - result.value) / report.value,
+        argmax_error=max(
+            min(_circular_distance(x, y, report.period) for y in report.argmaxes)
+            for x, _ in result.points
+        ),
+    )
 
 
 def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float, int]:
@@ -82,22 +127,23 @@ def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float
     return d, fd, count
 
 
-def brute_max(
-    trinomial: Trinomial,
-    grid_n: int = 2048,
-    tol: float = 1e-10,
-) -> OracleReport:
+def brute_max(trinomial: Trinomial, grid_n: int = 2048) -> OracleReport:
     """Grid scan of |T| over one period 2*pi/d with golden-section refinement.
 
-    Every grid local maximum that could hide the global maximum given the
-    quadratic droop of |T|^2 between grid points (and at least every one
-    within a 1e-7 relative band of the grid maximum) is refined over its two
-    neighbouring grid cells; refined points within ``tol`` relative of the
-    best refined value are reported as maximum points, clustered with radius
-    1e-4 of the period.
+    T is evaluated translated by its lowest frequency, which leaves |T|
+    unchanged and keeps the phases t + lambda*x exact to ulp(x) for spectra
+    with a large common offset.  Every grid local maximum that could hide
+    the global maximum given the quadratic droop of |T|^2 between grid
+    points (and at least every one within a 1e-7 relative band of the grid
+    maximum) is refined over its two neighbouring grid cells; refined points
+    within TIE_REL_TOL relative of the best refined value are reported as
+    maximum points, clustered with radius 1e-4 of the period.
     """
     if grid_n < 1024:
         raise SpectrumError(f"oracle grid must have at least 1024 points, got {grid_n}")
+    low = min(trinomial.frequencies)
+    shifted = (f - low for f in trinomial.frequencies)
+    trinomial = Trinomial(*shifted, *trinomial.moduli, *trinomial.phases)
     period = TWO_PI / spectrum_geometry(trinomial.frequencies).d
     h = period / grid_n
     xs = np.arange(grid_n) * h
@@ -126,21 +172,13 @@ def brute_max(
         evaluations += n
 
     best = max(v for _, v in refined)
-    keep = sorted((x, v) for x, v in refined if v >= best * (1.0 - tol))
+    keep = sorted((x, v) for x, v in refined if v >= best * (1.0 - TIE_REL_TOL))
     radius = 1e-4 * period
     argmaxes: list[float] = []
     for x, _ in keep:
-        if all(
-            min(abs(x - y), period - abs(x - y)) > radius for y in argmaxes
-        ):
+        if all(_circular_distance(x, y, period) > radius for y in argmaxes):
             argmaxes.append(x)
-    return OracleReport(
-        value=best,
-        argmaxes=tuple(sorted(argmaxes)),
-        grid_size=grid_n,
-        refine_tol=tol,
-        evaluations=evaluations,
-    )
+    return OracleReport(best, tuple(sorted(argmaxes)), grid_n, period, evaluations)
 
 
 def _simplex_grid(n: int) -> np.ndarray:
@@ -181,14 +219,35 @@ def _coarse_ratio_scan(
     return np.asarray(rows)  # shape (len(phase_grid), len(moduli))
 
 
-def _coordinate_descent(
+# smallest modulus the constant searches keep on the unit simplex
+_SIMPLEX_EPS = 1e-3
+
+
+def _scan_and_descend(
+    geo: SpectrumGeometry,
+    mult_phases: tuple[float, float, float] | None,
     objective,
-    point: list[float],
-    bounds: list[tuple[float, float]],
-    rounds: int,
-    spans: list[float],
-    maximize: bool,
-) -> tuple[list[float], float]:
+    grid_phases: int,
+    simplex_n: int,
+    scan_n: int,
+) -> float:
+    """Extreme of objective(r1, r2, u2) over the unit simplex and the middle phase.
+
+    Starts from the extreme cell of _coarse_ratio_scan, then runs four rounds
+    of coordinate descent by golden section with halving spans.  Minimises
+    for the Sidon search (mult_phases None), maximises for a multiplier.
+    """
+    maximize = mult_phases is not None
+    phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
+    moduli = _simplex_grid(simplex_n)
+    table = _coarse_ratio_scan(geo, phase_grid, moduli, scan_n, mult_phases)
+    pick = np.argmax if maximize else np.argmin
+    p_idx, m_idx = np.unravel_index(pick(table), table.shape)
+    r1, r2, _ = moduli[m_idx]
+    point = [float(r1), float(r2), float(phase_grid[p_idx])]
+    eps = _SIMPLEX_EPS
+    bounds = [(eps, 1.0 - 2 * eps), (eps, 1.0 - 2 * eps), (-math.inf, math.inf)]
+    spans = [2.0 / simplex_n, 2.0 / simplex_n, 2.0 * TWO_PI / grid_phases]
     sign = -1.0 if maximize else 1.0
 
     def scalar(v: float, axis: int) -> float:
@@ -197,8 +256,8 @@ def _coordinate_descent(
         return sign * objective(trial)
 
     best = sign * objective(point)
-    for _ in range(rounds):
-        for axis in range(len(point)):
+    for _ in range(4):
+        for axis in range(3):
             lo = max(bounds[axis][0], point[axis] - spans[axis])
             hi = min(bounds[axis][1], point[axis] + spans[axis])
             if hi <= lo:
@@ -208,7 +267,7 @@ def _coordinate_descent(
                 best = -v
                 point[axis] = x
         spans = [s * 0.5 for s in spans]
-    return point, sign * best
+    return sign * best
 
 
 def brute_sidon(
@@ -224,33 +283,15 @@ def brute_sidon(
     coordinate-descent refinement of (r1, r2, u2) on the unit simplex.
     """
     geo = spectrum_geometry(frequencies)
-    lams = geo.lams
-    phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
-    moduli = _simplex_grid(simplex_n)
-    table = _coarse_ratio_scan(geo, phase_grid, moduli, min(grid_n, 512), None)
-    p_idx, m_idx = np.unravel_index(np.argmin(table), table.shape)
-    r1, r2, _ = moduli[m_idx]
-    u2 = float(phase_grid[p_idx])
-
-    eps = 1e-3
 
     def objective(params: list[float]) -> float:
         a, b, phi = params
-        rest = 1.0 - a - b
-        tri = Trinomial(*lams, a, b, rest, 0.0, phi, 0.0)
-        return brute_max(tri, grid_n).value
-
-    bounds = [(eps, 1.0 - 2 * eps), (eps, 1.0 - 2 * eps), (-math.inf, math.inf)]
-    spans = [2.0 / simplex_n, 2.0 / simplex_n, 2.0 * TWO_PI / grid_phases]
-    point = [float(r1), float(r2), u2]
-    # keep r3 positive along the descent path
-    def guarded(params: list[float]) -> float:
-        a, b, phi = params
-        if a + b >= 1.0 - eps:
+        # keep r3 positive along the descent path
+        if a + b >= 1.0 - _SIMPLEX_EPS:
             return math.inf
-        return objective(params)
+        return brute_max(Trinomial(*geo.lams, a, b, 1.0 - a - b, 0.0, phi, 0.0), grid_n).value
 
-    _, best = _coordinate_descent(guarded, point, bounds, rounds=4, spans=spans, maximize=False)
+    best = _scan_and_descend(geo, None, objective, grid_phases, simplex_n, min(grid_n, 512))
     return 1.0 / best
 
 
@@ -263,34 +304,18 @@ def brute_multiplier_norm(
 ) -> float:
     """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|."""
     geo = spectrum_geometry(frequencies)
-    lams = geo.lams
-    mult_phases = geo.sort(multiplier.phases)
-    phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
-    moduli = _simplex_grid(simplex_n)
-    table = _coarse_ratio_scan(geo, phase_grid, moduli, min(grid_n, 384), mult_phases)
-    p_idx, m_idx = np.unravel_index(np.argmax(table), table.shape)
-    r1, r2, _ = moduli[m_idx]
-    u2 = float(phase_grid[p_idx])
-
-    eps = 1e-3
+    u1, u2, u3 = mult = geo.sort(multiplier.phases)
 
     def objective(params: list[float]) -> float:
         a, b, phi = params
         rest = 1.0 - a - b
-        if rest <= eps / 2:
+        if rest <= _SIMPLEX_EPS / 2:
             return 0.0
-        tri = Trinomial(*lams, a, b, rest, 0.0, phi, 0.0)
-        shifted = Trinomial(
-            *lams, a, b, rest,
-            mult_phases[0], phi + mult_phases[1], mult_phases[2],
-        )
+        tri = Trinomial(*geo.lams, a, b, rest, 0.0, phi, 0.0)
+        shifted = Trinomial(*geo.lams, a, b, rest, u1, phi + u2, u3)
         return brute_max(shifted, grid_n).value / brute_max(tri, grid_n).value
 
-    bounds = [(eps, 1.0 - 2 * eps), (eps, 1.0 - 2 * eps), (-math.inf, math.inf)]
-    spans = [2.0 / simplex_n, 2.0 / simplex_n, 2.0 * TWO_PI / grid_phases]
-    point = [float(r1), float(r2), u2]
-    _, best = _coordinate_descent(objective, point, bounds, rounds=4, spans=spans, maximize=True)
-    return best
+    return _scan_and_descend(geo, mult, objective, grid_phases, simplex_n, min(grid_n, 384))
 
 
 def random_trinomial(
@@ -369,36 +394,31 @@ def run_verification(
     produced = 0
     while produced < count:
         tri = random_trinomial(rng)
-        stats = derive_spectrum_stats(tri)
-        if stats.tau >= math.pi - 1e-3:
+        if derive_spectrum_stats(tri).tau >= math.pi - 1e-3:
             continue
         produced += 1
         analytic = max_points_global(tri)
-        report = brute_max(tri, grid_n)
-        if len(analytic.points) != 1 or len(report.argmaxes) != 1:
+        agreed = agreement(analytic, brute_max(tri, grid_n))
+        if len(analytic.points) != 1 or not agreed.count_match:
             count_fail += 1
             continue
-        period = TWO_PI / stats.d
-        verr = abs(analytic.value - report.value) / report.value
-        perr = _circular_distance(analytic.points[0][0], report.argmaxes[0], period)
-        worst_value = max(worst_value, verr)
-        worst_pos = max(worst_pos, perr)
-        if verr > 1e-9:
-            value_fail += 1
-        if perr > 1e-6:
-            pos_fail += 1
+        worst_value = max(worst_value, agreed.value_error)
+        worst_pos = max(worst_pos, agreed.argmax_error)
+        value_fail += not agreed.value_ok
+        pos_fail += not agreed.argmax_ok
+    value_tol, pos_tol = (
+        f"{t:.0e}".replace("e-0", "e-") for t in (AGREEMENT_VALUE_TOL, AGREEMENT_ARGMAX_TOL)
+    )
     rows.append(VerificationRow("uniqueness (single max point)", count, count_fail, 0.0))
-    rows.append(VerificationRow("value agreement (rel, tol 1e-9)", count, value_fail, worst_value))
-    rows.append(VerificationRow("argmax agreement (tol 1e-6)", count, pos_fail, worst_pos))
+    rows.append(VerificationRow(f"value agreement (rel, tol {value_tol})", count, value_fail, worst_value))
+    rows.append(VerificationRow(f"argmax agreement (tol {pos_tol})", count, pos_fail, worst_pos))
 
     n_sym = max(50, count // 10)
     sym_fail = 0
     worst_axis = 0.0
     for _ in range(n_sym):
-        tri = random_symmetric_pair(rng)
-        stats = derive_spectrum_stats(tri)
-        res = max_points_global(tri)
-        period = TWO_PI / stats.d
+        res = max_points_global(random_symmetric_pair(rng))
+        period = TWO_PI / res.reduction[1].d
         if len(res.points) != 2 or res.s is None:
             sym_fail += 1
             continue

@@ -21,7 +21,7 @@ Everything here is pure and reentrant; all values are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 from typing import NamedTuple
 
@@ -32,6 +32,12 @@ TWO_PI = 2.0 * math.pi
 # canonical_reduction refuses spectra past that: a diameter l3 - l1 above
 # about 5.6e6 for d = 1, twice that for d = 2 or 3.
 STATIONARY_REL_TOL = 1e-8
+# |signed tau| of a multiplier at or below this counts as an isometry; its
+# translation is then solved to a residual of four times it
+ISOMETRY_TAU_TOL = 1e-9
+# symmetry_axis takes tau within this of pi, and solves the axis translation
+# to the same residual, the order doubling such phases leaves
+SYMMETRY_AXIS_TOL = 1e-6
 
 __all__ = [
     "SpectrumError",
@@ -146,11 +152,8 @@ class Multiplier:
 
     def apply(self, trinomial: Trinomial) -> Trinomial:
         """The trinomial with each coefficient rotated by the matching phase."""
-        return Trinomial(
-            trinomial.lambda1, trinomial.lambda2, trinomial.lambda3,
-            trinomial.r1, trinomial.r2, trinomial.r3,
-            trinomial.t1 + self.u1, trinomial.t2 + self.u2, trinomial.t3 + self.u3,
-        )
+        t1, t2, t3 = trinomial.phases
+        return replace(trinomial, t1=t1 + self.u1, t2=t2 + self.u2, t3=t3 + self.u3)
 
 
 @dataclass(frozen=True)
@@ -345,9 +348,7 @@ def _solve_common_shift(
 
 
 def is_isometry(
-    frequencies: tuple[int, int, int],
-    multiplier: Multiplier,
-    tol: float = 1e-9,
+    frequencies: tuple[int, int, int], multiplier: Multiplier
 ) -> tuple[bool, tuple[float, float] | None]:
     """Decide whether a phase multiplier acts as a rotation plus translation.
 
@@ -358,10 +359,10 @@ def is_isometry(
     Mf(x) = e^(i*alpha) * f(x - v).
     """
     geo = spectrum_geometry(frequencies)
-    if abs(geo.signed_tau(multiplier.phases)) > tol:
+    if abs(geo.signed_tau(multiplier.phases)) > ISOMETRY_TAU_TOL:
         return False, None
     phases = geo.sort(multiplier.phases)
-    v = _solve_common_shift(geo, phases, 4.0 * tol)
+    v = _solve_common_shift(geo, phases, 4.0 * ISOMETRY_TAU_TOL)
     alpha = wrap_angle(phases[1] + geo.lams[1] * v)
     return True, (alpha, v)
 
@@ -457,7 +458,7 @@ def opposition_signs(
     return tuple(signs)
 
 
-def symmetry_axis(trinomial: Trinomial, tol: float = 1e-6) -> float:
+def symmetry_axis(trinomial: Trinomial) -> float:
     """The axis parameter s with 2*t_j + lambda_j*s all equal modulo 2*pi.
 
     Exists exactly when tau = pi; then |T(s - x)| = |T(x)| for all x and s is
@@ -465,7 +466,8 @@ def symmetry_axis(trinomial: Trinomial, tol: float = 1e-6) -> float:
     """
     geo = spectrum_geometry(trinomial.frequencies)
     tau = abs(geo.signed_tau(trinomial.phases))
-    if abs(tau - math.pi) > 1e-6:
+    if abs(tau - math.pi) > SYMMETRY_AXIS_TOL:
         raise SpectrumError(f"symmetry axis requires tau = pi, got tau = {tau}")
-    s = _solve_common_shift(geo, tuple(2.0 * t for t in geo.sort(trinomial.phases)), tol)
+    doubled = tuple(2.0 * t for t in geo.sort(trinomial.phases))
+    s = _solve_common_shift(geo, doubled, SYMMETRY_AXIS_TOL)
     return s % (TWO_PI / geo.d)

@@ -199,3 +199,35 @@ class TestVerify:
         code, out = run(capsys, "verify", "--seed", "7", "--count", "50")
         assert code == 0
         assert "total failures: 0" in out
+
+
+class TestOneSolvePerAnswer:
+    def test_analyze_reduces_once(self, capsys, monkeypatch):
+        from trinomax import maxmod
+
+        calls = []
+        reduce = maxmod.canonical_reduction
+
+        def counted(trinomial):
+            calls.append(trinomial)
+            return reduce(trinomial)
+
+        monkeypatch.setattr(maxmod, "canonical_reduction", counted)
+        monkeypatch.setattr(cli, "canonical_reduction", counted)
+        code, out = run(
+            capsys, "analyze", "-l", "-3", "1", "4", "-r", "0.5", "2", "1.5",
+            "-p", "0.3", "1.1", "2.9", "--json", "--verify",
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["oracle"]["agreement"] is True
+        assert len(calls) == 1
+
+    def test_large_common_offset_verifies(self, capsys):
+        code, out = run(
+            capsys, "analyze", "-l", "1000000000", "1000000001", "1000000003",
+            "-r", "1", "2", "3", "-p", "0.1", "0.2", "0.3", "--json", "--verify",
+        )
+        assert code == 0
+        oracle = json.loads(out)["results"]["oracle"]
+        assert oracle["agreement"] is True
+        assert oracle["valueError"] <= 1e-12

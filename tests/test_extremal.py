@@ -252,3 +252,27 @@ class TestParabolaInvariant:
         r2 = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1)
         rho = -r1 + r2 + r3
         assert not parabola_invariant(k, -r1, r2 * 1.001, r3, rho)
+
+
+def test_unit_ball_point_and_classification_solve_once(monkeypatch):
+    from trinomax import extremal
+
+    calls = []
+    solve = extremal.max_points_global
+
+    def counted(trinomial):
+        calls.append(trinomial)
+        return solve(trinomial)
+
+    monkeypatch.setattr(extremal, "max_points_global", counted)
+    s = 2 * math.sqrt(2)
+    point = unit_ball_point((-1, 0, 1), (1 / s, 2 / s, 1 / s), (0.0, math.pi / 2, 0.0))
+    cls = classify_unit_ball_point(point)
+    assert cls.exposed and cls.extreme
+    assert len(calls) == 1
+    assert point.maximum is not None and point.maximum.value == point.sup_norm
+
+
+def test_only_trinomial_points_keep_a_maximum():
+    assert unit_ball_point((-1, 0, 1), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)).maximum is None
+    assert unit_ball_point((-1, 0, 1), (0.5, 0.0, 0.5), (0.0, 0.0, 0.0)).maximum is None

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from trinomax import (
+    Agreement,
+    MaxClassification,
+    MaxResult,
     Multiplier,
+    OracleReport,
     SpectrumError,
     Trinomial,
+    agreement,
     brute_max,
     brute_multiplier_norm,
     brute_sidon,
@@ -17,6 +22,7 @@ from trinomax import (
     random_trinomial,
     run_verification,
 )
+from trinomax.oracle import AGREEMENT_ARGMAX_TOL, AGREEMENT_VALUE_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,3 +156,65 @@ def test_run_verification_all_green():
     names = [row.name for row in rows]
     assert any("uniqueness" in n for n in names)
     assert any("symmetric" in n for n in names)
+
+
+class TestAgreementRule:
+    # synthetic answers on the period 2*pi, all of value 2.0 unless given
+    PERIOD = TWO_PI
+
+    def result(self, *xs, value=2.0):
+        return MaxResult(tuple((x, value) for x in xs), 2, MaxClassification.INTERIOR_UNIQUE, None)
+
+    def report(self, *xs, value=2.0):
+        return OracleReport(value, tuple(xs), 1024, self.PERIOD, 0)
+
+    def test_identical_answers_agree(self):
+        agreed = agreement(self.result(1.0), self.report(1.0))
+        assert agreed == Agreement(True, 0.0, 0.0)
+        assert agreed.ok
+
+    def test_count_mismatch_fails(self):
+        agreed = agreement(self.result(1.0), self.report(1.0, 3.0))
+        assert not agreed.count_match
+        assert not agreed.ok
+
+    def test_value_error_of_5e_9_fails(self):
+        agreed = agreement(self.result(1.0, value=2.0 * (1.0 + 5e-9)), self.report(1.0))
+        assert agreed.value_error == pytest.approx(5e-9, rel=1e-6)
+        assert agreed.count_match and agreed.argmax_ok
+        assert not agreed.value_ok and not agreed.ok
+
+    def test_argmax_error_of_2e_6_fails(self):
+        agreed = agreement(self.result(1.0), self.report(1.0 + 2e-6))
+        assert agreed.argmax_error == pytest.approx(2e-6, rel=1e-6)
+        assert agreed.value_ok and not agreed.argmax_ok and not agreed.ok
+
+    def test_points_across_the_period_boundary_agree(self):
+        agreed = agreement(self.result(1e-8), self.report(self.PERIOD - 1e-8))
+        assert agreed.argmax_error == pytest.approx(2e-8, rel=1e-6)
+        assert agreed.ok
+
+    def test_pairs_match_each_point_to_its_nearest_oracle_point(self):
+        agreed = agreement(self.result(0.5, 3.0), self.report(3.0 + 1e-7, 0.5 - 1e-7))
+        assert agreed.argmax_error == pytest.approx(1e-7, rel=1e-6)
+        assert agreed.ok
+
+    def test_thresholds(self):
+        assert (AGREEMENT_VALUE_TOL, AGREEMENT_ARGMAX_TOL) == (1e-9, 1e-6)
+
+
+class TestLargeCommonOffset:
+    def test_brute_max_matches_the_translated_trinomial(self):
+        # |T| is unchanged by a common frequency offset; at 1e9 the raw
+        # phases t + lambda*x would lose about 1e9 * ulp(x)
+        offset = Trinomial(10**9, 10**9 + 1, 10**9 + 3, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+        small = Trinomial(0, 1, 3, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+        got, want = brute_max(offset), brute_max(small)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+        assert len(got.argmaxes) == len(want.argmaxes) == 1
+        assert got.argmaxes[0] == pytest.approx(want.argmaxes[0], abs=1e-12)
+        assert got.period == want.period == TWO_PI
+
+    def test_oracle_agrees_with_the_analytic_point(self):
+        offset = Trinomial(10**9, 10**9 + 1, 10**9 + 3, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+        assert agreement(max_points_global(offset), brute_max(offset)).ok
