@@ -83,7 +83,6 @@ from .spectrum import (
     modular_inverse,
     opposition_signs,
     spectrum_geometry,
-    symmetry_axis,
     wrap_angle,
 )
 

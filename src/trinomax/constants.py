@@ -18,6 +18,7 @@ from math import gcd
 
 from .maxmod import max_points_global
 from .spectrum import (
+    ISOMETRY_TAU_TOL,
     TWO_PI,
     Multiplier,
     SpectrumError,
@@ -186,7 +187,7 @@ def unconditional_constants(
         phases = tuple(0.0 if s > 0 else math.pi for s in signs)
         tau = abs(geo.signed_tau(phases))
         real_constant = max(real_constant, _norm_at(tau, geo.D))
-        if tau <= 1e-9:
+        if tau <= ISOMETRY_TAU_TOL:
             isometric.append(signs)
         else:
             non_isometric.append(signs)

@@ -15,9 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-from .maxmod import max_points_global
+from .maxmod import max_at_zero, max_points_global
 from .spectrum import SpectrumError, Trinomial, spectrum_geometry
 
 __all__ = ["Curve", "hypotrochoid_sample", "curve_point", "farthest_points"]
@@ -46,23 +45,17 @@ def curve_point(trinomial: Trinomial, x: float) -> complex:
     return _outer_curve(trinomial)(x)
 
 
-def _is_hypocycloid(r1: float, r3: float, k: int, l: int) -> bool:
-    # exact rational test first (floats are rationals), then a 1e-9 fallback
-    if Fraction(r1) * k == Fraction(r3) * l:
-        return True
-    return abs(k * r1 - l * r3) <= 1e-9 * max(k * r1, l * r3)
-
-
 def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
     """n uniform samples of the curve over the parameter period (-pi, pi].
 
-    cusp_count is |l3-l1|/d in the hypocycloid case and None otherwise.
+    cusp_count is |l3-l1|/d in the hypocycloid case and None otherwise; the
+    case is decided by maxmod.max_at_zero, the rule that puts the maximum at 0.
     """
     if n < 16:
         raise SpectrumError(f"need at least 16 samples, got {n}")
     geo = spectrum_geometry(trinomial.frequencies)
     r1, _, r3 = geo.sort(trinomial.moduli)
-    cusps = geo.D if _is_hypocycloid(r1, r3, geo.k, geo.l) else None
+    cusps = geo.D if max_at_zero(geo.k, r1, geo.l, r3) else None
     point = _outer_curve(trinomial)
     samples = tuple(
         (x, point(x)) for x in (-math.pi + 2.0 * math.pi * (j + 1) / n for j in range(n))

@@ -51,6 +51,7 @@ __all__ = [
     "locate_interval",
     "localization_interval",
     "find_max_reduced",
+    "max_at_zero",
     "max_points_global",
     "closed_form_k1_l1",
     "closed_form_k2_l1",
@@ -62,6 +63,9 @@ TAU_PI_TOL = 1e-9
 # relative distance to the knife edge k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 that
 # counts as on it
 DEGENERATE_REL_TOL = 1e-10
+# relative |k*r1 - l*r3| at or below this counts as k*r1 = l*r3 (maximum at 0,
+# hypocycloid outer curve); a nearer tie moves the maximum off 0 in proportion
+AT_ZERO_REL_TOL = 1e-12
 # slack on the localization interval: a maximum point further outside it
 # than this is a BracketFailure, not rounding of the endpoints
 LOCALIZATION_TOL = 1e-7
@@ -244,6 +248,12 @@ def _root_plus_to_minus(fun, lo: float, hi: float, scale: float) -> float:
     return x
 
 
+def max_at_zero(k: int, r1: float, l: int, r3: float) -> bool:
+    """Whether k*r1 = l*r3 to AT_ZERO_REL_TOL: the maximum of the reduced form
+    sits at 0, and the outer-coefficient curve is a hypocycloid."""
+    return abs(k * r1 - l * r3) <= AT_ZERO_REL_TOL * max(k * r1, l * r3)
+
+
 def find_max_reduced(form: ReducedForm) -> MaxResult:
     """Maximum-modulus points of a reduced-form trinomial, modulo 2*pi.
 
@@ -253,13 +263,14 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     branches: a pair {x, s - x} with s = 2*m*pi/(k+l), or for l = 1 the
     boundary point t with the maximum value r2 + r3 - r1, with multiplicity
     4 on the knife edge k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 (relative
-    tolerance DEGENERATE_REL_TOL).
+    tolerance DEGENERATE_REL_TOL).  The maximum sits at 0 when max_at_zero
+    holds.
     """
     k, l = form.k, form.l
     r1, r2, r3, t = form.r1, form.r2, form.r3, form.t
     big_d = k + l
     symmetric = abs(t * big_d - math.pi) <= TAU_PI_TOL
-    at_zero = abs(k * r1 - l * r3) <= 1e-12 * max(k * r1, l * r3)
+    at_zero = max_at_zero(k, r1, l, r3)
 
     if at_zero or t <= 1e-15:
         x_star = 0.0

@@ -51,6 +51,12 @@ TIE_REL_TOL = 1e-10
 # about sqrt(eps) relative)
 AGREEMENT_VALUE_TOL = 1e-9
 AGREEMENT_ARGMAX_TOL = 1e-6
+# verify's other rules: a symmetric pair sums to its axis s up to rounding
+PAIR_AXIS_TOL = 1e-8
+# closed forms vs find_max_reduced, relative; (2, 1)'s cancellation costs ~3e-11
+CLOSED_FORM_REL_TOL = 1e-10
+# brute Sidon/multiplier constants vs their formulas, absolute: grid-and-descent searches
+CONSTANT_ABS_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -374,6 +380,11 @@ def _circular_distance(a: float, b: float, period: float) -> float:
     return abs(math.remainder(a - b, period))
 
 
+def _rule_row(label: str, tol: float, checked: int, failures: int, worst: float) -> VerificationRow:
+    # label has a {} for the tolerance its check used, written 1e-9 (not 1e-09)
+    return VerificationRow(label.format(f"{tol:.0e}".replace("e-0", "e-")), checked, failures, worst)
+
+
 def run_verification(
     seed: int,
     count: int,
@@ -386,6 +397,8 @@ def run_verification(
     from .maxmod import closed_form_k1_l1, closed_form_k2_l1, find_max_reduced
     from .spectrum import derive_spectrum_stats, make_reduced_form
 
+    if count < 1:
+        raise SpectrumError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     rows: list[VerificationRow] = []
 
@@ -406,12 +419,9 @@ def run_verification(
         worst_pos = max(worst_pos, agreed.argmax_error)
         value_fail += not agreed.value_ok
         pos_fail += not agreed.argmax_ok
-    value_tol, pos_tol = (
-        f"{t:.0e}".replace("e-0", "e-") for t in (AGREEMENT_VALUE_TOL, AGREEMENT_ARGMAX_TOL)
-    )
     rows.append(VerificationRow("uniqueness (single max point)", count, count_fail, 0.0))
-    rows.append(VerificationRow(f"value agreement (rel, tol {value_tol})", count, value_fail, worst_value))
-    rows.append(VerificationRow(f"argmax agreement (tol {pos_tol})", count, pos_fail, worst_pos))
+    rows.append(_rule_row("value agreement (rel, tol {})", AGREEMENT_VALUE_TOL, count, value_fail, worst_value))
+    rows.append(_rule_row("argmax agreement (tol {})", AGREEMENT_ARGMAX_TOL, count, pos_fail, worst_pos))
 
     n_sym = max(50, count // 10)
     sym_fail = 0
@@ -425,9 +435,9 @@ def run_verification(
         (x, _), (y, _) = res.points
         err = _circular_distance(x + y, res.s, period)
         worst_axis = max(worst_axis, err)
-        if err > 1e-8:
+        if err > PAIR_AXIS_TOL:
             sym_fail += 1
-    rows.append(VerificationRow("symmetric pair x + y = s (tol 1e-8)", n_sym, sym_fail, worst_axis))
+    rows.append(_rule_row("symmetric pair x + y = s (tol {})", PAIR_AXIS_TOL, n_sym, sym_fail, worst_axis))
 
     n_cf = max(100, count // 10)
     cf_fail = 0
@@ -442,9 +452,11 @@ def run_verification(
         ref2 = find_max_reduced(form2).value
         err = max(abs(v1 - ref1) / ref1, abs(v2 - ref2) / ref2)
         worst_cf = max(worst_cf, err)
-        if err > 1e-10:
+        if err > CLOSED_FORM_REL_TOL:
             cf_fail += 1
-    rows.append(VerificationRow("closed forms vs find_max_reduced (rel, tol 1e-10)", n_cf, cf_fail, worst_cf))
+    rows.append(_rule_row(
+        "closed forms vs find_max_reduced (rel, tol {})", CLOSED_FORM_REL_TOL, n_cf, cf_fail, worst_cf
+    ))
 
     if include_constants:
         from .constants import multiplier_norm, sidon_constant
@@ -466,10 +478,10 @@ def run_verification(
                 got = brute_multiplier_norm(freqs, mult)
             err = abs(got - expected)
             worst_c = max(worst_c, err)
-            if err > 1e-3:
+            if err > CONSTANT_ABS_TOL:
                 const_fail += 1
-        rows.append(
-            VerificationRow("constants vs formulas (abs, tol 1e-3)", len(checks), const_fail, worst_c)
-        )
+        rows.append(_rule_row(
+            "constants vs formulas (abs, tol {})", CONSTANT_ABS_TOL, len(checks), const_fail, worst_c
+        ))
 
     return rows

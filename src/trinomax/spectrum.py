@@ -35,9 +35,6 @@ STATIONARY_REL_TOL = 1e-8
 # |signed tau| of a multiplier at or below this counts as an isometry; its
 # translation is then solved to a residual of four times it
 ISOMETRY_TAU_TOL = 1e-9
-# symmetry_axis takes tau within this of pi, and solves the axis translation
-# to the same residual, the order doubling such phases leaves
-SYMMETRY_AXIS_TOL = 1e-6
 
 __all__ = [
     "SpectrumError",
@@ -56,7 +53,6 @@ __all__ = [
     "canonical_reduction",
     "make_reduced_form",
     "opposition_signs",
-    "symmetry_axis",
 ]
 
 
@@ -456,18 +452,3 @@ def opposition_signs(
     phases = tuple(0.0 if s > 0 else math.pi for s in signs)
     assert abs(abs(geo.signed_tau(phases)) - math.pi) < 1e-9
     return tuple(signs)
-
-
-def symmetry_axis(trinomial: Trinomial) -> float:
-    """The axis parameter s with 2*t_j + lambda_j*s all equal modulo 2*pi.
-
-    Exists exactly when tau = pi; then |T(s - x)| = |T(x)| for all x and s is
-    unique modulo 2*pi/d.  Returned in [0, 2*pi/d).
-    """
-    geo = spectrum_geometry(trinomial.frequencies)
-    tau = abs(geo.signed_tau(trinomial.phases))
-    if abs(tau - math.pi) > SYMMETRY_AXIS_TOL:
-        raise SpectrumError(f"symmetry axis requires tau = pi, got tau = {tau}")
-    doubled = tuple(2.0 * t for t in geo.sort(trinomial.phases))
-    s = _solve_common_shift(geo, doubled, SYMMETRY_AXIS_TOL)
-    return s % (TWO_PI / geo.d)

@@ -200,6 +200,14 @@ class TestVerify:
         assert code == 0
         assert "total failures: 0" in out
 
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_count_below_one_is_invalid_input(self, capsys, count):
+        code, out = run(capsys, "verify", "--count", count, "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {"message": f"count must be at least 1, got {count}", "command": "verify"}
+        }
+
 
 class TestOneSolvePerAnswer:
     def test_analyze_reduces_once(self, capsys, monkeypatch):

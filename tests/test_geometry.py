@@ -4,6 +4,7 @@ import math
 import pytest
 
 from trinomax import (
+    MaxClassification,
     SpectrumError,
     Trinomial,
     curve_point,
@@ -11,6 +12,7 @@ from trinomax import (
     hypotrochoid_sample,
     max_points_global,
 )
+from trinomax.maxmod import AT_ZERO_REL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +41,14 @@ class TestHypotrochoidSample:
         # r1 : r3 = |l3-l2| : |l2-l1| forces |l3-l1|/d cusps
         tri = Trinomial(-4, 0, 2, 1.0, 1.0, 2.0)
         assert hypotrochoid_sample(tri, 64).cusp_count == 3
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-13, 5e-13, 2e-12, 1e-11, 1e-10, 2e-9])
+    def test_cusps_exactly_when_maximum_at_zero(self, eps):
+        # k*r1 = l*r3*(1 + eps): one rule, at AT_ZERO_REL_TOL, decides both
+        tri = Trinomial(-1, 0, 2, 2.0 * (1.0 + eps), 1.5, 1.0, 0.3, 1.1, 2.9)
+        at_zero = max_points_global(tri).classification is MaxClassification.AT_ZERO
+        assert at_zero == (hypotrochoid_sample(tri, 16).cusp_count is not None)
+        assert at_zero == (eps <= AT_ZERO_REL_TOL)
 
     def test_degenerate_outer_coefficient_approaches_circle(self):
         tri = Trinomial(-2, 0, 1, 4.0, 1.0, 1e-9)
@@ -85,9 +95,7 @@ class TestFarthestPoints:
             farthest_points(FIG1, center=0)
 
     def test_pair_symmetric_about_axis(self):
-        from trinomax import symmetry_axis
-
-        s = symmetry_axis(FIG1_ROT)
+        s = max_points_global(FIG1_ROT).s
         (x, _), (y, _) = farthest_points(FIG1_ROT)
         assert (x + y) % TWO_PI == pytest.approx(s % TWO_PI, abs=1e-8)
 

@@ -22,7 +22,6 @@ from trinomax import (
     max_points_global,
     modulus_squared_reduced,
     modulus_squared_trinomial,
-    symmetry_axis,
 )
 from trinomax import maxmod
 from trinomax.maxmod import BracketFailure
@@ -265,7 +264,7 @@ class TestMaxPointsGlobal:
 
     def test_axis_symmetry_of_modulus(self):
         tri = Trinomial(-2, 0, 1, 4, 1, 1, 0, math.pi / 3, 0)
-        s = symmetry_axis(tri)
+        s = max_points_global(tri).s
         for x in np.linspace(0, TWO_PI, 23):
             assert abs(evaluate(tri, s - float(x))) == pytest.approx(
                 abs(evaluate(tri, float(x))), rel=1e-12, abs=1e-12
@@ -507,3 +506,42 @@ class TestRootFinder:
             assert find_max_reduced(form2).value == pytest.approx(
                 closed_form_k2_l1(*r), rel=1e-10
             )
+
+
+class TestBranchMargins:
+    """Each tolerance that picks a branch, probed at half and twice its value."""
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_tau_pi(self, factor):
+        delta = factor * maxmod.TAU_PI_TOL
+        res = max_points_global(Trinomial(-1, 0, 1, 1.0, 2.0, 1.3, 0.0, (math.pi - delta) / 2, 0.0))
+        if factor < 1:
+            assert res.classification is MaxClassification.SYMMETRIC_PAIR
+            assert res.s is not None
+        else:
+            assert res.classification is MaxClassification.INTERIOR_UNIQUE
+            assert res.s is None
+
+    def test_one_tau_pi_rule(self):
+        # tau = pi - 1e-7 is off the axis branch, and no second rule calls it symmetric
+        import trinomax
+
+        tri = Trinomial(-1, 0, 1, 1.0, 2.0, 1.3, 0.0, (math.pi - 1e-7) / 2, 0.0)
+        assert max_points_global(tri).s is None
+        assert not hasattr(trinomax, "symmetry_axis")
+
+    @pytest.mark.parametrize(
+        "factor, cls",
+        [
+            (0.5, MaxClassification.DEGENERATE4),
+            (-0.5, MaxClassification.DEGENERATE4),
+            (2.0, MaxClassification.SYMMETRIC_PAIR),
+            (-2.0, MaxClassification.AT_BOUNDARY),
+        ],
+    )
+    def test_knife_edge(self, factor, cls):
+        # k = l = 1, r2 = r3 = 1: the knife edge is r1 = 0.2, and a relative
+        # offset delta of r1 puts the form delta/2 off it relative to its scale
+        delta = 2.0 * factor * maxmod.DEGENERATE_REL_TOL
+        form = ReducedForm(1, 1, 0.2 * (1.0 + delta), 1.0, 1.0, math.pi / 2)
+        assert find_max_reduced(form).classification is cls
