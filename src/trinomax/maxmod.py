@@ -44,7 +44,6 @@ __all__ = [
     "MaxClassification",
     "MaxResult",
     "evaluate",
-    "modulus_at",
     "modulus_squared_reduced",
     "half_derivative",
     "modulus_squared_trinomial",
@@ -122,10 +121,6 @@ def evaluate(trinomial: Trinomial, x):
         + r[1] * cmath.exp(1j * (t[1] + f[1] * x))
         + r[2] * cmath.exp(1j * (t[2] + f[2] * x))
     )
-
-
-def modulus_at(trinomial: Trinomial, x: float) -> float:
-    return abs(evaluate(trinomial, x))
 
 
 def modulus_squared_reduced(form: ReducedForm, x: float) -> float:

@@ -2,10 +2,15 @@
 
 Grid maximisation of |T| with golden-section refinement, phase-space
 minimisation for the empirical Sidon constant, and a sup-search for
-multiplier norms.  The oracle shares two pieces with the rest of the
-library: ``evaluate`` and the period 2*pi/d from ``spectrum_geometry``.
-The analytic solver ``find_max_reduced`` uses neither, so the comparison
-with it stays independent; ``agreement`` is the one rule that judges it.
+multiplier norms.  Every stage evaluates
+|T(x)|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + (lambda_a - lambda_b) x)
+from the raw coefficients: on a grid from one table of pair cosines
+(``_pair_table``), which a constant search builds once, and in the
+refinement from three ``math.cos`` calls.  The oracle shares one piece
+with the rest of the library, the period 2*pi/d from ``spectrum_geometry``;
+its evaluator is not the reduced-form expansion ``find_max_reduced`` uses,
+so the comparison stays independent; ``agreement`` is the one rule that
+judges it.
 The golden-section routine ``golden_max`` lives here; nothing on the
 analytic side searches numerically.
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxmod import MaxResult, evaluate, max_points_global, modulus_at
+from .maxmod import MaxResult, max_points_global
 from .spectrum import (
     TWO_PI,
     Multiplier,
@@ -47,7 +52,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # refined peaks within this relative of the best one are maximum points too
 TIE_REL_TOL = 1e-10
 # the analytic maximum and the oracle's agree within these: relative value,
-# and circular argmax distance (golden section on |T| resolves x only to
+# and circular argmax distance (golden section on |T|^2 resolves x only to
 # about sqrt(eps) relative)
 AGREEMENT_VALUE_TOL = 1e-9
 AGREEMENT_ARGMAX_TOL = 1e-6
@@ -136,45 +141,90 @@ def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float
 def brute_max(trinomial: Trinomial, grid_n: int = 2048) -> OracleReport:
     """Grid scan of |T| over one period 2*pi/d with golden-section refinement.
 
-    T is evaluated translated by its lowest frequency, which leaves |T|
-    unchanged and keeps the phases t + lambda*x exact to ulp(x) for spectra
-    with a large common offset.  Every grid local maximum that could hide
-    the global maximum given the quadratic droop of |T|^2 between grid
-    points (and at least every one within a 1e-7 relative band of the grid
-    maximum) is refined over its two neighbouring grid cells; refined points
-    within TIE_REL_TOL relative of the best refined value are reported as
-    maximum points, clustered with radius 1e-4 of the period.
+    |T|^2 is evaluated from the pair gaps lambda_a - lambda_b only (see
+    ``_pair_table``), so a large common offset costs no precision.  Every
+    grid local maximum that could hide the global maximum given the
+    quadratic droop of |T|^2 between grid points (and at least every one
+    within a 1e-7 relative band of the grid maximum) is refined over its two
+    neighbouring grid cells; refined points within TIE_REL_TOL relative of
+    the best refined value are reported as maximum points, clustered with
+    radius 1e-4 of the period.
     """
+    _check_grid(grid_n)
+    period = TWO_PI / spectrum_geometry(trinomial.frequencies).d
+    table = _pair_table(trinomial.frequencies, period, grid_n)
+    return _grid_and_refine(table, trinomial.moduli, trinomial.phases)
+
+
+def _check_grid(grid_n: int) -> None:
     if grid_n < 1024:
         raise SpectrumError(f"oracle grid must have at least 1024 points, got {grid_n}")
-    low = min(trinomial.frequencies)
-    shifted = (f - low for f in trinomial.frequencies)
-    trinomial = Trinomial(*shifted, *trinomial.moduli, *trinomial.phases)
-    period = TWO_PI / spectrum_geometry(trinomial.frequencies).d
+
+
+# the coefficient pairs a < b of the cross terms of |T|^2
+_A, _B = np.array([0, 0, 1]), np.array([1, 2, 2])
+
+
+@dataclass(frozen=True)
+class _PairTable:
+    gaps: tuple[float, float, float]
+    period: float
+    grid: np.ndarray  # cos, then sin, of gap * x on the grid; shape (6, grid_n)
+
+
+def _pair_table(lams, period: float, grid_n: int) -> _PairTable:
+    """cos and sin of (lambda_a - lambda_b) * x at x = j * period / grid_n.
+
+    The gaps do not change under a common frequency offset, so the phases
+    stay exact to ulp(x) however large the frequencies are.
+    """
+    gaps = tuple(float(lams[a] - lams[b]) for a, b in zip(_A, _B))
+    arg = np.outer(gaps, np.arange(grid_n) * (period / grid_n))
+    return _PairTable(gaps, period, np.vstack((np.cos(arg), np.sin(arg))))
+
+
+def _cross_terms(r, t):
+    """|T(x)|^2 = s0 + sum over pairs of w * cos(p + gap * x), from moduli r
+    and phases t along the last axis: returns s0, w and p."""
+    r, t = np.asarray(r), np.asarray(t)
+    return (r * r).sum(axis=-1), 2.0 * r[..., _A] * r[..., _B], t[..., _A] - t[..., _B]
+
+
+def _grid_weights(w, p) -> np.ndarray:
+    # |T|^2 on the grid is s0 + weights @ table.grid
+    return np.concatenate((w * np.cos(p), -w * np.sin(p)), axis=-1)
+
+
+def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
+    """``brute_max`` on a prebuilt pair table."""
+    s0, w, p = _cross_terms(moduli, phases)
+    grid_n = table.grid.shape[1]
+    period = table.period
     h = period / grid_n
-    xs = np.arange(grid_n) * h
-    vals = np.abs(evaluate(trinomial, xs))
+    sq = s0 + _grid_weights(w, p) @ table.grid
     evaluations = grid_n
-    vmax = float(vals.max())
+    vmax_sq = float(sq.max())
 
     # droop bound on |T|^2 between samples: max |(|T|^2)''| * h^2 / 8
-    f = trinomial.frequencies
-    r = trinomial.moduli
-    curvature = 2.0 * sum(
-        r[a] * r[b] * (f[a] - f[b]) ** 2 for a in range(3) for b in range(a + 1, 3)
-    )
+    curvature = float(w @ np.square(table.gaps))
     droop_sq = curvature * h * h / 6.0
-    threshold = min(vmax * (1.0 - 1e-7), math.sqrt(max(vmax * vmax - droop_sq, 0.0)))
+    threshold = min(vmax_sq * (1.0 - 1e-7) ** 2, vmax_sq - droop_sq)
     # a band as wide as the whole period can hold several local maxima, so
     # each grid peak in it gets its own bracket (neighbours taken cyclically)
-    idx = np.flatnonzero(vals >= threshold)
-    top = vals[idx]
-    peaks = idx[(top >= vals[idx - 1]) & (top >= vals[(idx + 1) % grid_n])]
+    idx = np.flatnonzero(sq >= threshold)
+    top = sq[idx]
+    peaks = idx[(top >= sq[idx - 1]) & (top >= sq[(idx + 1) % grid_n])]
+
+    s0 = float(s0)
+    (w1, w2, w3), (p1, p2, p3), (g1, g2, g3) = w.tolist(), p.tolist(), table.gaps
+
+    def modulus_sq(x: float) -> float:
+        return s0 + w1 * math.cos(p1 + g1 * x) + w2 * math.cos(p2 + g2 * x) + w3 * math.cos(p3 + g3 * x)
 
     refined: list[tuple[float, float]] = []
     for i in peaks.tolist():
-        x, v, n = golden_max(lambda x: modulus_at(trinomial, x), (i - 1) * h, (i + 1) * h)
-        refined.append((x % period, v))
+        x, v, n = golden_max(modulus_sq, (i - 1) * h, (i + 1) * h)
+        refined.append((x % period, math.sqrt(v)))
         evaluations += n
 
     best = max(v for _, v in refined)
@@ -210,18 +260,20 @@ def _coarse_ratio_scan(
     moduli sum is 1, so this is the Sidon objective).  Otherwise yields the
     ratio grid-max|MT| / grid-max|T|.
     """
-    xs = np.linspace(0.0, TWO_PI / geo.d, grid_n, endpoint=False)
-    basis = np.exp(1j * np.outer(geo.lams, xs))
+    table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
+
+    def grid_max(phases) -> np.ndarray:
+        s0, w, p = _cross_terms(moduli, phases)
+        return np.sqrt((_grid_weights(w, p) @ table.grid).max(axis=1) + s0)
+
     rows = []
     for u2 in phase_grid:
-        coeff = moduli.astype(complex).copy()
-        coeff[:, 1] *= np.exp(1j * u2)
-        base = np.abs(coeff @ basis).max(axis=1)
+        base = grid_max((0.0, u2, 0.0))
         if mult_phases is None:
             rows.append(base)
         else:
-            shifted = coeff * np.exp(1j * np.asarray(mult_phases))
-            rows.append(np.abs(shifted @ basis).max(axis=1) / base)
+            u1, v2, u3 = mult_phases
+            rows.append(grid_max((u1, u2 + v2, u3)) / base)
     return np.asarray(rows)  # shape (len(phase_grid), len(moduli))
 
 
@@ -288,14 +340,17 @@ def brute_sidon(
     can be rotated away by an isometry), over a full-turn grid followed by
     coordinate-descent refinement of (r1, r2, u2) on the unit simplex.
     """
+    _check_grid(grid_n)
     geo = spectrum_geometry(frequencies)
+    table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
 
     def objective(params: list[float]) -> float:
         a, b, phi = params
-        # keep r3 positive along the descent path
-        if a + b >= 1.0 - _SIMPLEX_EPS:
+        rest = 1.0 - a - b
+        # keep r3 on the simplex along the descent path
+        if rest <= _SIMPLEX_EPS:
             return math.inf
-        return brute_max(Trinomial(*geo.lams, a, b, 1.0 - a - b, 0.0, phi, 0.0), grid_n).value
+        return _grid_and_refine(table, (a, b, rest), (0.0, phi, 0.0)).value
 
     best = _scan_and_descend(geo, None, objective, grid_phases, simplex_n, min(grid_n, 512))
     return 1.0 / best
@@ -309,17 +364,19 @@ def brute_multiplier_norm(
     grid_n: int = 1024,
 ) -> float:
     """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|."""
+    _check_grid(grid_n)
     geo = spectrum_geometry(frequencies)
+    table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
     u1, u2, u3 = mult = geo.sort(multiplier.phases)
 
     def objective(params: list[float]) -> float:
         a, b, phi = params
         rest = 1.0 - a - b
-        if rest <= _SIMPLEX_EPS / 2:
+        if rest <= _SIMPLEX_EPS:
             return 0.0
-        tri = Trinomial(*geo.lams, a, b, rest, 0.0, phi, 0.0)
-        shifted = Trinomial(*geo.lams, a, b, rest, u1, phi + u2, u3)
-        return brute_max(shifted, grid_n).value / brute_max(tri, grid_n).value
+        moduli = (a, b, rest)
+        shifted = _grid_and_refine(table, moduli, (u1, phi + u2, u3)).value
+        return shifted / _grid_and_refine(table, moduli, (0.0, phi, 0.0)).value
 
     return _scan_and_descend(geo, mult, objective, grid_phases, simplex_n, min(grid_n, 384))
 

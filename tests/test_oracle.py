@@ -21,8 +21,10 @@ from trinomax import (
     random_symmetric_pair,
     random_trinomial,
     run_verification,
+    spectrum_geometry,
 )
-from trinomax.oracle import AGREEMENT_ARGMAX_TOL, AGREEMENT_VALUE_TOL
+from trinomax import oracle
+from trinomax.oracle import AGREEMENT_ARGMAX_TOL, AGREEMENT_VALUE_TOL, TIE_REL_TOL, _coarse_ratio_scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,6 +150,64 @@ class TestBruteMultiplierNorm:
         value = brute_multiplier_norm((-1, 0, 2), Multiplier(0, math.pi / 2, 0))
         expected = math.cos(math.pi / 12) / math.cos(math.pi / 6)
         assert value == pytest.approx(expected, abs=1e-3)
+
+
+class TestSearchGridGuard:
+    def test_small_grid_fails_before_the_coarse_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("the coarse scan ran before the grid check")
+
+        monkeypatch.setattr(oracle, "_coarse_ratio_scan", scan)
+        with pytest.raises(SpectrumError, match="at least 1024 points, got 512"):
+            brute_sidon((-1, 0, 1), grid_n=512)
+        with pytest.raises(SpectrumError, match="at least 1024 points, got 512"):
+            brute_multiplier_norm((-1, 0, 1), Multiplier(0, math.pi / 2, 0), grid_n=512)
+
+
+class TestPairCosineEvaluator:
+    """The oracle's |T|^2 from pair cosines against the plain complex sum."""
+
+    @pytest.mark.parametrize("freqs", [(-1, 0, 1), (-2, 0, 4), (1, 2, 5), (-4, 0, 2)])
+    @pytest.mark.parametrize("mult", [None, (0.7, 2.1, 5.3)])
+    def test_coarse_scan_cells_match_the_complex_grid_max(self, freqs, mult):
+        rng = np.random.default_rng(31)
+        geo = spectrum_geometry(freqs)
+        phase_grid = rng.uniform(0.0, TWO_PI, 3)
+        moduli = rng.dirichlet(np.ones(3), size=4)
+        grid_n = 384
+        got = _coarse_ratio_scan(geo, phase_grid, moduli, grid_n, mult)
+        xs = np.linspace(0.0, TWO_PI / geo.d, grid_n, endpoint=False)
+
+        def grid_max(r, phases):
+            return np.abs(evaluate(Trinomial(*geo.lams, *r, *phases), xs)).max()
+
+        for i, u2 in enumerate(phase_grid):
+            for j, r in enumerate(moduli):
+                want = grid_max(r, (0.0, u2, 0.0))
+                if mult is not None:
+                    want = grid_max(r, (mult[0], u2 + mult[1], mult[2])) / want
+                assert got[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def assert_value_is_the_modulus_at_the_argmaxes(report, tri):
+        # the value is |T| at the best argmax; the others are ties within TIE_REL_TOL
+        moduli = [abs(evaluate(tri, x)) for x in report.argmaxes]
+        assert max(moduli) == pytest.approx(report.value, rel=1e-12, abs=0.0)
+        assert min(moduli) >= report.value * (1.0 - TIE_REL_TOL)
+
+    def test_brute_max_value_is_the_modulus_at_the_argmaxes(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            tri = random_trinomial(rng, modulus_range=(1e-6, 1e6))
+            self.assert_value_is_the_modulus_at_the_argmaxes(brute_max(tri, 1024), tri)
+
+    def test_brute_max_value_at_a_large_common_offset(self):
+        # evaluate at frequencies near 1e9 loses about 1e9 * ulp(x) in each
+        # phase, so the reference is the translated trinomial, which has the
+        # same modulus everywhere
+        offset = Trinomial(10**9, 10**9 + 1, 10**9 + 3, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+        small = Trinomial(0, 1, 3, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+        self.assert_value_is_the_modulus_at_the_argmaxes(brute_max(offset), small)
 
 
 def test_run_verification_all_green():
