@@ -299,10 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degrees", action="store_true",
                            help="interpret input phases in degrees (output stays radians)")
 
+    def add_format(p):
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true")
+        fmt.add_argument("--csv", action="store_true")
+
     p = sub.add_parser("analyze", help="spectrum stats, reduction and maximum points")
     add_spectrum(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    add_format(p)
     p.add_argument("--verify", action="store_true", help="cross-check against the brute-force oracle")
     p.add_argument("--grid", type=int, default=2048)
     p.set_defaults(func=_cmd_analyze)
@@ -321,15 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="maximum modulus as the phase invariant sweeps [0, pi]")
     add_spectrum(p, phases=False)
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    add_format(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("hypotrochoid", help="sample the outer-coefficient curve")
     add_spectrum(p)
     p.add_argument("--n", type=int, default=512)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    add_format(p)
     p.set_defaults(func=_cmd_hypotrochoid)
 
     p = sub.add_parser("verify", help="run the oracle-agreement suites")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import gcd
 
 from .maxmod import max_points_global
 from .spectrum import (
@@ -24,6 +23,8 @@ from .spectrum import (
     SpectrumError,
     SpectrumGeometry,
     Trinomial,
+    _check_reduced,
+    _count,
     _top_two_adic_pair,
     modular_inverse,
     spectrum_geometry,
@@ -152,12 +153,9 @@ def lift_to_measure(k: int, l: int, t: float) -> MeasureLift:
     with m the inverse of l modulo k+l; its total variation equals the
     multiplier norm cos(pi/(2(k+l)) - t/2) / cos(pi/(2(k+l))).
     """
-    if k < 1 or l < 1 or gcd(k, l) != 1:
-        raise SpectrumError(f"(k, l) must be positive coprime, got ({k}, {l})")
+    _check_reduced(k, l, t)
     big_d = k + l
     edge = math.pi / big_d
-    if not -1e-12 <= t <= edge * (1.0 + 1e-12):
-        raise SpectrumError(f"t must lie in [0, pi/(k+l)] = [0, {edge}], got {t}")
     s = math.sin(edge)
     atom0 = cmath.exp(1j * t / 2.0) * math.sin(edge - t / 2.0) / s
     atom1 = cmath.exp(1j * (t / 2.0 + edge)) * math.sin(t / 2.0) / s
@@ -213,8 +211,7 @@ def geometric_progression_bounds(q: int) -> tuple[float, float, float]:
     the middle term is the Sidon constant of the three-point section {1, q, q^2}.
     Requires integer q >= 3.
     """
-    if not (isinstance(q, int) and q >= 3):
-        raise SpectrumError(f"q must be an integer >= 3, got {q}")
+    q = _count(q, 3, "q must be an integer >= 3, got {n}")
     lower1 = 1.0 + math.pi**2 / (8.0 * (q + 1) ** 2)
     lower2 = 1.0 / math.cos(math.pi / (2.0 * (q + 1)))
     upper = 1.0 + math.pi**2 / (2.0 * q * q - 2.0 - math.pi**2)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .maxmod import MaxResult, evaluate, max_points_global
-from .spectrum import TWO_PI, SpectrumError, Trinomial, spectrum_geometry
+from .spectrum import TWO_PI, SpectrumError, Trinomial, _check_phases, _frequencies, spectrum_geometry
 
 __all__ = [
     "NoSolution",
@@ -66,9 +66,13 @@ class UnitBallPoint:
 
     @property
     def kind(self) -> str:
-        threshold = _ZERO_COEFF_REL * max(self.moduli)
-        n = sum(1 for r in self.moduli if r > threshold)
-        return {1: "Monomial", 2: "Binomial", 3: "Trinomial"}.get(n, "Zero")
+        return {1: "Monomial", 2: "Binomial", 3: "Trinomial"}.get(len(_live_moduli(self.moduli)), "Zero")
+
+
+def _live_moduli(moduli) -> list[float]:
+    """The moduli above _ZERO_COEFF_REL of the largest; the rest count as zero."""
+    threshold = _ZERO_COEFF_REL * max(moduli)
+    return [r for r in moduli if r > threshold]
 
 
 @dataclass(frozen=True)
@@ -91,18 +95,17 @@ def unit_ball_point(
 ) -> UnitBallPoint:
     """Build a point of the span and compute its sup norm, keeping the
     maximum of a trinomial for the classification."""
-    if len(set(frequencies)) != 3:
-        raise SpectrumError(f"frequencies must be pairwise distinct, got {frequencies}")
-    if any(r < 0.0 for r in moduli) or max(moduli) <= 0.0:
-        raise SpectrumError(f"moduli must be nonnegative with at least one positive, got {moduli}")
-    threshold = _ZERO_COEFF_REL * max(moduli)
-    live = [r for r in moduli if r > threshold]
+    frequencies = _frequencies(frequencies)
+    if not all(0.0 <= r < math.inf for r in moduli) or max(moduli) <= 0.0:
+        raise SpectrumError(f"moduli must be finite, nonnegative and not all zero, got {moduli}")
+    _check_phases(phases)
+    live = _live_moduli(moduli)
     maximum = None
     if len(live) == 3:
         maximum = max_points_global(Trinomial(*frequencies, *moduli, *phases))
     # a monomial or a binomial attains the sum of its moduli
     sup = maximum.value if maximum is not None else sum(live)
-    return UnitBallPoint(tuple(frequencies), tuple(moduli), tuple(phases), sup, maximum)
+    return UnitBallPoint(frequencies, tuple(moduli), tuple(phases), sup, maximum)
 
 
 def classify_unit_ball_point(point: UnitBallPoint) -> ExtremalClass:

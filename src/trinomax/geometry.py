@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .maxmod import max_at_zero, max_points_global
-from .spectrum import SpectrumError, Trinomial, spectrum_geometry
+from .spectrum import SpectrumError, Trinomial, _count, spectrum_geometry
 
 __all__ = ["Curve", "hypotrochoid_sample", "curve_point", "farthest_points"]
 
@@ -51,8 +51,7 @@ def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
     cusp_count is |l3-l1|/d in the hypocycloid case and None otherwise; the
     case is decided by maxmod.max_at_zero, the rule that puts the maximum at 0.
     """
-    if n < 16:
-        raise SpectrumError(f"need at least 16 samples, got {n}")
+    n = _count(n, 16, "need at least 16 samples, got {n}")
     geo = spectrum_geometry(trinomial.frequencies)
     r1, _, r3 = geo.sort(trinomial.moduli)
     cusps = geo.D if max_at_zero(geo.k, r1, geo.l, r3) else None

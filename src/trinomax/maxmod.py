@@ -28,11 +28,11 @@ import numpy as np
 from .spectrum import (
     TWO_PI,
     ReducedForm,
-    SpectrumError,
     SpectrumGeometry,
     SpectrumStats,
     Transcript,
     Trinomial,
+    _check_moduli,
     _turn_shifts,
     canonical_reduction,
     modular_inverse,
@@ -397,9 +397,7 @@ def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[flo
     sin(x) = r2*(r3-r1)/(4*r1*r3) when |1/r1 - 1/r3| < 4/r2, and
     r2 + |r3 - r1| attained at a single point otherwise.
     """
-    for r in (r1, r2, r3):
-        if not (r > 0.0 and math.isfinite(r)):
-            raise SpectrumError(f"moduli must be positive, got {r}")
+    _check_moduli((r1, r2, r3))
     if abs(1.0 / r1 - 1.0 / r3) < 4.0 / r2:
         value = (r1 + r3) * math.sqrt(1.0 + r2 * r2 / (4.0 * r1 * r3))
         s = r2 * (r3 - r1) / (4.0 * r1 * r3)
@@ -420,9 +418,7 @@ def closed_form_k2_l1(r1: float, r2: float, r3: float) -> float:
 
     otherwise the maximum is -r1 + r2 + r3.
     """
-    for r in (r1, r2, r3):
-        if not (r > 0.0 and math.isfinite(r)):
-            raise SpectrumError(f"moduli must be positive, got {r}")
+    _check_moduli((r1, r2, r3))
     if 1.0 / r1 - 4.0 / r3 < 9.0 / r2:
         a = r2 / (3.0 * r3)
         b = r2 / (3.0 * r1)
@@ -443,6 +439,5 @@ def binomial_max(r1: float, r2: float) -> float:
     Degenerate entry point for spectra where one trinomial coefficient
     vanishes; the maximum does not depend on frequencies or phases.
     """
-    if not (r1 > 0.0 and r2 > 0.0):
-        raise SpectrumError("binomial moduli must be positive")
+    _check_moduli((r1, r2))
     return r1 + r2

@@ -28,9 +28,9 @@ from .maxmod import MaxResult, max_points_global
 from .spectrum import (
     TWO_PI,
     Multiplier,
-    SpectrumError,
     SpectrumGeometry,
     Trinomial,
+    _count,
     spectrum_geometry,
 )
 
@@ -150,15 +150,14 @@ def brute_max(trinomial: Trinomial, grid_n: int = 2048) -> OracleReport:
     the best refined value are reported as maximum points, clustered with
     radius 1e-4 of the period.
     """
-    _check_grid(grid_n)
+    grid_n = _check_grid(grid_n)
     period = TWO_PI / spectrum_geometry(trinomial.frequencies).d
     table = _pair_table(trinomial.frequencies, period, grid_n)
     return _grid_and_refine(table, trinomial.moduli, trinomial.phases)
 
 
-def _check_grid(grid_n: int) -> None:
-    if grid_n < 1024:
-        raise SpectrumError(f"oracle grid must have at least 1024 points, got {grid_n}")
+def _check_grid(grid_n: int) -> int:
+    return _count(grid_n, 1024, "oracle grid must have at least 1024 points, got {n}")
 
 
 # the coefficient pairs a < b of the cross terms of |T|^2
@@ -340,7 +339,7 @@ def brute_sidon(
     can be rotated away by an isometry), over a full-turn grid followed by
     coordinate-descent refinement of (r1, r2, u2) on the unit simplex.
     """
-    _check_grid(grid_n)
+    grid_n = _check_grid(grid_n)
     geo = spectrum_geometry(frequencies)
     table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
 
@@ -364,7 +363,7 @@ def brute_multiplier_norm(
     grid_n: int = 1024,
 ) -> float:
     """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|."""
-    _check_grid(grid_n)
+    grid_n = _check_grid(grid_n)
     geo = spectrum_geometry(frequencies)
     table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
     u1, u2, u3 = mult = geo.sort(multiplier.phases)
@@ -454,8 +453,7 @@ def run_verification(
     from .maxmod import closed_form_k1_l1, closed_form_k2_l1, find_max_reduced
     from .spectrum import derive_spectrum_stats, make_reduced_form
 
-    if count < 1:
-        raise SpectrumError(f"count must be at least 1, got {count}")
+    count = _count(count, 1, "count must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     rows: list[VerificationRow] = []
 
@@ -532,7 +530,7 @@ def run_verification(
                 got = brute_sidon(freqs, grid_phases=128, simplex_n=24, grid_n=grid_n)
             else:
                 expected, _ = multiplier_norm(freqs, mult)
-                got = brute_multiplier_norm(freqs, mult)
+                got = brute_multiplier_norm(freqs, mult, grid_n=grid_n)
             err = abs(got - expected)
             worst_c = max(worst_c, err)
             if err > CONSTANT_ABS_TOL:

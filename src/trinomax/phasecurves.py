@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .maxmod import find_max_reduced
-from .spectrum import TWO_PI, SpectrumError, make_reduced_form
+from .spectrum import REDUCED_T_SLACK, TWO_PI, SpectrumError, _count, make_reduced_form
 
 __all__ = [
     "SweepRow",
@@ -78,7 +78,7 @@ def chebotarev_derivative(
     if side not in ("+", "-"):
         raise SpectrumError(f"side must be '+' or '-', got {side!r}")
     big_d = k + l
-    if not 0.0 < t <= math.pi / big_d * (1.0 + 1e-12):
+    if not 0.0 < t <= math.pi / big_d * (1.0 + REDUCED_T_SLACK):
         raise SpectrumError(f"t must lie in (0, pi/(k+l)], got {t}")
     form, _ = make_reduced_form(k, l, r1, r2, r3, min(t, math.pi / big_d))
     res = find_max_reduced(form)
@@ -94,15 +94,18 @@ def chebotarev_derivative(
     return max(slopes) if side == "+" else min(slopes)
 
 
+def _modulus_at_zero(r1: float, r2: float, r3: float, t: float) -> float:
+    """|r1 + r2*e^(it) + r3|, the modulus of the reduced form at x = 0."""
+    return math.hypot(r1 + r3 + r2 * math.cos(t), r2 * math.sin(t))
+
+
 def ratio_gstar(k: int, l: int, r1: float, r2: float, r3: float, t: float) -> float:
     """fstar divided by |r1 + r2*e^(it) + r3| (the modulus at x = 0).
 
     Identically 1 when k*r1 = l*r3; otherwise strictly increasing in t on
     [0, pi/(k+l)].
     """
-    value = fstar(k, l, r1, r2, r3, t)
-    at_zero = math.hypot(r1 + r3 + r2 * math.cos(t), r2 * math.sin(t))
-    return value / at_zero
+    return fstar(k, l, r1, r2, r3, t) / _modulus_at_zero(r1, r2, r3, t)
 
 
 def cos_quotient_bound(tau: float, tau_prime: float, big_d: int) -> float:
@@ -112,8 +115,7 @@ def cos_quotient_bound(tau: float, tau_prime: float, big_d: int) -> float:
     maximum at tau', with equality exactly at moduli proportional to
     (l, k+l, k).
     """
-    if not (isinstance(big_d, int) and big_d >= 2):
-        raise SpectrumError(f"D must be an integer >= 2, got {big_d}")
+    big_d = _count(big_d, 2, "D must be an integer >= 2, got {n}")
     if not (0.0 <= tau_prime < tau <= math.pi * (1.0 + 1e-12)):
         raise SpectrumError(f"need 0 <= tau' < tau <= pi, got tau'={tau_prime}, tau={tau}")
     return math.cos(tau / (2.0 * big_d)) / math.cos(tau_prime / (2.0 * big_d))
@@ -135,22 +137,20 @@ def sweep_rows(
     k: int, l: int, r1: float, r2: float, r3: float, n: int = 64
 ) -> list[SweepRow]:
     """Sweep tau over n uniform values in [0, pi], deterministically ordered."""
-    if n < 2:
-        raise SpectrumError(f"sweep needs at least 2 rows, got {n}")
+    n = _count(n, 2, "sweep needs at least 2 rows, got {n}")
     big_d = k + l
     rows = []
     for i in range(n):
         tau = math.pi * i / (n - 1)
         t = tau / big_d
+        # t lies in [0, pi/(k+l)], where fstar's fold is the identity
         value = fstar(k, l, r1, r2, r3, t)
-        # t lies in [0, pi/(k+l)], where ratio_gstar's fold is the identity
-        at_zero = math.hypot(r1 + r3 + r2 * math.cos(t), r2 * math.sin(t))
         rows.append(
             SweepRow(
                 tau=tau,
                 t=t,
                 fstar=value,
-                ratio=value / at_zero,
+                ratio=value / _modulus_at_zero(r1, r2, r3, t),
                 bound=math.cos(tau / (2.0 * big_d)),
             )
         )

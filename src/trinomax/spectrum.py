@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from math import gcd
+from math import gcd, inf
+from operator import index
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
@@ -35,6 +36,9 @@ STATIONARY_REL_TOL = 1e-8
 # |signed tau| of a multiplier at or below this counts as an isometry; its
 # translation is then solved to a residual of four times it
 ISOMETRY_TAU_TOL = 1e-9
+# slack on the reduced phase range [0, pi/(k+l)], absolute below 0 and
+# relative above the edge: a t computed from tau may round a few ulp past it
+REDUCED_T_SLACK = 1e-12
 
 __all__ = [
     "SpectrumError",
@@ -60,6 +64,61 @@ class SpectrumError(ValueError):
     """Invalid trinomial data: repeated frequencies, nonpositive moduli, ..."""
 
 
+# The input rules.  Each is checked here and nowhere else; every entry point
+# that takes such an input calls its rule.
+
+
+def _frequencies(frequencies) -> tuple[int, int, int]:
+    """Three pairwise distinct integers (anything operator.index takes), as ints."""
+    try:
+        f1, f2, f3 = frequencies
+        f1, f2, f3 = index(f1), index(f2), index(f3)
+    except (TypeError, ValueError):
+        raise SpectrumError(f"frequencies must be three integers, got {frequencies}") from None
+    if f1 == f2 or f2 == f3 or f1 == f3:
+        raise SpectrumError(f"frequencies must be pairwise distinct, got {(f1, f2, f3)}")
+    return f1, f2, f3
+
+
+def _check_moduli(moduli) -> None:
+    """Trinomial moduli: positive and finite."""
+    for r in moduli:
+        if not 0.0 < r < inf:
+            raise SpectrumError(f"moduli must be positive and finite, got {r}")
+
+
+def _check_phases(phases, name: str = "phases") -> None:
+    """Phases: finite."""
+    for t in phases:
+        if not math.isfinite(t):
+            raise SpectrumError(f"{name} must be finite, got {t}")
+
+
+def _check_reduced(k, l, t: float) -> None:
+    """Reduced parameters: (k, l) positive coprime integers (anything
+    operator.index takes), t in [0, pi/(k+l)] up to REDUCED_T_SLACK."""
+    try:
+        coprime = index(k) >= 1 and index(l) >= 1 and gcd(k, l) == 1
+    except TypeError:
+        coprime = False
+    if not coprime:
+        raise SpectrumError(f"(k, l) must be positive coprime, got ({k}, {l})")
+    edge = math.pi / (k + l)
+    if not -REDUCED_T_SLACK <= t <= edge * (1.0 + REDUCED_T_SLACK):
+        raise SpectrumError(f"t must lie in [0, pi/(k+l)] = [0, {edge}], got {t}")
+
+
+def _count(n, least: int, message: str) -> int:
+    """A count: an integer at least ``least`` (anything operator.index takes),
+    returned as an int; ``message`` has {n} where the count goes."""
+    try:
+        if index(n) >= least:
+            return index(n)
+    except TypeError:
+        pass
+    raise SpectrumError(message.format(n=n))
+
+
 def wrap_angle(x: float) -> float:
     """Representative of ``x`` modulo 2*pi in the half-open interval (-pi, pi]."""
     w = math.remainder(x, TWO_PI)
@@ -77,7 +136,7 @@ def modular_inverse(a: int, n: int) -> int:
         raise SpectrumError(f"modulus must be >= 2, got {n}")
     if gcd(a, n) != 1:
         raise SpectrumError(f"{a} is not invertible modulo {n}")
-    return pow(a, -1, n)
+    return pow(index(a), -1, index(n))
 
 
 @dataclass(frozen=True)
@@ -95,17 +154,11 @@ class Trinomial:
     t3: float = 0.0
 
     def __post_init__(self) -> None:
-        freqs = (self.lambda1, self.lambda2, self.lambda3)
-        if len(set(freqs)) != 3:
-            raise SpectrumError(f"frequencies must be pairwise distinct, got {freqs}")
+        _frequencies((self.lambda1, self.lambda2, self.lambda3))
         for name in ("r1", "r2", "r3", "t1", "t2", "t3"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        for r in (self.r1, self.r2, self.r3):
-            if not (r > 0.0 and math.isfinite(r)):
-                raise SpectrumError(f"moduli must be positive and finite, got {r}")
-        for t in (self.t1, self.t2, self.t3):
-            if not math.isfinite(t):
-                raise SpectrumError(f"phases must be finite, got {t}")
+        _check_moduli((self.r1, self.r2, self.r3))
+        _check_phases((self.t1, self.t2, self.t3))
 
     @property
     def frequencies(self) -> tuple[int, int, int]:
@@ -138,9 +191,7 @@ class Multiplier:
     u3: float
 
     def __post_init__(self) -> None:
-        for u in (self.u1, self.u2, self.u3):
-            if not math.isfinite(u):
-                raise SpectrumError(f"multiplier phases must be finite, got {u}")
+        _check_phases((self.u1, self.u2, self.u3), "multiplier phases")
 
     @property
     def phases(self) -> tuple[float, float, float]:
@@ -210,16 +261,10 @@ class ReducedForm:
     t: float
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.l < 1 or gcd(self.k, self.l) != 1:
-            raise SpectrumError(f"(k, l) must be positive coprime, got ({self.k}, {self.l})")
         for name in ("r1", "r2", "r3", "t"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        for r in (self.r1, self.r2, self.r3):
-            if not (r > 0.0 and math.isfinite(r)):
-                raise SpectrumError(f"moduli must be positive and finite, got {r}")
-        edge = math.pi / (self.k + self.l)
-        if not (-1e-12 <= self.t <= edge * (1.0 + 1e-12)):
-            raise SpectrumError(f"t must lie in [0, pi/(k+l)] = [0, {edge}], got {self.t}")
+        _check_reduced(self.k, self.l, self.t)
+        _check_moduli((self.r1, self.r2, self.r3))
         slack = 1e-12 * (self.k * self.r1 + self.l * self.r3)
         if self.k * self.r1 > self.l * self.r3 + slack:
             raise SpectrumError(
@@ -282,13 +327,11 @@ class SpectrumGeometry(NamedTuple):
 def spectrum_geometry(frequencies) -> SpectrumGeometry:
     """Sort permutation, sorted frequencies, step d and coprime gaps (k, l).
 
-    Raises SpectrumError unless the three frequencies are pairwise distinct.
+    Raises SpectrumError unless they are three pairwise distinct integers.
     """
-    f = tuple(frequencies)
-    if len(set(f)) != 3:
-        raise SpectrumError(f"frequencies must be pairwise distinct, got {f}")
+    f = _frequencies(frequencies)
     perm = tuple(sorted(range(3), key=f.__getitem__))
-    l1, l2, l3 = (f[j] for j in perm)
+    l1, l2, l3 = f[perm[0]], f[perm[1]], f[perm[2]]
     d = gcd(l2 - l1, l3 - l2)
     return SpectrumGeometry(perm, (l1, l2, l3), d, (l2 - l1) // d, (l3 - l2) // d)
 

@@ -239,3 +239,19 @@ class TestOneSolvePerAnswer:
         oracle = json.loads(out)["results"]["oracle"]
         assert oracle["agreement"] is True
         assert oracle["valueError"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "-l", "-1", "0", "1", "-r", "1", "2", "1"],
+        ["sweep", "-l", "-1", "0", "2", "-r", "1", "1", "1", "--n", "4"],
+        ["hypotrochoid", "-l", "-1", "0", "1", "-r", "1", "2", "1", "--n", "16"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_and_csv_together_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", "--csv"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err

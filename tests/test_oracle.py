@@ -278,3 +278,23 @@ class TestLargeCommonOffset:
     def test_oracle_agrees_with_the_analytic_point(self):
         offset = Trinomial(10**9, 10**9 + 1, 10**9 + 3, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
         assert agreement(max_points_global(offset), brute_max(offset)).ok
+
+
+def test_run_verification_passes_its_grid_to_every_constant_search(monkeypatch):
+    from trinomax import multiplier_norm, sidon_constant
+
+    grids = []
+
+    def sidon(freqs, grid_phases=256, simplex_n=40, grid_n=1024):
+        grids.append(("sidon", grid_n))
+        return sidon_constant(freqs)[0]
+
+    def multiplier(freqs, mult, grid_phases=96, simplex_n=20, grid_n=1024):
+        grids.append(("multiplier", grid_n))
+        return multiplier_norm(freqs, mult)[0]
+
+    monkeypatch.setattr(oracle, "brute_sidon", sidon)
+    monkeypatch.setattr(oracle, "brute_multiplier_norm", multiplier)
+    rows = run_verification(seed=3, count=1, grid_n=2048)
+    assert grids == [("sidon", 2048)] * 2 + [("multiplier", 2048)] * 2
+    assert rows[-1].failures == 0
