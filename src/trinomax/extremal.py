@@ -66,7 +66,7 @@ class UnitBallPoint:
 
     @property
     def kind(self) -> str:
-        return {1: "Monomial", 2: "Binomial", 3: "Trinomial"}.get(len(_live_moduli(self.moduli)), "Zero")
+        return {1: "Monomial", 2: "Binomial", 3: "Trinomial"}[len(_live_moduli(self.moduli))]
 
 
 def _live_moduli(moduli) -> list[float]:
@@ -96,6 +96,8 @@ def unit_ball_point(
     """Build a point of the span and compute its sup norm, keeping the
     maximum of a trinomial for the classification."""
     frequencies = _frequencies(frequencies)
+    if len(moduli) != 3 or len(phases) != 3:
+        raise SpectrumError(f"need three moduli and three phases, got {moduli} and {phases}")
     if not all(0.0 <= r < math.inf for r in moduli) or max(moduli) <= 0.0:
         raise SpectrumError(f"moduli must be finite, nonnegative and not all zero, got {moduli}")
     _check_phases(phases)

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .maxmod import max_at_zero, max_points_global
-from .spectrum import SpectrumError, Trinomial, _count, spectrum_geometry
+from .spectrum import Trinomial, _count, spectrum_geometry
 
 __all__ = ["Curve", "hypotrochoid_sample", "curve_point", "farthest_points"]
 
@@ -62,23 +62,15 @@ def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
     return Curve(samples=samples, closed=True, cusp_count=cusps)
 
 
-def farthest_points(
-    trinomial: Trinomial, center: complex | None = None
-) -> list[tuple[float, float]]:
-    """Curve parameters and distances of the points farthest from ``center``.
+def farthest_points(trinomial: Trinomial) -> list[tuple[float, float]]:
+    """Curve parameters and distances of the points farthest from -r2*e^(i*t2).
 
-    With the default center -r2*e^(i*t2) this is exactly the maximum-modulus
-    problem for the trinomial itself; an arbitrary nonzero center is allowed
-    as an extension and is treated by replacing the middle coefficient with
-    -center.  One or two points are returned.
+    This is exactly the maximum-modulus problem for the trinomial itself,
+    so the parameters are its maximum points; one or two are returned.
     """
     ts, _ = trinomial.sorted_by_frequency()
-    if center is None:
-        center = -ts.r2 * cmath.exp(1j * ts.t2)
-        assembled = ts
-    else:
-        if center == 0:
-            raise SpectrumError("center must be nonzero; the problem degenerates to a binomial")
-        assembled = replace(ts, r2=abs(center), t2=cmath.phase(-center))
-    res = max_points_global(assembled)
-    return [(x, abs(curve_point(trinomial, x) - center)) for x, _ in res.points]
+    center = -ts.r2 * cmath.exp(1j * ts.t2)
+    return [
+        (x, abs(curve_point(trinomial, x) - center))
+        for x, _ in max_points_global(trinomial).points
+    ]

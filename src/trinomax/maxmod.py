@@ -18,7 +18,6 @@ with multiplicity four.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -44,9 +43,7 @@ __all__ = [
     "MaxClassification",
     "MaxResult",
     "evaluate",
-    "modulus_squared_reduced",
     "half_derivative",
-    "modulus_squared_trinomial",
     "locate_interval",
     "localization_interval",
     "find_max_reduced",
@@ -107,25 +104,11 @@ class MaxResult:
 
 
 def evaluate(trinomial: Trinomial, x):
-    """Value of the trinomial at x (scalar complex, or an array for array x)."""
+    """Value of the trinomial at x (complex for scalar x, an array for array x)."""
     f = trinomial.frequencies
     r = trinomial.moduli
     t = trinomial.phases
-    if isinstance(x, np.ndarray):
-        acc = np.zeros_like(x, dtype=complex)
-        for j in range(3):
-            acc += r[j] * np.exp(1j * (t[j] + f[j] * x))
-        return acc
-    return (
-        r[0] * cmath.exp(1j * (t[0] + f[0] * x))
-        + r[1] * cmath.exp(1j * (t[1] + f[1] * x))
-        + r[2] * cmath.exp(1j * (t[2] + f[2] * x))
-    )
-
-
-def modulus_squared_reduced(form: ReducedForm, x: float) -> float:
-    """|R(x)|^2 via the real cross-term expansion."""
-    return 2.0 * half_derivative(form, x, 0)
+    return sum(r[j] * np.exp(1j * (t[j] + f[j] * x)) for j in range(3))
 
 
 def _cos_deriv(arg: float, rate: float, order: int) -> float:
@@ -143,7 +126,10 @@ def _cos_deriv(arg: float, rate: float, order: int) -> float:
 
 
 def half_derivative(form: ReducedForm, x: float, order: int = 1) -> float:
-    """(1/2) * d^order/dx^order of the squared modulus of the reduced form."""
+    """(1/2) * d^order/dx^order of the squared modulus of the reduced form.
+
+    The one evaluator of the expansion above: order 0 is |R(x)|^2 / 2.
+    """
     k, l = form.k, form.l
     r1, r2, r3, t = form.r1, form.r2, form.r3, form.t
     out = (
@@ -153,21 +139,6 @@ def half_derivative(form: ReducedForm, x: float, order: int = 1) -> float:
     )
     if order == 0:
         out += 0.5 * (r1 * r1 + r2 * r2 + r3 * r3)
-    return out
-
-
-def modulus_squared_trinomial(trinomial: Trinomial, x: float, order: int = 0) -> float:
-    """d^order/dx^order of |T(x)|^2 for a general trinomial."""
-    f = trinomial.frequencies
-    r = trinomial.moduli
-    t = trinomial.phases
-    out = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            gap = f[a] - f[b]
-            out += 2.0 * r[a] * r[b] * _cos_deriv((t[a] - t[b]) + gap * x, gap, order)
-    if order == 0:
-        out += r[0] ** 2 + r[1] ** 2 + r[2] ** 2
     return out
 
 
@@ -288,11 +259,11 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
         x_star = _root_plus_to_minus(
             lambda x: _slope_and_curvature(form, x), 0.0, hi, _derivative_scale(form)
         )
-    value = math.sqrt(modulus_squared_reduced(form, x_star))
+    value = math.sqrt(2.0 * half_derivative(form, x_star, 0))
     if symmetric:
         axis = TWO_PI * modular_inverse(l, big_d) / big_d
         partner = (axis - x_star) % TWO_PI
-        value2 = math.sqrt(modulus_squared_reduced(form, partner))
+        value2 = math.sqrt(2.0 * half_derivative(form, partner, 0))
         if abs(value2 - value) > 1e-8 * value:
             raise BracketFailure(
                 f"symmetric pair values diverge: {value} vs {value2} at tau within {TAU_PI_TOL} of pi"

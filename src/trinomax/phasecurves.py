@@ -15,7 +15,14 @@ import math
 from dataclasses import dataclass
 
 from .maxmod import find_max_reduced
-from .spectrum import REDUCED_T_SLACK, TWO_PI, SpectrumError, _count, make_reduced_form
+from .spectrum import (
+    REDUCED_T_SLACK,
+    TWO_PI,
+    SpectrumError,
+    _check_gaps,
+    _count,
+    make_reduced_form,
+)
 
 __all__ = [
     "SweepRow",
@@ -56,6 +63,7 @@ def fstar(k: int, l: int, r1: float, r2: float, r3: float, t: float) -> float:
     t is folded into [0, pi/(k+l)] by evenness and periodicity, so the
     function is defined for every real t.
     """
+    _check_gaps(k, l)
     form, _ = make_reduced_form(k, l, r1, r2, r3, _fold_phase(t, k + l))
     return find_max_reduced(form).value
 
@@ -77,6 +85,7 @@ def chebotarev_derivative(
     """
     if side not in ("+", "-"):
         raise SpectrumError(f"side must be '+' or '-', got {side!r}")
+    _check_gaps(k, l)
     big_d = k + l
     if not 0.0 < t <= math.pi / big_d * (1.0 + REDUCED_T_SLACK):
         raise SpectrumError(f"t must lie in (0, pi/(k+l)], got {t}")
@@ -137,6 +146,7 @@ def sweep_rows(
     k: int, l: int, r1: float, r2: float, r3: float, n: int = 64
 ) -> list[SweepRow]:
     """Sweep tau over n uniform values in [0, pi], deterministically ordered."""
+    _check_gaps(k, l)
     n = _count(n, 2, "sweep needs at least 2 rows, got {n}")
     big_d = k + l
     rows = []

@@ -94,15 +94,20 @@ def _check_phases(phases, name: str = "phases") -> None:
             raise SpectrumError(f"{name} must be finite, got {t}")
 
 
-def _check_reduced(k, l, t: float) -> None:
-    """Reduced parameters: (k, l) positive coprime integers (anything
-    operator.index takes), t in [0, pi/(k+l)] up to REDUCED_T_SLACK."""
+def _check_gaps(k, l) -> None:
+    """Reduced gaps: (k, l) positive coprime integers (anything operator.index takes)."""
     try:
         coprime = index(k) >= 1 and index(l) >= 1 and gcd(k, l) == 1
     except TypeError:
         coprime = False
     if not coprime:
         raise SpectrumError(f"(k, l) must be positive coprime, got ({k}, {l})")
+
+
+def _check_reduced(k, l, t: float) -> None:
+    """Reduced parameters: the gaps rule, and t in [0, pi/(k+l)] up to
+    REDUCED_T_SLACK."""
+    _check_gaps(k, l)
     edge = math.pi / (k + l)
     if not -REDUCED_T_SLACK <= t <= edge * (1.0 + REDUCED_T_SLACK):
         raise SpectrumError(f"t must lie in [0, pi/(k+l)] = [0, {edge}], got {t}")

@@ -277,7 +277,7 @@ def test_criterion_10_closed_forms(capsys):
         worst = max(worst, err1, err2)
         assert err1 <= 1e-10 and err2 <= 1e-10
     with capsys.disabled():
-        report(10, f"both closed forms match bisection on 10^3 triples (err {worst:.1e})")
+        report(10, f"both closed forms match find_max_reduced on 10^3 triples (err {worst:.1e})")
 
 
 def test_criterion_11_unconditional_constants(capsys):

@@ -81,19 +81,6 @@ class TestFarthestPoints:
         for _, dist in farthest_points(tri):
             assert dist == pytest.approx(reference, rel=1e-12)
 
-    def test_explicit_centre_matches_default(self):
-        centre = -cmath.exp(1j * math.pi / 3)
-        by_default = farthest_points(FIG1_ROT)
-        by_centre = farthest_points(FIG1, center=centre)
-        assert len(by_default) == len(by_centre) == 2
-        for (x1, d1), (x2, d2) in zip(by_default, by_centre):
-            assert x1 == pytest.approx(x2, abs=1e-9)
-            assert d1 == pytest.approx(d2, rel=1e-12)
-
-    def test_rejects_zero_centre(self):
-        with pytest.raises(SpectrumError):
-            farthest_points(FIG1, center=0)
-
     def test_pair_symmetric_about_axis(self):
         s = max_points_global(FIG1_ROT).s
         (x, _), (y, _) = farthest_points(FIG1_ROT)

@@ -13,8 +13,10 @@ from trinomax import (
     Trinomial,
     binomial_max,
     brute_max,
+    chebotarev_derivative,
     classify_unit_ball_point,
     cos_quotient_bound,
+    fstar,
     geometric_progression_bounds,
     hypotrochoid_sample,
     lift_to_measure,
@@ -45,6 +47,12 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: lift_to_measure(1.0, 1, 0.1),
         lambda: sweep_rows(1, 1, 1, 1, 1, n=4.5),
         lambda: hypotrochoid_sample(TRI, 16.5),
+        lambda: fstar(0, 0, 1, 1, 1, 0.1),
+        lambda: sweep_rows(1, -1, 1, 1, 1, 4),
+        lambda: chebotarev_derivative(-1, 1, 1, 1, 1, 0.1),
+        lambda: unit_ball_point((-1, 0, 1), (1, 1), (0, 0, 0)),
+        lambda: unit_ball_point((-1, 0, 1), (1, 1, 1), (0.3,)),
+        lambda: unit_ball_point((-1, 0, 1), (1, 1, 1, 1), (0, 0, 0)),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -59,6 +67,12 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "lift-float-k",
         "sweep-fractional-n",
         "hypotrochoid-fractional-n",
+        "fstar-zero-gap-sum",
+        "sweep-zero-gap-sum",
+        "chebotarev-zero-gap-sum",
+        "unit-ball-two-moduli",
+        "unit-ball-one-phase",
+        "unit-ball-four-moduli",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

@@ -20,10 +20,8 @@ from trinomax import (
     localization_interval,
     make_reduced_form,
     max_points_global,
-    modulus_squared_reduced,
-    modulus_squared_trinomial,
 )
-from trinomax import maxmod
+from trinomax import maxmod, oracle
 from trinomax.maxmod import BracketFailure
 from trinomax.oracle import random_symmetric_pair, random_trinomial
 from trinomax.spectrum import canonical_reduction
@@ -33,6 +31,15 @@ TWO_PI = 2.0 * math.pi
 
 def reduced_as_trinomial(form: ReducedForm) -> Trinomial:
     return Trinomial(-form.k, 0, form.l, form.r1, form.r2, form.r3, 0.0, form.t, 0.0)
+
+
+def modulus_squared_slope(tri: Trinomial, x: float) -> float:
+    """d|T|^2/dx = -sum w*gap*sin(p + gap*x) over the oracle's pair terms,
+    with the exact integer gaps."""
+    _, w, p = oracle._cross_terms(tri.moduli, tri.phases)
+    f = tri.frequencies
+    gaps = [f[a] - f[b] for a, b in zip(oracle._A.tolist(), oracle._B.tolist())]
+    return -sum(wi * gap * math.sin(pk + gap * x) for wi, gap, pk in zip(w.tolist(), gaps, p.tolist()))
 
 
 class TestEvaluate:
@@ -55,12 +62,12 @@ class TestEvaluate:
 class TestModulusSquared:
     def test_all_aligned(self):
         form = ReducedForm(1, 2, 1.0, 2.0, 3.0, 0.0)
-        assert modulus_squared_reduced(form, 0.0) == pytest.approx(36.0)
+        assert 2.0 * half_derivative(form, 0.0, 0) == pytest.approx(36.0)
 
     def test_hand_value(self):
         form = ReducedForm(1, 1, 1.0, 2.0, 1.0, math.pi / 2)
         # 1 + 4 + 1 + 2*(2cos(pi/2) + 1 + 2cos(pi/2)) = 8, i.e. |1 + 2i + 1|^2
-        assert modulus_squared_reduced(form, 0.0) == pytest.approx(8.0)
+        assert 2.0 * half_derivative(form, 0.0, 0) == pytest.approx(8.0)
         assert abs(1 + 2j + 1) ** 2 == pytest.approx(8.0)
 
     @given(
@@ -77,7 +84,7 @@ class TestModulusSquared:
         # near-cancellation leaves both paths with roundoff relative to the
         # coefficient scale, not to the (possibly tiny) value
         scale = (r1 + r2 + r3) ** 2
-        assert modulus_squared_reduced(form, x) == pytest.approx(
+        assert 2.0 * half_derivative(form, x, 0) == pytest.approx(
             direct, rel=1e-12, abs=1e-14 * scale
         )
 
@@ -111,7 +118,7 @@ class TestDerivativeHalf:
         form = ReducedForm(2, 3, 0.7, 1.1, 0.9, 0.55)
         h = 1e-6
         for x in np.linspace(-0.5, 0.5, 11):
-            fd = (modulus_squared_reduced(form, x + h) - modulus_squared_reduced(form, x - h)) / (4 * h)
+            fd = (2.0 * half_derivative(form, x + h, 0) - 2.0 * half_derivative(form, x - h, 0)) / (4 * h)
             assert half_derivative(form, float(x)) == pytest.approx(fd, abs=1e-8)
 
     def test_higher_orders_match_finite_differences(self):
@@ -309,7 +316,7 @@ class TestClosedForms:
         assert closed_form_k2_l1(0.05, 1.0, 1.0) == pytest.approx(1.95)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_both_match_bisection(self, seed):
+    def test_both_match_find_max_reduced(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(60):
             r = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 3))
@@ -393,7 +400,7 @@ class TestLargeGaps:
             res = max_points_global(tri)
             for x, value in res.points:
                 assert abs(evaluate(tri, x)) == pytest.approx(value, rel=1e-12)
-                assert abs(modulus_squared_trinomial(tri, x, 1)) <= 1e-8 * scale
+                assert abs(modulus_squared_slope(tri, x)) <= 1e-8 * scale
 
     @pytest.mark.parametrize("on_top", [False, True])
     def test_gap_past_float_resolution_raises(self, on_top):
@@ -416,7 +423,7 @@ class TestLargeGaps:
             2.0 * r[a] * r[b] * abs(f[a] - f[b]) for a in range(3) for b in range(a + 1, 3)
         )
         for x, _ in max_points_global(tri).points:
-            assert abs(modulus_squared_trinomial(tri, x, 1)) <= tol * scale
+            assert abs(modulus_squared_slope(tri, x)) <= tol * scale
 
     def test_diameter_just_past_the_limit_raises(self):
         with pytest.raises(SpectrumError, match="past float resolution"):
@@ -489,7 +496,7 @@ class TestRootFinder:
                 k * form.r1 * form.r2 + (k + l) * form.r1 * form.r3 + l * form.r2 * form.r3
             )
             for x, _ in res.points:
-                assert abs(modulus_squared_trinomial(tri, x, 1)) <= 1e-12 * scale
+                assert abs(modulus_squared_slope(tri, x)) <= 1e-12 * scale
         assert len(counts) >= 1100
         assert np.mean(counts) <= 12
         assert max(counts) <= 60
