@@ -22,7 +22,7 @@ from . import __version__
 from .constants import lift_to_measure, multiplier_norm, sidon_constant
 from .geometry import farthest_points, hypotrochoid_sample
 from .maxmod import BracketFailure, MaxResult, max_points_global
-from .oracle import CONSTANT_ABS_TOL, agreement, brute_max, brute_sidon, run_verification
+from .oracle import _constant_agreement, agreement, brute_max, brute_sidon, run_verification
 from .phasecurves import sweep_rows
 from .spectrum import (
     Multiplier,
@@ -163,7 +163,7 @@ def _cmd_sidon(args) -> int:
     verified_ok = True
     if args.verify:
         empirical = brute_sidon(tuple(args.frequencies))
-        verified_ok = abs(empirical - constant) <= CONSTANT_ABS_TOL
+        _, verified_ok = _constant_agreement(empirical, constant)
         results["oracle"] = {"constant": empirical, "agreement": verified_ok}
     if args.json:
         print(json.dumps(_envelope("sidon", _input_echo(args), results), indent=2))

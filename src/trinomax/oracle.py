@@ -1,8 +1,10 @@
 """Brute-force verification oracle, independent of the analytic path.
 
-Grid maximisation of |T| with golden-section refinement, phase-space
-minimisation for the empirical Sidon constant, and a sup-search for
-multiplier norms.  Every stage evaluates
+Grid maximisation of |T| with golden-section refinement, and one
+constant search for the empirical Sidon constant and multiplier norms:
+both are a supremum over the unit ball of a ratio of maximum moduli,
+1/max|T| and max|MT|/max|T|, maximised by one coarse scan and one
+coordinate descent.  Every stage evaluates
 |T(x)|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + (lambda_a - lambda_b) x)
 from the raw coefficients: on a grid from one table of pair cosines
 (``_pair_table``), which a constant search builds once, and in the
@@ -21,16 +23,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .maxmod import MaxResult, max_points_global
+from .constants import multiplier_norm, sidon_constant
+from .maxmod import (
+    MaxResult,
+    closed_form_k1_l1,
+    closed_form_k2_l1,
+    find_max_reduced,
+    max_points_global,
+)
 from .spectrum import (
     TWO_PI,
     Multiplier,
-    SpectrumGeometry,
     Trinomial,
+    _check_moduli,
     _count,
+    derive_spectrum_stats,
+    make_reduced_form,
     spectrum_geometry,
 )
 
@@ -106,6 +118,13 @@ def agreement(result: MaxResult, report: OracleReport) -> Agreement:
             for x, _ in result.points
         ),
     )
+
+
+def _constant_agreement(got: float, expected: float) -> tuple[float, bool]:
+    """A brute constant held against its formula: the error, and whether it
+    is within CONSTANT_ABS_TOL."""
+    error = abs(got - expected)
+    return error, error <= CONSTANT_ABS_TOL
 
 
 def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float, int]:
@@ -246,85 +265,85 @@ def _simplex_grid(n: int) -> np.ndarray:
     return np.asarray(pts)
 
 
-def _coarse_ratio_scan(
-    geo: SpectrumGeometry,
-    phase_grid: np.ndarray,
-    moduli: np.ndarray,
-    grid_n: int,
-    mult_phases: tuple[float, float, float] | None,
-):
-    """Scan (moduli simplex) x (middle-phase grid) of grid-max statistics.
-
-    With mult_phases None, yields per (r, u2) the grid maximum of |T| (the
-    moduli sum is 1, so this is the Sidon objective).  Otherwise yields the
-    ratio grid-max|MT| / grid-max|T|.
-    """
-    table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
-
-    def grid_max(phases) -> np.ndarray:
-        s0, w, p = _cross_terms(moduli, phases)
-        return np.sqrt((_grid_weights(w, p) @ table.grid).max(axis=1) + s0)
-
-    rows = []
-    for u2 in phase_grid:
-        base = grid_max((0.0, u2, 0.0))
-        if mult_phases is None:
-            rows.append(base)
-        else:
-            u1, v2, u3 = mult_phases
-            rows.append(grid_max((u1, u2 + v2, u3)) / base)
-    return np.asarray(rows)  # shape (len(phase_grid), len(moduli))
+def _grid_max(table: _PairTable, moduli, phases) -> np.ndarray:
+    """Grid maximum of |T|, unrefined, for each row of the (n, 3) ``moduli``."""
+    s0, w, p = _cross_terms(moduli, phases)
+    return np.sqrt((_grid_weights(w, p) @ table.grid).max(axis=1) + s0)
 
 
 # smallest modulus the constant searches keep on the unit simplex
 _SIMPLEX_EPS = 1e-3
 
 
-def _scan_and_descend(
-    geo: SpectrumGeometry,
-    mult_phases: tuple[float, float, float] | None,
-    objective,
+def _constant_search(
+    frequencies,
+    shift: tuple[float, float, float] | None,
     grid_phases: int,
     simplex_n: int,
+    grid_n: int,
     scan_n: int,
 ) -> float:
-    """Extreme of objective(r1, r2, u2) over the unit simplex and the middle phase.
+    """Sup of one ratio over moduli r on the unit simplex and the middle phase u2.
 
-    Starts from the extreme cell of _coarse_ratio_scan, then runs four rounds
-    of coordinate descent by golden section with halving spans.  Minimises
-    for the Sidon search (mult_phases None), maximises for a multiplier.
+    With top(r, phases) the maximum of |T| on the sorted spectrum, the ratio
+    is top(r, base + shift) / top(r, base) at base = (0, u2, 0) for a
+    multiplier's sorted phases ``shift``, and 1 / top(r, base) for the Sidon
+    constant (``shift`` None; the moduli sum to 1).  It is maximised first on
+    ``_simplex_grid`` times a full-turn grid of u2, with top the grid maximum
+    on min(grid_n, scan_n) points (``_grid_max``), then by four rounds of
+    coordinate descent on (r1, r2, u2), a golden section per coordinate with
+    halving spans, with top ``_grid_and_refine`` on grid_n points.
     """
-    maximize = mult_phases is not None
+    grid_n = _check_grid(grid_n)
+    grid_phases = _count(grid_phases, 1, "phase grid must have at least 1 point, got {n}")
+    simplex_n = _count(simplex_n, 3, "simplex grid must have at least 3 subdivisions, got {n}")
+    geo = spectrum_geometry(frequencies)
+    period = TWO_PI / geo.d
+
+    def ratio(top, moduli, u2):
+        base = top(moduli, (0.0, u2, 0.0))
+        if shift is None:
+            return 1.0 / base
+        u1, v2, u3 = shift
+        return top(moduli, (u1, u2 + v2, u3)) / base
+
     phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
-    moduli = _simplex_grid(simplex_n)
-    table = _coarse_ratio_scan(geo, phase_grid, moduli, scan_n, mult_phases)
-    pick = np.argmax if maximize else np.argmin
-    p_idx, m_idx = np.unravel_index(pick(table), table.shape)
-    r1, r2, _ = moduli[m_idx]
+    simplex = _simplex_grid(simplex_n)
+    coarse = _pair_table(geo.lams, period, min(grid_n, scan_n))
+    scan = np.asarray([ratio(partial(_grid_max, coarse), simplex, u2) for u2 in phase_grid])
+    p_idx, m_idx = np.unravel_index(np.argmax(scan), scan.shape)
+    r1, r2, _ = simplex[m_idx]
     point = [float(r1), float(r2), float(phase_grid[p_idx])]
+
+    fine = _pair_table(geo.lams, period, grid_n)
+
+    def refined_max(moduli, phases) -> float:
+        return _grid_and_refine(fine, moduli, phases).value
+
+    def objective(params: list[float]) -> float:
+        a, b, u2 = params
+        rest = 1.0 - a - b
+        # keep r3 on the simplex along the descent path
+        if rest <= _SIMPLEX_EPS:
+            return 0.0
+        return ratio(refined_max, (a, b, rest), u2)
+
     eps = _SIMPLEX_EPS
     bounds = [(eps, 1.0 - 2 * eps), (eps, 1.0 - 2 * eps), (-math.inf, math.inf)]
     spans = [2.0 / simplex_n, 2.0 / simplex_n, 2.0 * TWO_PI / grid_phases]
-    sign = -1.0 if maximize else 1.0
-
-    def scalar(v: float, axis: int) -> float:
-        trial = list(point)
-        trial[axis] = v
-        return sign * objective(trial)
-
-    best = sign * objective(point)
+    best = objective(point)
     for _ in range(4):
         for axis in range(3):
             lo = max(bounds[axis][0], point[axis] - spans[axis])
             hi = min(bounds[axis][1], point[axis] + spans[axis])
             if hi <= lo:
                 continue
-            x, v, _ = golden_max(lambda v: -scalar(v, axis), lo, hi, iters=48)
-            if -v < best:
-                best = -v
+            x, v, _ = golden_max(lambda y: objective(point[:axis] + [y] + point[axis + 1:]), lo, hi, iters=48)
+            if v > best:
+                best = v
                 point[axis] = x
         spans = [s * 0.5 for s in spans]
-    return sign * best
+    return best
 
 
 def brute_sidon(
@@ -339,20 +358,7 @@ def brute_sidon(
     can be rotated away by an isometry), over a full-turn grid followed by
     coordinate-descent refinement of (r1, r2, u2) on the unit simplex.
     """
-    grid_n = _check_grid(grid_n)
-    geo = spectrum_geometry(frequencies)
-    table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
-
-    def objective(params: list[float]) -> float:
-        a, b, phi = params
-        rest = 1.0 - a - b
-        # keep r3 on the simplex along the descent path
-        if rest <= _SIMPLEX_EPS:
-            return math.inf
-        return _grid_and_refine(table, (a, b, rest), (0.0, phi, 0.0)).value
-
-    best = _scan_and_descend(geo, None, objective, grid_phases, simplex_n, min(grid_n, 512))
-    return 1.0 / best
+    return _constant_search(frequencies, None, grid_phases, simplex_n, grid_n, 512)
 
 
 def brute_multiplier_norm(
@@ -363,21 +369,8 @@ def brute_multiplier_norm(
     grid_n: int = 1024,
 ) -> float:
     """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|."""
-    grid_n = _check_grid(grid_n)
-    geo = spectrum_geometry(frequencies)
-    table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
-    u1, u2, u3 = mult = geo.sort(multiplier.phases)
-
-    def objective(params: list[float]) -> float:
-        a, b, phi = params
-        rest = 1.0 - a - b
-        if rest <= _SIMPLEX_EPS:
-            return 0.0
-        moduli = (a, b, rest)
-        shifted = _grid_and_refine(table, moduli, (u1, phi + u2, u3)).value
-        return shifted / _grid_and_refine(table, moduli, (0.0, phi, 0.0)).value
-
-    return _scan_and_descend(geo, mult, objective, grid_phases, simplex_n, min(grid_n, 384))
+    shift = spectrum_geometry(frequencies).sort(multiplier.phases)
+    return _constant_search(frequencies, shift, grid_phases, simplex_n, grid_n, 384)
 
 
 def random_trinomial(
@@ -386,6 +379,8 @@ def random_trinomial(
     modulus_range: tuple[float, float] = (1e-2, 1e2),
 ) -> Trinomial:
     """Random instance: distinct frequencies in [-max_freq, max_freq], log-uniform moduli."""
+    max_freq = _count(max_freq, 1, "max_freq must be at least 1, got {n}")
+    _check_moduli(modulus_range)
     while True:
         freqs = rng.integers(-max_freq, max_freq + 1, size=3)
         if len(set(freqs.tolist())) == 3:
@@ -450,9 +445,6 @@ def run_verification(
     """Oracle-agreement suites: uniqueness, argmax/value agreement, symmetric
     pairs, closed forms, and (optionally) Sidon/multiplier spot checks.
     """
-    from .maxmod import closed_form_k1_l1, closed_form_k2_l1, find_max_reduced
-    from .spectrum import derive_spectrum_stats, make_reduced_form
-
     count = _count(count, 1, "count must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     rows: list[VerificationRow] = []
@@ -514,8 +506,6 @@ def run_verification(
     ))
 
     if include_constants:
-        from .constants import multiplier_norm, sidon_constant
-
         checks = [
             ((-1, 0, 1), None),
             ((-2, 0, 2), None),
@@ -531,10 +521,9 @@ def run_verification(
             else:
                 expected, _ = multiplier_norm(freqs, mult)
                 got = brute_multiplier_norm(freqs, mult, grid_n=grid_n)
-            err = abs(got - expected)
+            err, ok = _constant_agreement(got, expected)
             worst_c = max(worst_c, err)
-            if err > CONSTANT_ABS_TOL:
-                const_fail += 1
+            const_fail += not ok
         rows.append(_rule_row(
             "constants vs formulas (abs, tol {})", CONSTANT_ABS_TOL, len(checks), const_fail, worst_c
         ))

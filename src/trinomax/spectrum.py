@@ -432,7 +432,7 @@ def canonical_reduction(
             f"[0, 2*pi/{geo.d}) fixes the phase gaps only to {resolution:.1e} relative, "
             f"above {STATIONARY_REL_TOL:.0e}"
         )
-    k, l, big_d = geo.k, geo.l, geo.D
+    big_d = geo.D
     tau_signed = geo.signed_tau(trinomial.phases)
     stats = _stats(geo, abs(tau_signed))
     t1, t2, t3 = geo.sort(trinomial.phases)
@@ -443,16 +443,9 @@ def canonical_reduction(
     alpha = wrap_angle(t2 - t2_target + geo.lams[1] * v)
 
     epsilon = 1 if t2_target >= 0.0 else -1
-    t_red = abs(t2_target)
-    k_red, l_red = k, l
-    swapped = k * r1 > l * r3
+    form, swapped = make_reduced_form(geo.k, geo.l, r1, r2, r3, min(abs(t2_target), math.pi / big_d))
     if swapped:
-        k_red, l_red = l, k
-        r1, r3 = r3, r1
         epsilon = -epsilon
-
-    edge = math.pi / big_d
-    form = ReducedForm(k_red, l_red, r1, r2, r3, min(t_red, edge))
     transcript = Transcript(
         sort_permutation=geo.perm,
         alpha=alpha,

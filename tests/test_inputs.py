@@ -8,11 +8,14 @@ import pytest
 
 import trinomax
 from trinomax import (
+    Multiplier,
     ReducedForm,
     SpectrumError,
     Trinomial,
     binomial_max,
     brute_max,
+    brute_multiplier_norm,
+    brute_sidon,
     chebotarev_derivative,
     classify_unit_ball_point,
     cos_quotient_bound,
@@ -21,6 +24,7 @@ from trinomax import (
     hypotrochoid_sample,
     lift_to_measure,
     max_points_global,
+    random_trinomial,
     run_verification,
     sidon_constant,
     sweep_rows,
@@ -53,6 +57,11 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: unit_ball_point((-1, 0, 1), (1, 1), (0, 0, 0)),
         lambda: unit_ball_point((-1, 0, 1), (1, 1, 1), (0.3,)),
         lambda: unit_ball_point((-1, 0, 1), (1, 1, 1, 1), (0, 0, 0)),
+        lambda: brute_sidon((-1, 0, 1), grid_phases=0),
+        lambda: brute_sidon((-1, 0, 1), simplex_n=2),
+        lambda: brute_multiplier_norm((-1, 0, 1), Multiplier(0, math.pi / 2, 0), grid_phases=1.5),
+        lambda: random_trinomial(np.random.default_rng(0), max_freq=0),
+        lambda: random_trinomial(np.random.default_rng(0), modulus_range=(-1, 1)),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -73,6 +82,11 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "unit-ball-two-moduli",
         "unit-ball-one-phase",
         "unit-ball-four-moduli",
+        "sidon-no-phase-grid",
+        "sidon-two-simplex-subdivisions",
+        "multiplier-fractional-phase-grid",
+        "random-trinomial-zero-max-freq",
+        "random-trinomial-negative-moduli",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

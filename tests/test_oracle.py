@@ -18,13 +18,14 @@ from trinomax import (
     derive_spectrum_stats,
     evaluate,
     max_points_global,
+    multiplier_norm,
     random_symmetric_pair,
     random_trinomial,
     run_verification,
     spectrum_geometry,
 )
 from trinomax import oracle
-from trinomax.oracle import AGREEMENT_ARGMAX_TOL, AGREEMENT_VALUE_TOL, TIE_REL_TOL, _coarse_ratio_scan
+from trinomax.oracle import AGREEMENT_ARGMAX_TOL, AGREEMENT_VALUE_TOL, TIE_REL_TOL, _grid_max, _pair_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,13 +156,41 @@ class TestBruteMultiplierNorm:
 class TestSearchGridGuard:
     def test_small_grid_fails_before_the_coarse_scan(self, monkeypatch):
         def scan(*args):
-            raise AssertionError("the coarse scan ran before the grid check")
+            raise AssertionError("a table or the coarse scan ran before the count checks")
 
-        monkeypatch.setattr(oracle, "_coarse_ratio_scan", scan)
+        monkeypatch.setattr(oracle, "_grid_max", scan)
+        monkeypatch.setattr(oracle, "_pair_table", scan)
+        quarter = Multiplier(0, math.pi / 2, 0)
         with pytest.raises(SpectrumError, match="at least 1024 points, got 512"):
             brute_sidon((-1, 0, 1), grid_n=512)
         with pytest.raises(SpectrumError, match="at least 1024 points, got 512"):
-            brute_multiplier_norm((-1, 0, 1), Multiplier(0, math.pi / 2, 0), grid_n=512)
+            brute_multiplier_norm((-1, 0, 1), quarter, grid_n=512)
+        with pytest.raises(SpectrumError, match="phase grid must have at least 1 point, got 0"):
+            brute_sidon((-1, 0, 1), grid_phases=0)
+        with pytest.raises(SpectrumError, match="at least 1 point, got 1.5"):
+            brute_multiplier_norm((-1, 0, 1), quarter, grid_phases=1.5)
+        with pytest.raises(SpectrumError, match="simplex grid must have at least 3 subdivisions, got 2"):
+            brute_sidon((-1, 0, 1), simplex_n=2)
+        with pytest.raises(SpectrumError, match="at least 3 subdivisions, got 2"):
+            brute_multiplier_norm((-1, 0, 1), quarter, simplex_n=2)
+
+
+class TestConstantSearchBounds:
+    """A brute constant is a value the search attained, so it never exceeds
+    the formula beyond rounding."""
+
+    def test_searches_stay_below_the_formulas(self):
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            while True:
+                freqs = tuple(int(f) for f in rng.integers(-6, 7, size=3))
+                if len(set(freqs)) == 3:
+                    break
+            mult = Multiplier(*rng.uniform(0.0, TWO_PI, 3))
+            sidon = 1.0 / math.cos(math.pi / (2 * spectrum_geometry(freqs).D))
+            norm, _ = multiplier_norm(freqs, mult)
+            assert brute_sidon(freqs, grid_phases=48, simplex_n=12) <= sidon * (1.0 + 1e-12)
+            assert brute_multiplier_norm(freqs, mult, grid_phases=48, simplex_n=12) <= norm * (1.0 + 1e-12)
 
 
 class TestPairCosineEvaluator:
@@ -175,7 +204,13 @@ class TestPairCosineEvaluator:
         phase_grid = rng.uniform(0.0, TWO_PI, 3)
         moduli = rng.dirichlet(np.ones(3), size=4)
         grid_n = 384
-        got = _coarse_ratio_scan(geo, phase_grid, moduli, grid_n, mult)
+        table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
+        got = []
+        for u2 in phase_grid:
+            cell = _grid_max(table, moduli, (0.0, u2, 0.0))
+            if mult is not None:
+                cell = _grid_max(table, moduli, (mult[0], u2 + mult[1], mult[2])) / cell
+            got.append(cell)
         xs = np.linspace(0.0, TWO_PI / geo.d, grid_n, endpoint=False)
 
         def grid_max(r, phases):
@@ -186,7 +221,7 @@ class TestPairCosineEvaluator:
                 want = grid_max(r, (0.0, u2, 0.0))
                 if mult is not None:
                     want = grid_max(r, (mult[0], u2 + mult[1], mult[2])) / want
-                assert got[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert got[i][j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @staticmethod
     def assert_value_is_the_modulus_at_the_argmaxes(report, tri):
