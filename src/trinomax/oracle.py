@@ -1,20 +1,21 @@
 """Brute-force verification oracle, independent of the analytic path.
 
-Grid maximisation of |T| with golden-section refinement, and one
-constant search for the empirical Sidon constant and multiplier norms:
-both are a supremum over the unit ball of a ratio of maximum moduli,
-1/max|T| and max|MT|/max|T|, maximised by one coarse scan and one
-coordinate descent.  Every stage evaluates
+Grid maximisation of |T| with each grid peak refined on the derivative of
+|T|^2, and one constant search for the empirical Sidon constant and
+multiplier norms: both are a supremum over the unit ball of a ratio of
+maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan
+and one coordinate descent.  Every stage evaluates
 |T(x)|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + (lambda_a - lambda_b) x)
 from the raw coefficients: on a grid from one table of pair cosines
 (``_pair_table``), which a constant search builds once, and in the
-refinement from three ``math.cos`` calls.  The oracle shares one piece
-with the rest of the library, the period 2*pi/d from ``spectrum_geometry``;
-its evaluator is not the reduced-form expansion ``find_max_reduced`` uses,
-so the comparison stays independent; ``agreement`` is the one rule that
-judges it.
-The golden-section routine ``golden_max`` lives here; nothing on the
-analytic side searches numerically.
+refinement, with its first two derivatives, from three ``math.sin`` and
+three ``math.cos`` calls.  The oracle shares one piece with the rest of the
+library, the period 2*pi/d from ``spectrum_geometry``; its evaluator is not
+the reduced-form expansion ``find_max_reduced`` uses, nor is its Newton
+loop on the + to - sign change of d|T|^2/dx the kernel's, so the comparison
+stays independent; ``agreement`` is the one rule that judges it.
+``golden_max`` refines a bracket without that sign change (a flat or double
+peak) and runs the coordinate descent.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -64,10 +65,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # refined peaks within this relative of the best one are maximum points too
 TIE_REL_TOL = 1e-10
 # the analytic maximum and the oracle's agree within these: relative value,
-# and circular argmax distance (golden section on |T|^2 resolves x only to
-# about sqrt(eps) relative)
+# and circular argmax distance (both sides find a root of the slope to a few
+# ulp of x; the worst seeded gap is about 3e-15)
 AGREEMENT_VALUE_TOL = 1e-9
-AGREEMENT_ARGMAX_TOL = 1e-6
+AGREEMENT_ARGMAX_TOL = 1e-9
 # verify's other rules: a symmetric pair sums to its axis s up to rounding
 PAIR_AXIS_TOL = 1e-8
 # closed forms vs find_max_reduced, relative; (2, 1)'s cancellation costs ~3e-11
@@ -157,16 +158,46 @@ def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float
     return d, fd, count
 
 
+def _slope_root(slope, lo: float, hi: float) -> tuple[float | None, int]:
+    """Root of a slope g that goes from + to - on [lo, hi], and the number of
+    evaluations; the root is None when g(lo) > 0 > g(hi) fails.
+
+    slope(x) returns (g, g').  Bracket-keeping Newton from the midpoint: the
+    sign of each g narrows the bracket, and a Newton step that leaves it or
+    exceeds half the step before gives way to bisection.  Ends once a Newton
+    step is within 2 ulp of the larger bracket end, or when bisection can no
+    longer split the bracket.
+    """
+    if not slope(lo)[0] > 0.0 > slope(hi)[0]:
+        return None, 2
+    tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+    x, step = 0.5 * (lo + hi), hi - lo
+    for n in range(3, 200):
+        g, dg = slope(x)
+        lo, hi = (x, hi) if g > 0.0 else (lo, x)
+        newton = g / dg if dg else math.inf
+        if abs(newton) <= tol:
+            return x - newton, n
+        if lo < x - newton < hi and abs(newton) <= 0.5 * abs(step):
+            x, step = x - newton, newton
+        else:
+            x, step = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            if x in (lo, hi):
+                break
+    return x, n
+
+
 def brute_max(trinomial: Trinomial, grid_n: int = 2048) -> OracleReport:
-    """Grid scan of |T| over one period 2*pi/d with golden-section refinement.
+    """Grid scan of |T| over one period 2*pi/d, refined on the derivative.
 
     |T|^2 is evaluated from the pair gaps lambda_a - lambda_b only (see
     ``_pair_table``), so a large common offset costs no precision.  Every
     grid local maximum that could hide the global maximum given the
     quadratic droop of |T|^2 between grid points (and at least every one
     within a 1e-7 relative band of the grid maximum) is refined over its two
-    neighbouring grid cells; refined points within TIE_REL_TOL relative of
-    the best refined value are reported as maximum points, clustered with
+    neighbouring grid cells to the + to - root of d|T|^2/dx, or by golden
+    section where the slope lacks those signs; refined points within
+    TIE_REL_TOL relative of the best are maximum points, clustered with
     radius 1e-4 of the period.
     """
     grid_n = _check_grid(grid_n)
@@ -239,11 +270,24 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     def modulus_sq(x: float) -> float:
         return s0 + w1 * math.cos(p1 + g1 * x) + w2 * math.cos(p2 + g2 * x) + w3 * math.cos(p3 + g3 * x)
 
+    wg1, wg2, wg3 = w1 * g1, w2 * g2, w3 * g3
+    wgg1, wgg2, wgg3 = wg1 * g1, wg2 * g2, wg3 * g3
+
+    def slope(x: float) -> tuple[float, float]:
+        # d|T|^2/dx and d^2|T|^2/dx^2
+        a1, a2, a3 = p1 + g1 * x, p2 + g2 * x, p3 + g3 * x
+        return (
+            -(wg1 * math.sin(a1) + wg2 * math.sin(a2) + wg3 * math.sin(a3)),
+            -(wgg1 * math.cos(a1) + wgg2 * math.cos(a2) + wgg3 * math.cos(a3)),
+        )
+
     refined: list[tuple[float, float]] = []
     for i in peaks.tolist():
-        x, v, n = golden_max(modulus_sq, (i - 1) * h, (i + 1) * h)
+        lo, hi = (i - 1) * h, (i + 1) * h
+        x, n = _slope_root(slope, lo, hi)
+        x, v, m = golden_max(modulus_sq, lo, hi) if x is None else (x, modulus_sq(x), 1)
         refined.append((x % period, math.sqrt(v)))
-        evaluations += n
+        evaluations += n + m
 
     best = max(v for _, v in refined)
     keep = sorted((x, v) for x, v in refined if v >= best * (1.0 - TIE_REL_TOL))
@@ -395,6 +439,7 @@ def random_symmetric_pair(
     rng: np.random.Generator, max_center: int = 8
 ) -> Trinomial:
     """Random instance with tau = pi, outside the boundary and knife-edge branches."""
+    max_center = _count(max_center, 0, "max_center must be at least 0, got {n}")
     coprime = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (3, 4), (1, 5)]
     while True:
         k, l = coprime[int(rng.integers(0, len(coprime)))]

@@ -101,7 +101,7 @@ def test_criterion_03_uniqueness_against_oracle(capsys):
         worst_value = max(worst_value, abs(analytic.value - oracle.value) / oracle.value)
         worst_pos = max(worst_pos, circular(analytic.points[0][0], oracle.argmaxes[0], period))
     assert worst_value <= 1e-9
-    assert worst_pos <= 1e-6
+    assert worst_pos <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     with capsys.disabled():

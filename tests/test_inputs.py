@@ -24,6 +24,7 @@ from trinomax import (
     hypotrochoid_sample,
     lift_to_measure,
     max_points_global,
+    random_symmetric_pair,
     random_trinomial,
     run_verification,
     sidon_constant,
@@ -62,6 +63,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: brute_multiplier_norm((-1, 0, 1), Multiplier(0, math.pi / 2, 0), grid_phases=1.5),
         lambda: random_trinomial(np.random.default_rng(0), max_freq=0),
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=(-1, 1)),
+        lambda: random_symmetric_pair(np.random.default_rng(0), max_center=-1),
+        lambda: random_symmetric_pair(np.random.default_rng(0), max_center=1.5),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -87,6 +90,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "multiplier-fractional-phase-grid",
         "random-trinomial-zero-max-freq",
         "random-trinomial-negative-moduli",
+        "symmetric-pair-negative-max-center",
+        "symmetric-pair-fractional-max-center",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):
