@@ -22,7 +22,14 @@ from . import __version__
 from .constants import lift_to_measure, multiplier_norm, sidon_constant
 from .geometry import farthest_points, hypotrochoid_sample
 from .maxmod import BracketFailure, MaxResult, max_points_global
-from .oracle import _constant_agreement, agreement, brute_max, brute_sidon, run_verification
+from .oracle import (
+    _constant_agreement,
+    agreement,
+    brute_max,
+    brute_multiplier_norm,
+    brute_sidon,
+    run_verification,
+)
 from .phasecurves import sweep_rows
 from .spectrum import (
     Multiplier,
@@ -157,23 +164,29 @@ def _cmd_analyze(args) -> int:
     return _EXIT_OK if verified_ok else _EXIT_VERIFY_FAILED
 
 
-def _cmd_sidon(args) -> int:
-    constant, witness = sidon_constant(tuple(args.frequencies))
-    results = {"constant": constant, "witness": _witness_dict(witness)}
+def _report_constant(args, key: str, search, results: dict, rows: list) -> int:
+    """Print a constant's results as JSON or as table rows.  Under --verify the
+    brute ``search()`` is held against the formula's ``results[key]`` in an
+    "oracle" block, and a disagreement exits 3."""
     verified_ok = True
     if args.verify:
-        empirical = brute_sidon(tuple(args.frequencies))
-        _, verified_ok = _constant_agreement(empirical, constant)
-        results["oracle"] = {"constant": empirical, "agreement": verified_ok}
+        empirical = search()
+        _, verified_ok = _constant_agreement(empirical, results[key])
+        results["oracle"] = {key: empirical, "agreement": verified_ok}
+        rows += [(f"oracle {key}", _g9(empirical)), ("oracle agreement", str(verified_ok))]
     if args.json:
-        print(json.dumps(_envelope("sidon", _input_echo(args), results), indent=2))
+        print(json.dumps(_envelope(args.command, _input_echo(args), results), indent=2))
     else:
-        rows = [("sidon constant", _g9(constant))]
-        if args.verify:
-            rows.append(("oracle constant", _g9(results["oracle"]["constant"])))
-            rows.append(("oracle agreement", str(verified_ok)))
         _print_table(rows)
     return _EXIT_OK if verified_ok else _EXIT_VERIFY_FAILED
+
+
+def _cmd_sidon(args) -> int:
+    freqs = tuple(args.frequencies)
+    constant, witness = sidon_constant(freqs)
+    results = {"constant": constant, "witness": _witness_dict(witness)}
+    rows = [("sidon constant", _g9(constant))]
+    return _report_constant(args, "constant", lambda: brute_sidon(freqs), results, rows)
 
 
 def _cmd_multiplier(args) -> int:
@@ -196,18 +209,14 @@ def _cmd_multiplier(args) -> int:
             "totalVariation": lift.total_variation,
         },
     }
-    if args.json:
-        print(json.dumps(_envelope("multiplier", _input_echo(args), results), indent=2))
-    else:
-        _print_table(
-            [
-                ("multiplier norm", _g9(norm)),
-                ("tau", _g9(tau)),
-                ("measure atoms", f"|a0| = {_g9(abs(lift.atom0))}  |a1| = {_g9(abs(lift.atom1))}"),
-                ("total variation", _g9(lift.total_variation)),
-            ]
-        )
-    return _EXIT_OK
+    rows = [
+        ("multiplier norm", _g9(norm)),
+        ("tau", _g9(tau)),
+        ("measure atoms", f"|a0| = {_g9(abs(lift.atom0))}  |a1| = {_g9(abs(lift.atom1))}"),
+        ("total variation", _g9(lift.total_variation)),
+    ]
+    # the search sees the spectrum and the multiplier only, never the witness
+    return _report_constant(args, "norm", lambda: brute_multiplier_norm(freqs, mult), results, rows)
 
 
 def _cmd_sweep(args) -> int:
@@ -320,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiplier", help="norm of a unimodular phase multiplier")
     add_spectrum(p, moduli=False)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--verify", action="store_true", help="compare against the brute-force search")
     p.set_defaults(func=_cmd_multiplier)
 
     p = sub.add_parser("sweep", help="maximum modulus as the phase invariant sweeps [0, pi]")

@@ -6,10 +6,11 @@ multiplier norms: both are a supremum over the unit ball of a ratio of
 maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan
 and one coordinate descent.  Every stage evaluates
 |T(x)|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + (lambda_a - lambda_b) x)
-from the raw coefficients: on a grid from one table of pair cosines
-(``_pair_table``), which a constant search builds once, and in the
-refinement, with its first two derivatives, from three ``math.sin`` and
-three ``math.cos`` calls.  The oracle shares one piece with the rest of the
+from the raw coefficients: on a grid from one pair table (``_pair_table``,
+gathered by exact integer index from a memoised full-turn table of cos and
+sin), which a constant search builds once, and in the refinement, with its
+first two derivatives, from three ``math.sin`` and three ``math.cos``
+calls.  The oracle shares one piece with the rest of the
 library, the period 2*pi/d from ``spectrum_geometry``; its evaluator is not
 the reduced-form expansion ``find_max_reduced`` uses, nor is its Newton
 loop on the + to - sign change of d|T|^2/dx the kernel's, so the comparison
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -191,7 +192,8 @@ def brute_max(trinomial: Trinomial, grid_n: int = 2048) -> OracleReport:
     """Grid scan of |T| over one period 2*pi/d, refined on the derivative.
 
     |T|^2 is evaluated from the pair gaps lambda_a - lambda_b only (see
-    ``_pair_table``), so a large common offset costs no precision.  Every
+    ``_pair_table``: the grid phases are exact at any gap, by integer
+    index), so a large common offset costs no precision.  Every
     grid local maximum that could hide the global maximum given the
     quadratic droop of |T|^2 between grid points (and at least every one
     within a 1e-7 relative band of the grid maximum) is refined over its two
@@ -201,8 +203,7 @@ def brute_max(trinomial: Trinomial, grid_n: int = 2048) -> OracleReport:
     radius 1e-4 of the period.
     """
     grid_n = _check_grid(grid_n)
-    period = TWO_PI / spectrum_geometry(trinomial.frequencies).d
-    table = _pair_table(trinomial.frequencies, period, grid_n)
+    table = _pair_table(trinomial.frequencies, spectrum_geometry(trinomial.frequencies).d, grid_n)
     return _grid_and_refine(table, trinomial.moduli, trinomial.phases)
 
 
@@ -221,15 +222,26 @@ class _PairTable:
     grid: np.ndarray  # cos, then sin, of gap * x on the grid; shape (6, grid_n)
 
 
-def _pair_table(lams, period: float, grid_n: int) -> _PairTable:
-    """cos and sin of (lambda_a - lambda_b) * x at x = j * period / grid_n.
+@lru_cache(maxsize=8)
+def _full_turn(grid_n: int) -> np.ndarray:
+    """cos, then sin, of 2*pi*k/grid_n for k < grid_n; read-only, shape (2, grid_n)."""
+    angle = np.arange(grid_n) * (TWO_PI / grid_n)
+    turn = np.vstack((np.cos(angle), np.sin(angle)))
+    turn.flags.writeable = False
+    return turn
 
-    The gaps do not change under a common frequency offset, so the phases
-    stay exact to ulp(x) however large the frequencies are.
+
+def _pair_table(lams, d: int, grid_n: int) -> _PairTable:
+    """cos and sin of (lambda_a - lambda_b) * x at x = j * (2*pi/d) / grid_n.
+
+    Each gap is a multiple of d, so gap * x is exactly 2*pi * ((gap/d) * j mod
+    grid_n) / grid_n, an entry of ``_full_turn``: no phase is lost however
+    large the gaps.  The steps gap/d are reduced as Python ints, past int64.
     """
-    gaps = tuple(float(lams[a] - lams[b]) for a, b in zip(_A, _B))
-    arg = np.outer(gaps, np.arange(grid_n) * (period / grid_n))
-    return _PairTable(gaps, period, np.vstack((np.cos(arg), np.sin(arg))))
+    gaps = [lams[a] - lams[b] for a, b in zip(_A, _B)]
+    index = np.outer([(g // d) % grid_n for g in gaps], np.arange(grid_n)) % grid_n
+    grid = np.take(_full_turn(grid_n), index, axis=1).reshape(6, grid_n)
+    return _PairTable(tuple(map(float, gaps)), TWO_PI / d, grid)
 
 
 def _cross_terms(r, t):
@@ -342,7 +354,6 @@ def _constant_search(
     grid_phases = _count(grid_phases, 1, "phase grid must have at least 1 point, got {n}")
     simplex_n = _count(simplex_n, 3, "simplex grid must have at least 3 subdivisions, got {n}")
     geo = spectrum_geometry(frequencies)
-    period = TWO_PI / geo.d
 
     def ratio(top, moduli, u2):
         base = top(moduli, (0.0, u2, 0.0))
@@ -353,13 +364,13 @@ def _constant_search(
 
     phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
     simplex = _simplex_grid(simplex_n)
-    coarse = _pair_table(geo.lams, period, min(grid_n, scan_n))
+    coarse = _pair_table(geo.lams, geo.d, min(grid_n, scan_n))
     scan = np.asarray([ratio(partial(_grid_max, coarse), simplex, u2) for u2 in phase_grid])
     p_idx, m_idx = np.unravel_index(np.argmax(scan), scan.shape)
     r1, r2, _ = simplex[m_idx]
     point = [float(r1), float(r2), float(phase_grid[p_idx])]
 
-    fine = _pair_table(geo.lams, period, grid_n)
+    fine = _pair_table(geo.lams, geo.d, grid_n)
 
     def refined_max(moduli, phases) -> float:
         return _grid_and_refine(fine, moduli, phases).value

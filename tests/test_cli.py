@@ -142,6 +142,25 @@ class TestMultiplier:
         assert res["measureLift"]["atom1"]["abs"] == pytest.approx(1 / math.sqrt(2))
         assert res["measureLift"]["totalVariation"] == pytest.approx(math.sqrt(2))
 
+    def test_verify_agrees(self, capsys):
+        code, out = run(capsys, "multiplier", "-l", "-1", "0", "2", "-p", "0", PI_HALF, "0", "--verify")
+        assert code == 0
+        assert "oracle agreement  True" in out
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_verify_disagreement_exits_3(self, capsys, monkeypatch, fmt):
+        def off_by_one(freqs, mult):
+            return cli.multiplier_norm(freqs, mult)[0] + 1
+
+        monkeypatch.setattr(cli, "brute_multiplier_norm", off_by_one)
+        code, out = run(capsys, "multiplier", "-l", "-1", "0", "2", "-p", "0", PI_HALF, "0", "--verify", *fmt)
+        assert code == 3
+        if fmt:
+            res = json.loads(out)["results"]
+            assert res["oracle"] == {"norm": res["norm"] + 1, "agreement": False}
+        else:
+            assert "oracle agreement  False" in out
+
 
 class TestSweep:
     def test_csv_header_and_monotone_rows(self, capsys):

@@ -29,6 +29,7 @@ from trinomax.oracle import (
     AGREEMENT_ARGMAX_TOL,
     AGREEMENT_VALUE_TOL,
     TIE_REL_TOL,
+    _full_turn,
     _grid_max,
     _pair_table,
     _slope_root,
@@ -242,7 +243,8 @@ class TestConstantSearchBounds:
 
 
 class TestPairCosineEvaluator:
-    """The oracle's |T|^2 from pair cosines against the plain complex sum."""
+    """The oracle's pair table and its |T|^2 against direct phases and the
+    plain complex sum."""
 
     @pytest.mark.parametrize("freqs", [(-1, 0, 1), (-2, 0, 4), (1, 2, 5), (-4, 0, 2)])
     @pytest.mark.parametrize("mult", [None, (0.7, 2.1, 5.3)])
@@ -252,7 +254,7 @@ class TestPairCosineEvaluator:
         phase_grid = rng.uniform(0.0, TWO_PI, 3)
         moduli = rng.dirichlet(np.ones(3), size=4)
         grid_n = 384
-        table = _pair_table(geo.lams, TWO_PI / geo.d, grid_n)
+        table = _pair_table(geo.lams, geo.d, grid_n)
         got = []
         for u2 in phase_grid:
             cell = _grid_max(table, moduli, (0.0, u2, 0.0))
@@ -270,6 +272,41 @@ class TestPairCosineEvaluator:
                 if mult is not None:
                     want = grid_max(r, (mult[0], u2 + mult[1], mult[2])) / want
                 assert got[i][j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_grid_ignores_a_common_offset(self):
+        offset = _pair_table((10**9, 10**9 + 1, 10**9 + 3), 1, 1024)
+        small = _pair_table((0, 1, 3), 1, 1024)
+        assert offset.gaps == small.gaps
+        np.testing.assert_array_equal(offset.grid, small.grid)
+
+    @pytest.mark.parametrize("freqs", [(0, 1, 3), (-4, 2, 7), (-3, 0, 6)])
+    @pytest.mark.parametrize("grid_n", [1024, 1500])
+    def test_entries_match_the_direct_phases(self, freqs, grid_n):
+        # gap * x_j evaluated directly, x_j = j * (2*pi/d) / grid_n; (-3, 0, 6) has d = 3
+        d = spectrum_geometry(freqs).d
+        table = _pair_table(freqs, d, grid_n)
+        gaps = [freqs[a] - freqs[b] for a, b in ((0, 1), (0, 2), (1, 2))]
+        arg = np.outer(gaps, np.arange(grid_n) * (TWO_PI / d / grid_n))
+        assert table.gaps == tuple(map(float, gaps))
+        assert table.period == TWO_PI / d
+        assert table.grid.shape == (6, grid_n)
+        np.testing.assert_allclose(table.grid, np.vstack((np.cos(arg), np.sin(arg))), rtol=0.0, atol=1e-13)
+
+    def test_gaps_beyond_int64_do_not_overflow(self):
+        grid_n = 1024
+        table = _pair_table((0, 1, 10**19), 1, grid_n)
+        turn = _full_turn(grid_n)
+        # the pair (0, 2) has gap -10**19: its step is -10**19 mod grid_n
+        index = (-(10**19 % grid_n) * np.arange(grid_n)) % grid_n
+        np.testing.assert_array_equal(table.grid[1], turn[0, index])
+        np.testing.assert_array_equal(table.grid[4], turn[1, index])
+        assert table.gaps[1] == -1e19
+
+    def test_the_full_turn_memo_is_read_only(self):
+        turn = _full_turn(1024)
+        assert turn is _full_turn(1024)
+        with pytest.raises(ValueError):
+            turn[0, 0] = 2.0
 
     @staticmethod
     def assert_value_is_the_modulus_at_the_argmaxes(report, tri):
