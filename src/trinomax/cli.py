@@ -127,7 +127,7 @@ def _cmd_analyze(args) -> int:
     }
     verified_ok = True
     if args.verify:
-        report = brute_max(trinomial, args.grid)
+        report = brute_max(trinomial)
         agreed = agreement(res, report)
         verified_ok = agreed.ok
         results["oracle"] = {
@@ -255,7 +255,7 @@ def _cmd_hypotrochoid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = run_verification(args.seed, args.count, args.grid)
+    rows = run_verification(args.seed, args.count)
     failed = sum(row.failures for row in rows)
     if args.json:
         results = {
@@ -282,7 +282,7 @@ def _input_echo(args) -> dict:
             echo[key] = list(getattr(args, key))
     if getattr(args, "degrees", False):
         echo["degrees"] = True
-    for key in ("n", "grid", "seed", "count"):
+    for key in ("n", "seed", "count"):
         if hasattr(args, key):
             echo[key] = getattr(args, key)
     return echo
@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_spectrum(p)
     add_format(p)
     p.add_argument("--verify", action="store_true", help="cross-check against the brute-force oracle")
-    p.add_argument("--grid", type=int, default=2048)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("sidon", help="Sidon constant of the spectrum with its witness")
@@ -347,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle-agreement suites")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

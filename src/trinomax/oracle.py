@@ -6,17 +6,17 @@ multiplier norms: both are a supremum over the unit ball of a ratio of
 maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan
 and one coordinate descent.  Every stage evaluates
 |T(x)|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + (lambda_a - lambda_b) x)
-from the raw coefficients: on a grid from one pair table (``_pair_table``,
-gathered by exact integer index from a memoised full-turn table of cos and
-sin), which a constant search builds once, and in the refinement, with its
-first two derivatives, from three ``math.sin`` and three ``math.cos``
-calls.  The oracle shares one piece with the rest of the
-library, the period 2*pi/d from ``spectrum_geometry``; its evaluator is not
-the reduced-form expansion ``find_max_reduced`` uses, nor is its Newton
-loop on the + to - sign change of d|T|^2/dx the kernel's, so the comparison
-stays independent; ``agreement`` is the one rule that judges it.
-``golden_max`` refines a bracket without that sign change (a flat or double
-peak) and runs the coordinate descent.
+from the raw coefficients: on a grid of ``_grid_size`` points from one
+pair table (``_pair_table``, gathered by exact integer index from a
+memoised full-turn table of cos and sin), which a constant search builds
+once, and in the refinement, with its first two derivatives, from three
+``math.sin`` and three ``math.cos`` calls.  The oracle shares one piece
+with the rest of the library, the period 2*pi/d from ``spectrum_geometry``;
+its evaluator is not the reduced-form expansion ``find_max_reduced`` uses,
+nor is its Newton loop on the + to - sign change of d|T|^2/dx the kernel's,
+so the comparison stays independent; ``agreement`` is the one rule that
+judges it.  ``golden_max`` refines a bracket without that sign change (a
+flat or double peak) and runs the coordinate descent.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -24,7 +24,7 @@ All searches are deterministic given their grids and seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -40,6 +40,7 @@ from .maxmod import (
 from .spectrum import (
     TWO_PI,
     Multiplier,
+    SpectrumError,
     Trinomial,
     _check_moduli,
     _count,
@@ -63,6 +64,8 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the largest oracle grid: 8 * D points at D = 2**17
+MAX_GRID = 2**20
 # refined peaks within this relative of the best one are maximum points too
 TIE_REL_TOL = 1e-10
 # the analytic maximum and the oracle's agree within these: relative value,
@@ -188,27 +191,35 @@ def _slope_root(slope, lo: float, hi: float) -> tuple[float | None, int]:
     return x, n
 
 
-def brute_max(trinomial: Trinomial, grid_n: int = 2048) -> OracleReport:
+def brute_max(trinomial: Trinomial, grid_n: int = 1024) -> OracleReport:
     """Grid scan of |T| over one period 2*pi/d, refined on the derivative.
 
-    |T|^2 is evaluated from the pair gaps lambda_a - lambda_b only (see
-    ``_pair_table``: the grid phases are exact at any gap, by integer
-    index), so a large common offset costs no precision.  Every
-    grid local maximum that could hide the global maximum given the
-    quadratic droop of |T|^2 between grid points (and at least every one
-    within a 1e-7 relative band of the grid maximum) is refined over its two
-    neighbouring grid cells to the + to - root of d|T|^2/dx, or by golden
-    section where the slope lacks those signs; refined points within
-    TIE_REL_TOL relative of the best are maximum points, clustered with
-    radius 1e-4 of the period.
+    The grid has grid_n points, or 8 * D rounded up to a power of two if more
+    (``_grid_size``).  |T|^2 is evaluated from the pair gaps lambda_a -
+    lambda_b only (see ``_pair_table``: the grid phases are exact at any gap,
+    by integer index), so a large common offset costs no precision.  Every
+    grid local maximum that could hide the global maximum given the quadratic
+    droop of |T|^2 between grid points (and at least every one within a 1e-7
+    relative band of the grid maximum) is refined over its two neighbouring
+    grid cells to the + to - root of d|T|^2/dx, or by golden section where
+    the slope lacks those signs; refined points within TIE_REL_TOL relative
+    of the best are maximum points, clustered with radius 1e-4 of the period.
     """
-    grid_n = _check_grid(grid_n)
-    table = _pair_table(trinomial.frequencies, spectrum_geometry(trinomial.frequencies).d, grid_n)
+    geo = spectrum_geometry(trinomial.frequencies)
+    table = _pair_table(trinomial.frequencies, geo.d, _grid_size(grid_n, geo))
     return _grid_and_refine(table, trinomial.moduli, trinomial.phases)
 
 
-def _check_grid(grid_n: int) -> int:
-    return _count(grid_n, 1024, "oracle grid must have at least 1024 points, got {n}")
+def _grid_size(grid_n: int, geo) -> int:
+    """The floor grid_n, or 8 * D rounded up to a power of two if more: |T|^2
+    has degree D on the period, so the coarse scan's every second point still
+    samples its top frequency 4 times a cycle, and powers of two bound the
+    ``_full_turn`` memo.  Past MAX_GRID raises SpectrumError, before any table."""
+    grid_n = _count(grid_n, 1024, "oracle grid must have at least 1024 points, got {n}")
+    n = max(grid_n, 1 << (8 * geo.D - 1).bit_length())
+    if n > MAX_GRID:
+        raise SpectrumError(f"D = {geo.D} needs an oracle grid of {n} points, above MAX_GRID = {MAX_GRID}")
+    return n
 
 
 # the coefficient pairs a < b of the cross terms of |T|^2
@@ -266,7 +277,7 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     evaluations = grid_n
     vmax_sq = float(sq.max())
 
-    # droop bound on |T|^2 between samples: max |(|T|^2)''| * h^2 / 8
+    # |T|^2 droops at most max |(|T|^2)''| * h^2 / 8 between samples; /6 is a wider margin
     curvature = float(w @ np.square(table.gaps))
     droop_sq = curvature * h * h / 6.0
     threshold = min(vmax_sq * (1.0 - 1e-7) ** 2, vmax_sq - droop_sq)
@@ -324,7 +335,9 @@ def _simplex_grid(n: int) -> np.ndarray:
 def _grid_max(table: _PairTable, moduli, phases) -> np.ndarray:
     """Grid maximum of |T|, unrefined, for each row of the (n, 3) ``moduli``."""
     s0, w, p = _cross_terms(moduli, phases)
-    return np.sqrt((_grid_weights(w, p) @ table.grid).max(axis=1) + s0)
+    weights, rows = _grid_weights(w, p), max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
+    top = [(weights[i:i + rows] @ table.grid).max(axis=1) for i in range(0, len(weights), rows)]
+    return np.sqrt(np.concatenate(top) + s0)
 
 
 # smallest modulus the constant searches keep on the unit simplex
@@ -332,12 +345,7 @@ _SIMPLEX_EPS = 1e-3
 
 
 def _constant_search(
-    frequencies,
-    shift: tuple[float, float, float] | None,
-    grid_phases: int,
-    simplex_n: int,
-    grid_n: int,
-    scan_n: int,
+    frequencies, shift: tuple[float, float, float] | None, grid_phases: int, simplex_n: int, grid_n: int
 ) -> float:
     """Sup of one ratio over moduli r on the unit simplex and the middle phase u2.
 
@@ -345,15 +353,14 @@ def _constant_search(
     is top(r, base + shift) / top(r, base) at base = (0, u2, 0) for a
     multiplier's sorted phases ``shift``, and 1 / top(r, base) for the Sidon
     constant (``shift`` None; the moduli sum to 1).  It is maximised first on
-    ``_simplex_grid`` times a full-turn grid of u2, with top the grid maximum
-    on min(grid_n, scan_n) points (``_grid_max``), then by four rounds of
+    ``_simplex_grid`` times a full-turn grid of u2, with top ``_grid_max`` on
+    every second point of the one pair table, then by four rounds of
     coordinate descent on (r1, r2, u2), a golden section per coordinate with
-    halving spans, with top ``_grid_and_refine`` on grid_n points.
+    halving spans, with top ``_grid_and_refine`` on the whole table.
     """
-    grid_n = _check_grid(grid_n)
+    geo = spectrum_geometry(frequencies)
     grid_phases = _count(grid_phases, 1, "phase grid must have at least 1 point, got {n}")
     simplex_n = _count(simplex_n, 3, "simplex grid must have at least 3 subdivisions, got {n}")
-    geo = spectrum_geometry(frequencies)
 
     def ratio(top, moduli, u2):
         base = top(moduli, (0.0, u2, 0.0))
@@ -364,13 +371,12 @@ def _constant_search(
 
     phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
     simplex = _simplex_grid(simplex_n)
-    coarse = _pair_table(geo.lams, geo.d, min(grid_n, scan_n))
+    fine = _pair_table(geo.lams, geo.d, _grid_size(grid_n, geo))
+    coarse = replace(fine, grid=np.ascontiguousarray(fine.grid[:, ::2]))
     scan = np.asarray([ratio(partial(_grid_max, coarse), simplex, u2) for u2 in phase_grid])
     p_idx, m_idx = np.unravel_index(np.argmax(scan), scan.shape)
     r1, r2, _ = simplex[m_idx]
     point = [float(r1), float(r2), float(phase_grid[p_idx])]
-
-    fine = _pair_table(geo.lams, geo.d, grid_n)
 
     def refined_max(moduli, phases) -> float:
         return _grid_and_refine(fine, moduli, phases).value
@@ -413,7 +419,7 @@ def brute_sidon(
     can be rotated away by an isometry), over a full-turn grid followed by
     coordinate-descent refinement of (r1, r2, u2) on the unit simplex.
     """
-    return _constant_search(frequencies, None, grid_phases, simplex_n, grid_n, 512)
+    return _constant_search(frequencies, None, grid_phases, simplex_n, grid_n)
 
 
 def brute_multiplier_norm(
@@ -425,7 +431,7 @@ def brute_multiplier_norm(
 ) -> float:
     """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|."""
     shift = spectrum_geometry(frequencies).sort(multiplier.phases)
-    return _constant_search(frequencies, shift, grid_phases, simplex_n, grid_n, 384)
+    return _constant_search(frequencies, shift, grid_phases, simplex_n, grid_n)
 
 
 def random_trinomial(
@@ -492,14 +498,9 @@ def _rule_row(label: str, tol: float, checked: int, failures: int, worst: float)
     return VerificationRow(label.format(f"{tol:.0e}".replace("e-0", "e-")), checked, failures, worst)
 
 
-def run_verification(
-    seed: int,
-    count: int,
-    grid_n: int = 1024,
-    include_constants: bool = True,
-) -> list[VerificationRow]:
+def run_verification(seed: int, count: int) -> list[VerificationRow]:
     """Oracle-agreement suites: uniqueness, argmax/value agreement, symmetric
-    pairs, closed forms, and (optionally) Sidon/multiplier spot checks.
+    pairs, closed forms, and Sidon/multiplier spot checks.
     """
     count = _count(count, 1, "count must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -514,7 +515,7 @@ def run_verification(
             continue
         produced += 1
         analytic = max_points_global(tri)
-        agreed = agreement(analytic, brute_max(tri, grid_n))
+        agreed = agreement(analytic, brute_max(tri))
         if len(analytic.points) != 1 or not agreed.count_match:
             count_fail += 1
             continue
@@ -561,27 +562,26 @@ def run_verification(
         "closed forms vs find_max_reduced (rel, tol {})", CLOSED_FORM_REL_TOL, n_cf, cf_fail, worst_cf
     ))
 
-    if include_constants:
-        checks = [
-            ((-1, 0, 1), None),
-            ((-2, 0, 2), None),
-            ((-1, 0, 1), Multiplier(0.0, math.pi / 2.0, 0.0)),
-            ((-1, 0, 2), Multiplier(0.0, math.pi / 2.0, 0.0)),
-        ]
-        const_fail = 0
-        worst_c = 0.0
-        for freqs, mult in checks:
-            if mult is None:
-                expected, _ = sidon_constant(freqs)
-                got = brute_sidon(freqs, grid_phases=128, simplex_n=24, grid_n=grid_n)
-            else:
-                expected, _ = multiplier_norm(freqs, mult)
-                got = brute_multiplier_norm(freqs, mult, grid_n=grid_n)
-            err, ok = _constant_agreement(got, expected)
-            worst_c = max(worst_c, err)
-            const_fail += not ok
-        rows.append(_rule_row(
-            "constants vs formulas (abs, tol {})", CONSTANT_ABS_TOL, len(checks), const_fail, worst_c
-        ))
+    checks = [
+        ((-1, 0, 1), None),
+        ((-2, 0, 2), None),
+        ((-1, 0, 1), Multiplier(0.0, math.pi / 2.0, 0.0)),
+        ((-1, 0, 2), Multiplier(0.0, math.pi / 2.0, 0.0)),
+    ]
+    const_fail = 0
+    worst_c = 0.0
+    for freqs, mult in checks:
+        if mult is None:
+            expected, _ = sidon_constant(freqs)
+            got = brute_sidon(freqs, grid_phases=128, simplex_n=24)
+        else:
+            expected, _ = multiplier_norm(freqs, mult)
+            got = brute_multiplier_norm(freqs, mult)
+        err, ok = _constant_agreement(got, expected)
+        worst_c = max(worst_c, err)
+        const_fail += not ok
+    rows.append(_rule_row(
+        "constants vs formulas (abs, tol {})", CONSTANT_ABS_TOL, len(checks), const_fail, worst_c
+    ))
 
     return rows

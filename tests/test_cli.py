@@ -52,6 +52,22 @@ class TestAnalyze:
         body = json.loads(out)
         assert body["results"]["oracle"]["agreement"] is True
 
+    def test_verify_grid_follows_the_frequency_diameter(self, capsys):
+        # D = 3000 needs 8 * D points, rounded up to 2**15
+        code, out = run(
+            capsys, "analyze", "-l", "0", "1", "3000", "-r", "1", "2", "3",
+            "-p", "0.1", "0.2", "0.3", "--json", "--verify",
+        )
+        assert code == 0
+        oracle = json.loads(out)["results"]["oracle"]
+        assert oracle["agreement"] is True
+        assert oracle["gridSize"] == 32768
+
+    def test_verify_past_the_largest_grid_is_invalid_input(self, capsys):
+        code, out = run(capsys, "analyze", "-l", "0", "1", "200000", "-r", "1", "2", "3", "--json", "--verify")
+        assert code == 2
+        assert "needs an oracle grid of 2097152 points" in json.loads(out)["error"]["message"]
+
     def test_degrees_flag(self, capsys):
         code, out = run(
             capsys, "analyze", "-l", "-1", "0", "1", "-r", "1", "2", "1",

@@ -76,6 +76,13 @@ class TestBruteMax:
         with pytest.raises(SpectrumError):
             brute_max(Trinomial(-1, 0, 1, 1, 1, 1), 512)
 
+    def test_wide_spectrum_agrees_with_the_analytic_maximum(self):
+        # D = 3000 needs 8 * D points, rounded up to 2**15; 2048 points would alias
+        tri = Trinomial(0, 1, 3000, 1, 2, 3, 0.1, 0.2, 0.3)
+        report = brute_max(tri)
+        assert report.grid_size == 32768
+        assert agreement(max_points_global(tri), report).ok
+
     def test_period_respects_gcd(self):
         # dilated spectrum: the modulus profile repeats with period 2*pi/d
         tri = Trinomial(-2, 0, 2, 1, 2, 1, 0, math.pi / 2, 0)
@@ -223,6 +230,21 @@ class TestSearchGridGuard:
         with pytest.raises(SpectrumError, match="at least 3 subdivisions, got 2"):
             brute_multiplier_norm((-1, 0, 1), quarter, simplex_n=2)
 
+    def test_a_diameter_past_the_largest_grid_fails_before_any_table(self, monkeypatch):
+        def table(*args):
+            raise AssertionError("a table or the coarse scan ran before the grid check")
+
+        monkeypatch.setattr(oracle, "_grid_max", table)
+        monkeypatch.setattr(oracle, "_pair_table", table)
+        assert oracle._grid_size(1024, spectrum_geometry((0, 1, 2**17))) == oracle.MAX_GRID
+        wide = (0, 1, 2**17 + 1)
+        with pytest.raises(SpectrumError, match="D = 131073 needs an oracle grid of 2097152 points"):
+            brute_max(Trinomial(*wide, 1, 2, 3))
+        with pytest.raises(SpectrumError, match="D = 131073"):
+            brute_sidon(wide)
+        with pytest.raises(SpectrumError, match="D = 131073"):
+            brute_multiplier_norm(wide, Multiplier(0, math.pi / 2, 0))
+
 
 class TestConstantSearchBounds:
     """A brute constant is a value the search attained, so it never exceeds
@@ -230,12 +252,16 @@ class TestConstantSearchBounds:
 
     def test_searches_stay_below_the_formulas(self):
         rng = np.random.default_rng(12)
+        cases = []
         for _ in range(6):
             while True:
                 freqs = tuple(int(f) for f in rng.integers(-6, 7, size=3))
                 if len(set(freqs)) == 3:
                     break
-            mult = Multiplier(*rng.uniform(0.0, TWO_PI, 3))
+            cases.append((freqs, Multiplier(*rng.uniform(0.0, TWO_PI, 3))))
+        # D = 699 needs 8192 points; on 1024 the grid aliases and overshoots by 2e-5
+        cases.append(((0, 1, 700), Multiplier(0.7, 2.1, 5.3)))
+        for freqs, mult in cases:
             sidon = 1.0 / math.cos(math.pi / (2 * spectrum_geometry(freqs).D))
             norm, _ = multiplier_norm(freqs, mult)
             assert brute_sidon(freqs, grid_phases=48, simplex_n=12) <= sidon * (1.0 + 1e-12)
@@ -272,6 +298,14 @@ class TestPairCosineEvaluator:
                 if mult is not None:
                     want = grid_max(r, (mult[0], u2 + mult[1], mult[2])) / want
                 assert got[i][j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_coarse_scan_in_row_chunks_matches_row_by_row(self):
+        # 2**16 grid points: _grid_max takes 64 moduli rows at a time, so 150 rows make 3 chunks
+        table = _pair_table((0, 3, 7000), 1, 2**16)
+        moduli = np.random.default_rng(8).dirichlet(np.ones(3), size=150)
+        got = _grid_max(table, moduli, (0.0, 1.3, 0.0))
+        want = [_grid_max(table, r[None, :], (0.0, 1.3, 0.0))[0] for r in moduli]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_grid_ignores_a_common_offset(self):
         offset = _pair_table((10**9, 10**9 + 1, 10**9 + 3), 1, 1024)
@@ -331,7 +365,7 @@ class TestPairCosineEvaluator:
 
 
 def test_run_verification_all_green():
-    rows = run_verification(seed=123, count=200, include_constants=False)
+    rows = run_verification(seed=123, count=200)
     assert all(row.failures == 0 for row in rows)
     names = [row.name for row in rows]
     assert any("uniqueness" in n for n in names)
@@ -398,23 +432,3 @@ class TestLargeCommonOffset:
     def test_oracle_agrees_with_the_analytic_point(self):
         offset = Trinomial(10**9, 10**9 + 1, 10**9 + 3, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
         assert agreement(max_points_global(offset), brute_max(offset)).ok
-
-
-def test_run_verification_passes_its_grid_to_every_constant_search(monkeypatch):
-    from trinomax import multiplier_norm, sidon_constant
-
-    grids = []
-
-    def sidon(freqs, grid_phases=256, simplex_n=40, grid_n=1024):
-        grids.append(("sidon", grid_n))
-        return sidon_constant(freqs)[0]
-
-    def multiplier(freqs, mult, grid_phases=96, simplex_n=20, grid_n=1024):
-        grids.append(("multiplier", grid_n))
-        return multiplier_norm(freqs, mult)[0]
-
-    monkeypatch.setattr(oracle, "brute_sidon", sidon)
-    monkeypatch.setattr(oracle, "brute_multiplier_norm", multiplier)
-    rows = run_verification(seed=3, count=1, grid_n=2048)
-    assert grids == [("sidon", 2048)] * 2 + [("multiplier", 2048)] * 2
-    assert rows[-1].failures == 0
