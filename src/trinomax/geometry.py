@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .maxmod import max_at_zero, max_points_global
 from .spectrum import Trinomial, _count, spectrum_geometry
 
@@ -37,12 +39,12 @@ def _outer_curve(trinomial: Trinomial):
     r1, _, r3 = geo.sort(trinomial.moduli)
     t1, _, t3 = geo.sort(trinomial.phases)
     gap1, gap3 = geo.lams[1] - geo.lams[0], geo.lams[2] - geo.lams[1]
-    return lambda x: r1 * cmath.exp(1j * (t1 - gap1 * x)) + r3 * cmath.exp(1j * (t3 + gap3 * x))
+    return lambda x: r1 * np.exp(1j * (t1 - gap1 * x)) + r3 * np.exp(1j * (t3 + gap3 * x))
 
 
 def curve_point(trinomial: Trinomial, x: float) -> complex:
     """Point of the outer-coefficient curve at parameter x."""
-    return _outer_curve(trinomial)(x)
+    return complex(_outer_curve(trinomial)(x))
 
 
 def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
@@ -55,10 +57,8 @@ def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
     geo = spectrum_geometry(trinomial.frequencies)
     r1, _, r3 = geo.sort(trinomial.moduli)
     cusps = geo.D if max_at_zero(geo.k, r1, geo.l, r3) else None
-    point = _outer_curve(trinomial)
-    samples = tuple(
-        (x, point(x)) for x in (-math.pi + 2.0 * math.pi * (j + 1) / n for j in range(n))
-    )
+    xs = -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
+    samples = tuple(zip(xs.tolist(), _outer_curve(trinomial)(xs).tolist()))
     return Curve(samples=samples, closed=True, cusp_count=cusps)
 
 

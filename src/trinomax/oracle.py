@@ -9,8 +9,11 @@ and one coordinate descent.  Every stage evaluates
 from the raw coefficients: on a grid of ``_grid_size`` points from one
 pair table (``_pair_table``, gathered by exact integer index from a
 memoised full-turn table of cos and sin), which a constant search builds
-once, and in the refinement, with its first two derivatives, from three
-``math.sin`` and three ``math.cos`` calls.  The oracle shares one piece
+once, and in the refinement, with its first two derivatives (four at a
+quartic peak), from three ``math.sin`` and three ``math.cos`` calls.  The
+refinement reads its three pair terms as Python floats, and a constant
+search computes its simplex rows' moduli terms once, so each scan cell
+forms only the cos and sin of its phase gaps.  The oracle shares one piece
 with the rest of the library, the period 2*pi/d from ``spectrum_geometry``;
 its evaluator is not the reduced-form expansion ``find_max_reduced`` uses,
 nor is its Newton loop on the + to - sign change of d|T|^2/dx the kernel's,
@@ -68,6 +71,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_GRID = 2**20
 # refined peaks within this relative of the best one are maximum points too
 TIE_REL_TOL = 1e-10
+# a slope root where |d^2|T|^2/dx^2| is below this relative of sum w * gap^2 is
+# taken for a quartic peak and refined on the root of d^3|T|^2/dx^3 instead:
+# there the slope's rounding already moves its root by ~eps/1e-9 of a cycle of
+# the gaps (the knife-edge quartic reads 2e-11, an ordinary peak order 1)
+QUARTIC_REL_TOL = 1e-9
 # the analytic maximum and the oracle's agree within these: relative value,
 # and circular argmax distance (both sides find a root of the slope to a few
 # ulp of x; the worst seeded gap is about 3e-15)
@@ -268,17 +276,25 @@ def _grid_weights(w, p) -> np.ndarray:
 
 
 def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
-    """``brute_max`` on a prebuilt pair table."""
-    s0, w, p = _cross_terms(moduli, phases)
+    """``brute_max`` on a prebuilt pair table: ``_cross_terms`` and
+    ``_grid_weights`` in Python floats, which the refinement reads too."""
+    (r1, r2, r3), (t1, t2, t3), (g1, g2, g3) = map(float, moduli), map(float, phases), table.gaps
+    s0 = r1 * r1 + r2 * r2 + r3 * r3
+    w1, w2, w3 = 2.0 * r1 * r2, 2.0 * r1 * r3, 2.0 * r2 * r3
+    p1, p2, p3 = t1 - t2, t1 - t3, t2 - t3
+    wg1, wg2, wg3 = w1 * g1, w2 * g2, w3 * g3
+    wgg1, wgg2, wgg3 = wg1 * g1, wg2 * g2, wg3 * g3
     grid_n = table.grid.shape[1]
     period = table.period
     h = period / grid_n
-    sq = s0 + _grid_weights(w, p) @ table.grid
+    weights = np.array((w1 * math.cos(p1), w2 * math.cos(p2), w3 * math.cos(p3),
+                        -w1 * math.sin(p1), -w2 * math.sin(p2), -w3 * math.sin(p3)))
+    sq = s0 + weights @ table.grid
     evaluations = grid_n
     vmax_sq = float(sq.max())
 
     # |T|^2 droops at most max |(|T|^2)''| * h^2 / 8 between samples; /6 is a wider margin
-    curvature = float(w @ np.square(table.gaps))
+    curvature = wgg1 + wgg2 + wgg3
     droop_sq = curvature * h * h / 6.0
     threshold = min(vmax_sq * (1.0 - 1e-7) ** 2, vmax_sq - droop_sq)
     # a band as wide as the whole period can hold several local maxima, so
@@ -287,14 +303,10 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     top = sq[idx]
     peaks = idx[(top >= sq[idx - 1]) & (top >= sq[(idx + 1) % grid_n])]
 
-    s0 = float(s0)
-    (w1, w2, w3), (p1, p2, p3), (g1, g2, g3) = w.tolist(), p.tolist(), table.gaps
-
-    def modulus_sq(x: float) -> float:
-        return s0 + w1 * math.cos(p1 + g1 * x) + w2 * math.cos(p2 + g2 * x) + w3 * math.cos(p3 + g3 * x)
-
-    wg1, wg2, wg3 = w1 * g1, w2 * g2, w3 * g3
-    wgg1, wgg2, wgg3 = wg1 * g1, wg2 * g2, wg3 * g3
+    def modulus_sq(x: float) -> tuple[float, float]:
+        # |T|^2 and d^2|T|^2/dx^2, from the same three cosines
+        c1, c2, c3 = math.cos(p1 + g1 * x), math.cos(p2 + g2 * x), math.cos(p3 + g3 * x)
+        return s0 + w1 * c1 + w2 * c2 + w3 * c3, -(wgg1 * c1 + wgg2 * c2 + wgg3 * c3)
 
     def slope(x: float) -> tuple[float, float]:
         # d|T|^2/dx and d^2|T|^2/dx^2
@@ -304,11 +316,29 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
             -(wgg1 * math.cos(a1) + wgg2 * math.cos(a2) + wgg3 * math.cos(a3)),
         )
 
+    def quartic_slope(x: float) -> tuple[float, float]:
+        # d^3|T|^2/dx^3 and d^4|T|^2/dx^4
+        a1, a2, a3 = p1 + g1 * x, p2 + g2 * x, p3 + g3 * x
+        return (
+            wgg1 * g1 * math.sin(a1) + wgg2 * g2 * math.sin(a2) + wgg3 * g3 * math.sin(a3),
+            wgg1 * g1 * g1 * math.cos(a1) + wgg2 * g2 * g2 * math.cos(a2) + wgg3 * g3 * g3 * math.cos(a3),
+        )
+
     refined: list[tuple[float, float]] = []
     for i in peaks.tolist():
         lo, hi = (i - 1) * h, (i + 1) * h
         x, n = _slope_root(slope, lo, hi)
-        x, v, m = golden_max(modulus_sq, lo, hi) if x is None else (x, modulus_sq(x), 1)
+        if x is None:
+            x, v, m = golden_max(lambda y: modulus_sq(y)[0], lo, hi)
+        else:
+            (v, bend), m = modulus_sq(x), 1
+            # a quartic peak: the cubic slope loses its sign over ~eps^(1/3), but
+            # d^3|T|^2/dx^3 goes + to - through the peak at a simple root
+            if abs(bend) < QUARTIC_REL_TOL * curvature:
+                x4, n4 = _slope_root(quartic_slope, lo, hi)
+                n += n4
+                if x4 is not None:
+                    x, (v, _), m = x4, modulus_sq(x4), m + 1
         refined.append((x % period, math.sqrt(v)))
         evaluations += n + m
 
@@ -332,10 +362,10 @@ def _simplex_grid(n: int) -> np.ndarray:
     return np.asarray(pts)
 
 
-def _grid_max(table: _PairTable, moduli, phases) -> np.ndarray:
-    """Grid maximum of |T|, unrefined, for each row of the (n, 3) ``moduli``."""
-    s0, w, p = _cross_terms(moduli, phases)
-    weights, rows = _grid_weights(w, p), max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
+def _grid_max(table: _PairTable, s0, w, phases) -> np.ndarray:
+    """Grid maximum of |T|, unrefined, at one phase triple for each row of ``_cross_terms``' s0 and w."""
+    t = np.asarray(phases)
+    weights, rows = _grid_weights(w, t[_A] - t[_B]), max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
     top = [(weights[i:i + rows] @ table.grid).max(axis=1) for i in range(0, len(weights), rows)]
     return np.sqrt(np.concatenate(top) + s0)
 
@@ -373,7 +403,9 @@ def _constant_search(
     simplex = _simplex_grid(simplex_n)
     fine = _pair_table(geo.lams, geo.d, _grid_size(grid_n, geo))
     coarse = replace(fine, grid=np.ascontiguousarray(fine.grid[:, ::2]))
-    scan = np.asarray([ratio(partial(_grid_max, coarse), simplex, u2) for u2 in phase_grid])
+    # the simplex rows' moduli terms, once: each scan cell forms only its phase terms
+    s0, w, _ = _cross_terms(simplex, np.zeros(3))
+    scan = np.asarray([ratio(partial(_grid_max, coarse, s0), w, u2) for u2 in phase_grid])
     p_idx, m_idx = np.unravel_index(np.argmax(scan), scan.shape)
     r1, r2, _ = simplex[m_idx]
     point = [float(r1), float(r2), float(phase_grid[p_idx])]

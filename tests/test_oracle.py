@@ -29,7 +29,9 @@ from trinomax.oracle import (
     AGREEMENT_ARGMAX_TOL,
     AGREEMENT_VALUE_TOL,
     TIE_REL_TOL,
+    _cross_terms,
     _full_turn,
+    _grid_and_refine,
     _grid_max,
     _pair_table,
     _slope_root,
@@ -177,6 +179,30 @@ class TestDerivativeRefinement:
         assert golden.argmaxes == pytest.approx(newton.argmaxes, abs=1e-6)
         assert golden.evaluations > newton.evaluations
 
+    def test_quartic_peak_on_the_knife_edge(self):
+        # |T|^2 is quartic at pi/2, so the slope root alone lands 7e-6 off
+        tri = Trinomial(-1, 0, 1, 1, 8, 2, 0, math.pi / 2, 0)
+        report = brute_max(tri)
+        assert report.value == pytest.approx(9.0, rel=1e-15)
+        assert len(report.argmaxes) == 1
+        assert abs(report.argmaxes[0] - math.pi / 2) <= AGREEMENT_ARGMAX_TOL
+        assert agreement(max_points_global(tri), report).ok
+
+    @pytest.mark.parametrize("tri", [
+        Trinomial(-1, 0, 2, 0.7, 1.3, 0.4, 0.2, 1.1, 2.5),
+        Trinomial(-1, 0, 1, 1, 12, 2, 0, math.pi / 2, 0),
+    ])
+    def test_a_quadratic_peak_keeps_the_slope_root(self, monkeypatch, tri):
+        refined = []
+
+        def root(slope, lo, hi):
+            refined.append(slope.__name__)
+            return _slope_root(slope, lo, hi)
+
+        monkeypatch.setattr(oracle, "_slope_root", root)
+        assert agreement(max_points_global(tri), brute_max(tri)).ok
+        assert set(refined) == {"slope"}
+
 
 class TestBruteSidon:
     def test_symmetric_three_terms(self):
@@ -281,11 +307,12 @@ class TestPairCosineEvaluator:
         moduli = rng.dirichlet(np.ones(3), size=4)
         grid_n = 384
         table = _pair_table(geo.lams, geo.d, grid_n)
+        s0, w, _ = _cross_terms(moduli, np.zeros(3))
         got = []
         for u2 in phase_grid:
-            cell = _grid_max(table, moduli, (0.0, u2, 0.0))
+            cell = _grid_max(table, s0, w, (0.0, u2, 0.0))
             if mult is not None:
-                cell = _grid_max(table, moduli, (mult[0], u2 + mult[1], mult[2])) / cell
+                cell = _grid_max(table, s0, w, (mult[0], u2 + mult[1], mult[2])) / cell
             got.append(cell)
         xs = np.linspace(0.0, TWO_PI / geo.d, grid_n, endpoint=False)
 
@@ -303,9 +330,26 @@ class TestPairCosineEvaluator:
         # 2**16 grid points: _grid_max takes 64 moduli rows at a time, so 150 rows make 3 chunks
         table = _pair_table((0, 3, 7000), 1, 2**16)
         moduli = np.random.default_rng(8).dirichlet(np.ones(3), size=150)
-        got = _grid_max(table, moduli, (0.0, 1.3, 0.0))
-        want = [_grid_max(table, r[None, :], (0.0, 1.3, 0.0))[0] for r in moduli]
+        s0, w, _ = _cross_terms(moduli, np.zeros(3))
+        got = _grid_max(table, s0, w, (0.0, 1.3, 0.0))
+        want = [_grid_max(table, s0[i:i + 1], w[i:i + 1], (0.0, 1.3, 0.0))[0] for i in range(len(moduli))]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("freqs", [(-1, 0, 1), (1, 2, 5), (0, 3, 40)])
+    def test_refinement_and_scan_describe_one_modulus(self, freqs):
+        # the refinement's scalar pair terms and the scan's array ones: the
+        # refined maximum is at least the grid maximum (up to rounding) and
+        # above it by at most the droop of |T|^2 between grid points
+        geo = spectrum_geometry(freqs)
+        table = _pair_table(geo.lams, geo.d, 1024)
+        h = table.period / 1024
+        rng = np.random.default_rng(17)
+        for r, t in zip(np.exp(rng.uniform(-3.0, 3.0, (20, 3))), rng.uniform(0.0, TWO_PI, (20, 3))):
+            s0, w, _ = _cross_terms(r[None, :], t)
+            grid = _grid_max(table, s0, w, t)[0]
+            droop = float(w[0] @ np.square(table.gaps)) * h * h / 8.0
+            value = _grid_and_refine(table, r, t).value
+            assert grid * (1.0 - 1e-15) <= value <= math.sqrt(grid * grid + droop)
 
     def test_grid_ignores_a_common_offset(self):
         offset = _pair_table((10**9, 10**9 + 1, 10**9 + 3), 1, 1024)
