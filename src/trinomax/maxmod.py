@@ -315,14 +315,12 @@ def _check_localization(
     if tau < math.pi - TAU_PI_TOL:
         # refinement by the weight comparison; valid off the symmetric case
         r1, _, r3 = geo.sort(trinomial.moduli)
-        left = r1 * (geo.lams[1] - geo.lams[0])
-        right = r3 * (geo.lams[2] - geo.lams[1])
-        if left < right:
-            lo, hi = min(e3, e2), max(e3, e2)
-        elif left > right:
-            lo, hi = min(e3, e1), max(e3, e1)
-        else:
+        if max_at_zero(geo.k, r1, geo.l, r3):
             lo = hi = e3
+        elif geo.k * r1 < geo.l * r3:
+            lo, hi = min(e3, e2), max(e3, e2)
+        else:
+            lo, hi = min(e3, e1), max(e3, e1)
     mid = 0.5 * (lo + hi)
     for x in points:
         folded = x - period * round((x - mid) / period)

@@ -372,6 +372,9 @@ def _grid_max(table: _PairTable, s0, w, phases) -> np.ndarray:
 
 # smallest modulus the constant searches keep on the unit simplex
 _SIMPLEX_EPS = 1e-3
+# the largest constant-search grid: 8 * D points at D = 2**13, where one search
+# already takes up to half a minute on a 2-vCPU machine; its cost grows with the grid
+MAX_SEARCH_GRID = 2**16
 
 
 def _constant_search(
@@ -386,7 +389,8 @@ def _constant_search(
     ``_simplex_grid`` times a full-turn grid of u2, with top ``_grid_max`` on
     every second point of the one pair table, then by four rounds of
     coordinate descent on (r1, r2, u2), a golden section per coordinate with
-    halving spans, with top ``_grid_and_refine`` on the whole table.
+    halving spans, with top ``_grid_and_refine`` on the whole table.  A grid
+    past MAX_SEARCH_GRID (D > 2**13) raises SpectrumError before any table.
     """
     geo = spectrum_geometry(frequencies)
     grid_phases = _count(grid_phases, 1, "phase grid must have at least 1 point, got {n}")
@@ -399,9 +403,15 @@ def _constant_search(
         u1, v2, u3 = shift
         return top(moduli, (u1, u2 + v2, u3)) / base
 
+    grid_n = _grid_size(grid_n, geo)
+    if grid_n > MAX_SEARCH_GRID:
+        raise SpectrumError(
+            f"D = {geo.D} gives a constant-search grid of {grid_n} points, above MAX_SEARCH_GRID = "
+            f"{MAX_SEARCH_GRID}, past which one search takes a minute or more"
+        )
     phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
     simplex = _simplex_grid(simplex_n)
-    fine = _pair_table(geo.lams, geo.d, _grid_size(grid_n, geo))
+    fine = _pair_table(geo.lams, geo.d, grid_n)
     coarse = replace(fine, grid=np.ascontiguousarray(fine.grid[:, ::2]))
     # the simplex rows' moduli terms, once: each scan cell forms only its phase terms
     s0, w, _ = _cross_terms(simplex, np.zeros(3))
@@ -525,95 +535,81 @@ def _circular_distance(a: float, b: float, period: float) -> float:
     return abs(math.remainder(a - b, period))
 
 
-def _rule_row(label: str, tol: float, checked: int, failures: int, worst: float) -> VerificationRow:
-    # label has a {} for the tolerance its check used, written 1e-9 (not 1e-09)
-    return VerificationRow(label.format(f"{tol:.0e}".replace("e-0", "e-")), checked, failures, worst)
+def _row(label: str, tol: float | None, checked: int, results) -> VerificationRow:
+    """One verify row from judged results: an (error, ok) pair per instance
+    from the rule that judged it, or None for an instance that failed before
+    its check.  Failures are the Nones and the pairs not ok; the worst error
+    is the largest judged one.  label has a {} for tol, written 1e-9 (not
+    1e-09); tol is only printed here, never compared."""
+    failures = sum(r is None or not r[1] for r in results)
+    worst = max((r[0] for r in results if r is not None), default=0.0)
+    return VerificationRow(label if tol is None else label.format(f"{tol:.0e}".replace("e-0", "e-")),
+                           checked, failures, worst)
+
+
+def _axis_error(res: MaxResult) -> tuple[float, bool] | None:
+    # a symmetric pair's x + y against its axis s; None unless it found a pair
+    if len(res.points) != 2 or res.s is None:
+        return None
+    (x, _), (y, _) = res.points
+    err = _circular_distance(x + y, res.s, TWO_PI / res.reduction[1].d)
+    return err, err <= PAIR_AXIS_TOL
+
+
+def _closed_form_error(r) -> tuple[float, bool]:
+    # both closed forms against find_max_reduced on their reduced forms, relative
+    v1, _ = closed_form_k1_l1(*r)
+    ref1 = find_max_reduced(make_reduced_form(1, 1, *r, math.pi / 2)[0]).value
+    v2 = closed_form_k2_l1(*r)
+    ref2 = find_max_reduced(make_reduced_form(2, 1, *r, math.pi / 3)[0]).value
+    err = max(abs(v1 - ref1) / ref1, abs(v2 - ref2) / ref2)
+    return err, err <= CLOSED_FORM_REL_TOL
+
+
+def _brute_constant(freqs, mult: Multiplier | None) -> tuple[float, bool]:
+    # a brute Sidon constant (mult None) or multiplier norm against its formula
+    if mult is None:
+        return _constant_agreement(brute_sidon(freqs, grid_phases=128, simplex_n=24), sidon_constant(freqs)[0])
+    return _constant_agreement(brute_multiplier_norm(freqs, mult), multiplier_norm(freqs, mult)[0])
 
 
 def run_verification(seed: int, count: int) -> list[VerificationRow]:
     """Oracle-agreement suites: uniqueness, argmax/value agreement, symmetric
-    pairs, closed forms, and Sidon/multiplier spot checks.
+    pairs, closed forms, and Sidon/multiplier spot checks.  Each suite judges
+    its instances once and ``_row`` counts them.
     """
     count = _count(count, 1, "count must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
-    rows: list[VerificationRow] = []
 
-    value_fail = count_fail = pos_fail = 0
-    worst_value = worst_pos = 0.0
-    produced = 0
-    while produced < count:
+    # one Agreement per single-point instance, None where the point counts differ
+    single: list[Agreement | None] = []
+    while len(single) < count:
         tri = random_trinomial(rng)
         if derive_spectrum_stats(tri).tau >= math.pi - 1e-3:
             continue
-        produced += 1
         analytic = max_points_global(tri)
         agreed = agreement(analytic, brute_max(tri))
-        if len(analytic.points) != 1 or not agreed.count_match:
-            count_fail += 1
-            continue
-        worst_value = max(worst_value, agreed.value_error)
-        worst_pos = max(worst_pos, agreed.argmax_error)
-        value_fail += not agreed.value_ok
-        pos_fail += not agreed.argmax_ok
-    rows.append(VerificationRow("uniqueness (single max point)", count, count_fail, 0.0))
-    rows.append(_rule_row("value agreement (rel, tol {})", AGREEMENT_VALUE_TOL, count, value_fail, worst_value))
-    rows.append(_rule_row("argmax agreement (tol {})", AGREEMENT_ARGMAX_TOL, count, pos_fail, worst_pos))
+        single.append(agreed if len(analytic.points) == 1 and agreed.count_match else None)
+    found = [a for a in single if a is not None]
 
     n_sym = max(50, count // 10)
-    sym_fail = 0
-    worst_axis = 0.0
-    for _ in range(n_sym):
-        res = max_points_global(random_symmetric_pair(rng))
-        period = TWO_PI / res.reduction[1].d
-        if len(res.points) != 2 or res.s is None:
-            sym_fail += 1
-            continue
-        (x, _), (y, _) = res.points
-        err = _circular_distance(x + y, res.s, period)
-        worst_axis = max(worst_axis, err)
-        if err > PAIR_AXIS_TOL:
-            sym_fail += 1
-    rows.append(_rule_row("symmetric pair x + y = s (tol {})", PAIR_AXIS_TOL, n_sym, sym_fail, worst_axis))
-
+    axes = [_axis_error(max_points_global(random_symmetric_pair(rng))) for _ in range(n_sym)]
     n_cf = max(100, count // 10)
-    cf_fail = 0
-    worst_cf = 0.0
-    for _ in range(n_cf):
-        r = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=3))
-        v1, _ = closed_form_k1_l1(*r)
-        form, _ = make_reduced_form(1, 1, *r, math.pi / 2)
-        ref1 = find_max_reduced(form).value
-        v2 = closed_form_k2_l1(*r)
-        form2, _ = make_reduced_form(2, 1, *r, math.pi / 3)
-        ref2 = find_max_reduced(form2).value
-        err = max(abs(v1 - ref1) / ref1, abs(v2 - ref2) / ref2)
-        worst_cf = max(worst_cf, err)
-        if err > CLOSED_FORM_REL_TOL:
-            cf_fail += 1
-    rows.append(_rule_row(
-        "closed forms vs find_max_reduced (rel, tol {})", CLOSED_FORM_REL_TOL, n_cf, cf_fail, worst_cf
-    ))
-
+    closed = [_closed_form_error(np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=3))) for _ in range(n_cf)]
     checks = [
         ((-1, 0, 1), None),
         ((-2, 0, 2), None),
         ((-1, 0, 1), Multiplier(0.0, math.pi / 2.0, 0.0)),
         ((-1, 0, 2), Multiplier(0.0, math.pi / 2.0, 0.0)),
     ]
-    const_fail = 0
-    worst_c = 0.0
-    for freqs, mult in checks:
-        if mult is None:
-            expected, _ = sidon_constant(freqs)
-            got = brute_sidon(freqs, grid_phases=128, simplex_n=24)
-        else:
-            expected, _ = multiplier_norm(freqs, mult)
-            got = brute_multiplier_norm(freqs, mult)
-        err, ok = _constant_agreement(got, expected)
-        worst_c = max(worst_c, err)
-        const_fail += not ok
-    rows.append(_rule_row(
-        "constants vs formulas (abs, tol {})", CONSTANT_ABS_TOL, len(checks), const_fail, worst_c
-    ))
-
-    return rows
+    return [
+        _row("uniqueness (single max point)", None, count, [None if a is None else (0.0, True) for a in single]),
+        _row("value agreement (rel, tol {})", AGREEMENT_VALUE_TOL, count,
+             [(a.value_error, a.value_ok) for a in found]),
+        _row("argmax agreement (tol {})", AGREEMENT_ARGMAX_TOL, count,
+             [(a.argmax_error, a.argmax_ok) for a in found]),
+        _row("symmetric pair x + y = s (tol {})", PAIR_AXIS_TOL, n_sym, axes),
+        _row("closed forms vs find_max_reduced (rel, tol {})", CLOSED_FORM_REL_TOL, n_cf, closed),
+        _row("constants vs formulas (abs, tol {})", CONSTANT_ABS_TOL, len(checks),
+             [_brute_constant(freqs, mult) for freqs, mult in checks]),
+    ]

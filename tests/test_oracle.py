@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from trinomax import (
     random_symmetric_pair,
     random_trinomial,
     run_verification,
+    sidon_constant,
     spectrum_geometry,
 )
 from trinomax import oracle
@@ -271,6 +273,31 @@ class TestSearchGridGuard:
         with pytest.raises(SpectrumError, match="D = 131073"):
             brute_multiplier_norm(wide, Multiplier(0, math.pi / 2, 0))
 
+    def test_a_search_past_the_largest_search_grid_fails_before_any_table(self, monkeypatch):
+        def table(*args):
+            raise AssertionError("a table or the coarse scan ran before the search-grid check")
+
+        monkeypatch.setattr(oracle, "_grid_max", table)
+        monkeypatch.setattr(oracle, "_pair_table", table)
+        wide = (0, 1, 8193)
+        with pytest.raises(SpectrumError, match="D = 8193 gives a constant-search grid of 131072 points"):
+            brute_sidon(wide)
+        with pytest.raises(SpectrumError, match="D = 8193 gives a constant-search grid of 131072 points"):
+            brute_multiplier_norm(wide, Multiplier(0.7, 2.1, 5.3))
+
+    def test_the_largest_search_grid_reaches_the_table(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def table(lams, d, grid_n):
+            raise Reached(grid_n)
+
+        monkeypatch.setattr(oracle, "_pair_table", table)
+        with pytest.raises(Reached, match=str(oracle.MAX_SEARCH_GRID)):
+            brute_sidon((0, 1, 8192))
+        with pytest.raises(Reached, match=str(oracle.MAX_SEARCH_GRID)):
+            brute_multiplier_norm((0, 1, 8192), Multiplier(0.7, 2.1, 5.3))
+
 
 class TestConstantSearchBounds:
     """A brute constant is a value the search attained, so it never exceeds
@@ -414,6 +441,36 @@ def test_run_verification_all_green():
     names = [row.name for row in rows]
     assert any("uniqueness" in n for n in names)
     assert any("symmetric" in n for n in names)
+
+
+def test_run_verification_counts_each_failure_in_its_own_row(monkeypatch):
+    # every third oracle report gets a second argmax and a doubled value, and
+    # the brute Sidon constant is one above its formula
+    true_brute_max = oracle.brute_max
+    calls = 0
+    value_errors, argmax_errors = [], []
+
+    def doctored_brute_max(tri):
+        nonlocal calls
+        calls += 1
+        report = true_brute_max(tri)
+        if calls % 3 == 0:
+            x = report.argmaxes[0]
+            return replace(report, value=2.0 * report.value, argmaxes=(x, x + 0.5 * report.period))
+        agreed = agreement(max_points_global(tri), report)
+        value_errors.append(agreed.value_error)
+        argmax_errors.append(agreed.argmax_error)
+        return report
+
+    monkeypatch.setattr(oracle, "brute_max", doctored_brute_max)
+    monkeypatch.setattr(oracle, "brute_sidon", lambda freqs, **kw: sidon_constant(freqs)[0] + 1.0)
+    unique, value, argmax, _, _, constants = run_verification(seed=123, count=30)
+    assert calls == 30
+    assert (unique.checked, unique.failures, unique.worst_error) == (30, 10, 0.0)
+    assert (value.checked, value.failures, value.worst_error) == (30, 0, max(value_errors))
+    assert (argmax.checked, argmax.failures, argmax.worst_error) == (30, 0, max(argmax_errors))
+    assert (constants.checked, constants.failures) == (4, 2)
+    assert constants.worst_error == pytest.approx(1.0, abs=1e-15)
 
 
 class TestAgreementRule:
