@@ -1,5 +1,9 @@
 """Command-line surface: analyze | sidon | multiplier | sweep | hypotrochoid | verify.
 
+Each command builds its results and their text form; one writer, _emit,
+prints the JSON envelope under --json and the text otherwise.  The text is a
+table, or CSV for sweep, hypotrochoid and analyze --csv (--csv is the default
+of sweep and hypotrochoid, so there it only spells it out).
 Angles are radians unless --degrees is passed; output is always radians.
 JSON output uses Python's shortest round-trip float formatting (17
 significant digits where needed); human tables show 9 significant digits.
@@ -13,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 from . import __version__
 from .constants import lift_to_measure, multiplier_norm, sidon_constant
@@ -57,26 +62,39 @@ def _require_finite(obj, path="results"):
             _require_finite(value, f"{path}[{i}]")
 
 
-def _envelope(command: str, inputs: dict, results: dict, seed: int | None = None) -> dict:
-    _require_finite(results)
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "toolVersion": __version__,
-        "command": command,
-        "seed": seed,
-        "input": inputs,
-        "results": results,
-    }
+def _emit(args, results: dict, text: str, ok: bool = True) -> int:
+    """Print ``results`` in the JSON envelope under --json, else ``text``;
+    return the exit code, 0 or, when ``ok`` is false, 3."""
+    if args.json:
+        _require_finite(results)
+        print(json.dumps({
+            "schemaVersion": SCHEMA_VERSION,
+            "toolVersion": __version__,
+            "command": args.command,
+            "seed": getattr(args, "seed", None),
+            "input": _input_echo(args),
+            "results": results,
+        }, indent=2))
+    else:
+        sys.stdout.write(text)
+    return _EXIT_OK if ok else _EXIT_VERIFY_FAILED
 
 
 def _g9(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _print_table(rows: list[tuple[str, str]]) -> None:
+def _table(rows: list[tuple[str, str]]) -> str:
     width = max(len(k) for k, _ in rows)
-    for key, value in rows:
-        print(f"{key.ljust(width)}  {value}")
+    return "".join(f"{key.ljust(width)}  {value}\n" for key, value in rows)
+
+
+def _csv(header: list[str], rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _phases(args) -> tuple[float, float, float]:
@@ -125,6 +143,18 @@ def _cmd_analyze(args) -> int:
         },
         "max": _max_result_dict(res),
     }
+    rows = [
+        ("tau", _g9(stats.tau)),
+        ("d / k / l / D", f"{stats.d} / {stats.k} / {stats.l} / {stats.D}"),
+        ("reduced t", _g9(form.t)),
+        ("max modulus", _g9(res.value)),
+        ("classification", res.classification.value),
+        ("multiplicity", str(res.multiplicity)),
+    ]
+    for i, (x, v) in enumerate(res.points):
+        rows.append((f"point {i + 1}", f"x = {_g9(x)}  |T| = {_g9(v)}"))
+    if res.s is not None:
+        rows.append(("symmetry axis s", _g9(res.s)))
     verified_ok = True
     if args.verify:
         report = brute_max(trinomial)
@@ -138,35 +168,16 @@ def _cmd_analyze(args) -> int:
             "valueError": agreed.value_error,
             "agreement": verified_ok,
         }
-    if args.json:
-        print(json.dumps(_envelope("analyze", _input_echo(args), results), indent=2))
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["x", "value", "multiplicity", "classification"])
-        for x, v in res.points:
-            writer.writerow([repr(x), repr(v), res.multiplicity, res.classification.value])
-    else:
-        rows = [
-            ("tau", _g9(stats.tau)),
-            ("d / k / l / D", f"{stats.d} / {stats.k} / {stats.l} / {stats.D}"),
-            ("reduced t", _g9(form.t)),
-            ("max modulus", _g9(res.value)),
-            ("classification", res.classification.value),
-            ("multiplicity", str(res.multiplicity)),
-        ]
-        for i, (x, v) in enumerate(res.points):
-            rows.append((f"point {i + 1}", f"x = {_g9(x)}  |T| = {_g9(v)}"))
-        if res.s is not None:
-            rows.append(("symmetry axis s", _g9(res.s)))
-        if args.verify:
-            rows.append(("oracle agreement", str(verified_ok)))
-        _print_table(rows)
-    return _EXIT_OK if verified_ok else _EXIT_VERIFY_FAILED
+        rows.append(("oracle agreement", str(verified_ok)))
+    header = ["x", "value", "multiplicity", "classification"]
+    points = ((x, v, res.multiplicity, res.classification.value) for x, v in res.points)
+    text = _csv(header, points) if args.csv else _table(rows)
+    return _emit(args, results, text, verified_ok)
 
 
 def _report_constant(args, key: str, search, results: dict, rows: list) -> int:
-    """Print a constant's results as JSON or as table rows.  Under --verify the
-    brute ``search()`` is held against the formula's ``results[key]`` in an
+    """Emit a constant's results and table rows.  Under --verify the brute
+    ``search()`` is held against the formula's ``results[key]`` in an
     "oracle" block, and a disagreement exits 3."""
     verified_ok = True
     if args.verify:
@@ -174,11 +185,7 @@ def _report_constant(args, key: str, search, results: dict, rows: list) -> int:
         _, verified_ok = _constant_agreement(empirical, results[key])
         results["oracle"] = {key: empirical, "agreement": verified_ok}
         rows += [(f"oracle {key}", _g9(empirical)), ("oracle agreement", str(verified_ok))]
-    if args.json:
-        print(json.dumps(_envelope(args.command, _input_echo(args), results), indent=2))
-    else:
-        _print_table(rows)
-    return _EXIT_OK if verified_ok else _EXIT_VERIFY_FAILED
+    return _emit(args, results, _table(rows), verified_ok)
 
 
 def _cmd_sidon(args) -> int:
@@ -223,56 +230,36 @@ def _cmd_sweep(args) -> int:
     trinomial = Trinomial(*args.frequencies, *args.moduli)
     form, _, _ = canonical_reduction(trinomial)
     rows = sweep_rows(form.k, form.l, form.r1, form.r2, form.r3, args.n)
-    if args.json:
-        results = {"rows": [asdict(row) for row in rows]}
-        print(json.dumps(_envelope("sweep", _input_echo(args), results), indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["tau", "t", "fstar", "ratio", "bound"])
-        for row in rows:
-            writer.writerow([repr(row.tau), repr(row.t), repr(row.fstar), repr(row.ratio), repr(row.bound)])
-    return _EXIT_OK
+    text = _csv(["tau", "t", "fstar", "ratio", "bound"], (astuple(row) for row in rows))
+    return _emit(args, {"rows": [asdict(row) for row in rows]}, text)
 
 
 def _cmd_hypotrochoid(args) -> int:
     trinomial = _trinomial_from_args(args)
     curve = hypotrochoid_sample(trinomial, args.n)
     farthest = farthest_points(trinomial)
-    if args.json:
-        results = {
-            "cuspCount": curve.cusp_count,
-            "closed": curve.closed,
-            "samples": [{"x": x, "re": z.real, "im": z.imag} for x, z in curve.samples],
-            "farthest": [{"x": x, "distance": dist} for x, dist in farthest],
-        }
-        print(json.dumps(_envelope("hypotrochoid", _input_echo(args), results), indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["x", "re", "im"])
-        for x, z in curve.samples:
-            writer.writerow([repr(x), repr(z.real), repr(z.imag)])
-    return _EXIT_OK
+    results = {
+        "cuspCount": curve.cusp_count,
+        "closed": curve.closed,
+        "samples": [{"x": x, "re": z.real, "im": z.imag} for x, z in curve.samples],
+        "farthest": [{"x": x, "distance": dist} for x, dist in farthest],
+    }
+    text = _csv(["x", "re", "im"], ((x, z.real, z.imag) for x, z in curve.samples))
+    return _emit(args, results, text)
 
 
 def _cmd_verify(args) -> int:
     rows = run_verification(args.seed, args.count)
     failed = sum(row.failures for row in rows)
-    if args.json:
-        results = {
-            "rows": [asdict(row) for row in rows],
-            "failures": failed,
-        }
-        print(json.dumps(_envelope("verify", _input_echo(args), results, seed=args.seed), indent=2))
-    else:
-        name_w = max(len(r.name) for r in rows)
-        print(f"{'suite'.ljust(name_w)}  checked  failures  worst error")
-        for row in rows:
-            print(
-                f"{row.name.ljust(name_w)}  {str(row.checked).rjust(7)}"
-                f"  {str(row.failures).rjust(8)}  {_g9(row.worst_error)}"
-            )
-        print(f"total failures: {failed}")
-    return _EXIT_OK if failed == 0 else _EXIT_VERIFY_FAILED
+    results = {
+        "rows": [asdict(row) for row in rows],
+        "failures": failed,
+    }
+    table = [("suite", "checked  failures  worst error")] + [
+        (row.name, f"{str(row.checked).rjust(7)}  {str(row.failures).rjust(8)}  {_g9(row.worst_error)}")
+        for row in rows
+    ]
+    return _emit(args, results, _table(table) + f"total failures: {failed}\n", failed == 0)
 
 
 def _input_echo(args) -> dict:

@@ -220,6 +220,14 @@ def max_at_zero(k: int, r1: float, l: int, r3: float) -> bool:
     return abs(k * r1 - l * r3) <= AT_ZERO_REL_TOL * max(k * r1, l * r3)
 
 
+def _knife_edge(form: ReducedForm) -> tuple[float, float]:
+    """The knife-edge margin k^2*r1*r2 + (k+1)^2*r1*r3 - r2*r3 of an l = 1
+    form at tau = pi, and its scale, the same sum with + r2*r3."""
+    k, r1, r2, r3 = form.k, form.r1, form.r2, form.r3
+    outer = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3
+    return outer - r2 * r3, outer + r2 * r3
+
+
 def find_max_reduced(form: ReducedForm) -> MaxResult:
     """Maximum-modulus points of a reduced-form trinomial, modulo 2*pi.
 
@@ -243,8 +251,7 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     else:
         hi = t / l
         if symmetric and l == 1:
-            edge = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3 - r2 * r3
-            edge_scale = k * k * r1 * r2 + (k + 1) ** 2 * r1 * r3 + r2 * r3
+            edge, edge_scale = _knife_edge(form)
             if abs(edge) <= DEGENERATE_REL_TOL * edge_scale:
                 return MaxResult(
                     ((t % TWO_PI, r2 + r3 - r1),), 4, MaxClassification.DEGENERATE4, 2.0 * t

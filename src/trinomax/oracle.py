@@ -35,6 +35,7 @@ import numpy as np
 from .constants import multiplier_norm, sidon_constant
 from .maxmod import (
     MaxResult,
+    _knife_edge,
     closed_form_k1_l1,
     closed_form_k2_l1,
     find_max_reduced,
@@ -507,13 +508,13 @@ def random_symmetric_pair(
         freqs = (center - k * d, center, center + l * d)
         moduli = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=3))
         r1, r2, r3 = (float(m) for m in moduli)
-        # normalised orientation for the branch tests
-        kk, ll, s1, s3 = (k, l, r1, r3) if k * r1 <= l * r3 else (l, k, r3, r1)
-        if abs(kk * s1 - ll * s3) <= 1e-6 * max(kk * s1, ll * s3):
+        # the reduced form at tau = pi decides the branch tests
+        form, _ = make_reduced_form(k, l, r1, r2, r3, math.pi / (k + l))
+        outer1, outer3 = form.k * form.r1, form.l * form.r3
+        if abs(outer1 - outer3) <= 1e-6 * max(outer1, outer3):
             continue
-        if ll == 1:
-            edge = kk * kk * s1 * r2 + (kk + 1) ** 2 * s1 * s3 - r2 * s3
-            scale = kk * kk * s1 * r2 + (kk + 1) ** 2 * s1 * s3 + r2 * s3
+        if form.l == 1:
+            edge, scale = _knife_edge(form)
             if edge <= 1e-4 * scale:
                 continue
         u1 = float(rng.uniform(0.0, TWO_PI))

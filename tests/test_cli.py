@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from trinomax import cli
 from trinomax.cli import main
 from trinomax.maxmod import BracketFailure
+from trinomax.oracle import VerificationRow
 
 PI_HALF = "1.5707963267948966"
 
@@ -102,6 +104,24 @@ class TestAnalyze:
         _, second = run(capsys, *rebuilt)
         assert json.loads(first)["results"] == json.loads(second)["results"]
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_verify_disagreement_exits_3(self, capsys, monkeypatch, fmt):
+        brute_max = cli.brute_max
+
+        def off_value(trinomial):
+            report = brute_max(trinomial)
+            return dataclasses.replace(report, value=2 * report.value)
+
+        monkeypatch.setattr(cli, "brute_max", off_value)
+        code, out = run(capsys, "analyze", "-l", "-2", "0", "1", "-r", "4", "1", "1", "--verify", *fmt)
+        assert code == 3
+        if fmt:
+            oracle = json.loads(out)["results"]["oracle"]
+            assert oracle["agreement"] is False
+            assert oracle["valueError"] == pytest.approx(0.5)
+        else:
+            assert "oracle agreement  False" in out
+
     def test_invalid_spectrum_exits_2(self, capsys):
         code = main(["analyze", "-l", "1", "1", "2", "-r", "1", "1", "1"])
         capsys.readouterr()
@@ -143,6 +163,15 @@ class TestSidon:
         code, out = run(capsys, "sidon", "-l", "-1", "0", "1")
         assert code == 0
         assert "1.41421356" in out
+
+    def test_non_finite_result_is_invalid_input(self, capsys, monkeypatch):
+        sidon_constant = cli.sidon_constant
+        monkeypatch.setattr(cli, "sidon_constant", lambda freqs: (math.inf, sidon_constant(freqs)[1]))
+        code, out = run(capsys, "sidon", "-l", "-1", "0", "1", "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {"message": "non-finite value at results.constant: inf", "command": "sidon"}
+        }
 
 
 class TestMultiplier:
@@ -234,6 +263,17 @@ class TestVerify:
         code, out = run(capsys, "verify", "--seed", "7", "--count", "50")
         assert code == 0
         assert "total failures: 0" in out
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_a_failing_row_exits_3(self, capsys, monkeypatch, fmt):
+        rows = [VerificationRow("passing suite", 5, 0, 0.0), VerificationRow("failing suite", 5, 1, 0.5)]
+        monkeypatch.setattr(cli, "run_verification", lambda seed, count: rows)
+        code, out = run(capsys, "verify", "--count", "5", *fmt)
+        assert code == 3
+        if fmt:
+            assert json.loads(out)["results"]["failures"] == 1
+        else:
+            assert out.splitlines()[-1] == "total failures: 1"
 
     @pytest.mark.parametrize("count", ["-5", "0"])
     def test_count_below_one_is_invalid_input(self, capsys, count):
