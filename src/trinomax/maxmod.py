@@ -27,7 +27,6 @@ import numpy as np
 from .spectrum import (
     TWO_PI,
     ReducedForm,
-    SpectrumGeometry,
     SpectrumStats,
     Transcript,
     Trinomial,
@@ -281,16 +280,14 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     return MaxResult(((x_star % TWO_PI, value),), 2, cls, None)
 
 
-def _localization_endpoints(
-    trinomial: Trinomial,
-) -> tuple[SpectrumGeometry, float, float, float]:
+def _localization_endpoints(trinomial: Trinomial) -> tuple[float, float, float]:
     """Maximum points of the three binomials left by dropping one coefficient.
 
-    Returns the spectrum geometry and the points e1 (first coefficient
-    kept with the middle one), e2 (middle with last) and e3 (first with
-    last), computed from the phases alone after shifting t1, t3 by the
-    whole turns of _turn_shifts, so that the phase combination lands in
-    (-pi, pi] and the endpoints stay within a few turns of the origin.
+    Returns the points e1 (first coefficient kept with the middle one), e2
+    (middle with last) and e3 (first with last), computed from the phases
+    alone after shifting t1, t3 by the whole turns of _turn_shifts, so that
+    the phase combination lands in (-pi, pi] and the endpoints stay within a
+    few turns of the origin.
     """
     geo = spectrum_geometry(trinomial.frequencies)
     l1, l2, l3 = geo.lams
@@ -301,7 +298,7 @@ def _localization_endpoints(
     e1 = (t1a - t2) / (l2 - l1)
     e2 = (t2 - t3a) / (l3 - l2)
     e3 = (t1a - t3a) / (l3 - l1)
-    return geo, e1, e2, e3
+    return e1, e2, e3
 
 
 def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
@@ -310,24 +307,26 @@ def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
     The endpoints are the maximum points of the two binomials obtained by
     dropping an outer coefficient, computed from the phases alone.
     """
-    _, e1, e2, _ = _localization_endpoints(trinomial)
+    e1, e2, _ = _localization_endpoints(trinomial)
     return (min(e1, e2), max(e1, e2))
 
 
 def _check_localization(
-    trinomial: Trinomial, tau: float, points: tuple[float, ...], period: float
+    trinomial: Trinomial, classification: MaxClassification, swapped: bool,
+    points: tuple[float, ...], period: float,
 ) -> None:
-    geo, e1, e2, e3 = _localization_endpoints(trinomial)
-    lo, hi = min(e1, e2), max(e1, e2)
-    if tau < math.pi - TAU_PI_TOL:
-        # refinement by the weight comparison; valid off the symmetric case
-        r1, _, r3 = geo.sort(trinomial.moduli)
-        if max_at_zero(geo.k, r1, geo.l, r3):
-            lo = hi = e3
-        elif geo.k * r1 < geo.l * r3:
-            lo, hi = min(e3, e2), max(e3, e2)
-        else:
-            lo, hi = min(e3, e1), max(e3, e1)
+    """Raise BracketFailure unless a point lies, mod period, in the phase-only
+    interval of the branch the solve took: e3 at k*r1 = l*r3; for a unique
+    interior point, e3 and e2, or e1 when the reduction swapped (k*r1 >
+    l*r3); at tau = pi, e1 and e2."""
+    e1, e2, e3 = _localization_endpoints(trinomial)
+    if classification is MaxClassification.AT_ZERO:
+        ends = (e3, e3)
+    elif classification is MaxClassification.INTERIOR_UNIQUE:
+        ends = (e3, e1 if swapped else e2)
+    else:
+        ends = (e1, e2)
+    lo, hi = min(ends), max(ends)
     mid = 0.5 * (lo + hi)
     for x in points:
         folded = x - period * round((x - mid) / period)
@@ -343,13 +342,13 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
 
     Runs the canonical reduction, locates the maximum of the reduced form and
     maps the points back through the transcript.  When tau = pi the symmetry
-    axis s (with x + y = s for the pair) is reported as well, and the result
-    is checked against the phase-only localization interval; the result
-    keeps the reduction it solved through.  The points are
-    stationary to spectrum.STATIONARY_REL_TOL relative; spectra past float
-    resolution for that (2*(l3 - l1)*ulp(2*pi/d) above it, a diameter
-    l3 - l1 beyond about 5.6e6 for d = 1) raise SpectrumError from the
-    reduction.
+    axis s (with x + y = s for the pair) is reported as well.  The points are
+    checked against the phase-only localization interval of the branch the
+    solve took, and the result keeps the reduction it solved through.  The
+    points are stationary to spectrum.STATIONARY_REL_TOL relative; spectra
+    past float resolution for that (2*(l3 - l1)*ulp(2*pi/d) above it, a
+    diameter l3 - l1 beyond about 5.6e6 for d = 1) raise SpectrumError from
+    the reduction.
     """
     form, stats, transcript = canonical_reduction(trinomial)
     res = find_max_reduced(form)
@@ -362,7 +361,9 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
         axis = (
             2.0 * transcript.v + res.s / (transcript.epsilon * transcript.homothety)
         ) % period
-    _check_localization(trinomial, stats.tau, tuple(x for x, _ in points), period)
+    _check_localization(
+        trinomial, res.classification, transcript.swapped, tuple(x for x, _ in points), period
+    )
     return MaxResult(points, res.multiplicity, res.classification, axis, (form, stats, transcript))
 
 

@@ -18,7 +18,7 @@ with the rest of the library, the period 2*pi/d from ``spectrum_geometry``;
 its evaluator is not the reduced-form expansion ``find_max_reduced`` uses,
 nor is its Newton loop on the + to - sign change of d|T|^2/dx the kernel's,
 so the comparison stays independent; ``agreement`` is the one rule that
-judges it.  ``golden_max`` refines a bracket without that sign change (a
+judges it.  ``_golden_max`` refines a bracket without that sign change (a
 flat or double peak) and runs the coordinate descent.
 
 All searches are deterministic given their grids and seeds.
@@ -59,7 +59,6 @@ __all__ = [
     "VerificationRow",
     "agreement",
     "brute_max",
-    "golden_max",
     "brute_sidon",
     "brute_multiplier_norm",
     "random_trinomial",
@@ -141,7 +140,7 @@ def _constant_agreement(got: float, expected: float) -> tuple[float, bool]:
     return error, error <= CONSTANT_ABS_TOL
 
 
-def golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float, int]:
+def _golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, float, int]:
     """Golden-section search for a maximum of ``fun`` on [lo, hi].
 
     Reuses one interior evaluation per step; returns the best probe, its
@@ -330,7 +329,7 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
         lo, hi = (i - 1) * h, (i + 1) * h
         x, n = _slope_root(slope, lo, hi)
         if x is None:
-            x, v, m = golden_max(lambda y: modulus_sq(y)[0], lo, hi)
+            x, v, m = _golden_max(lambda y: modulus_sq(y)[0], lo, hi)
         else:
             (v, bend), m = modulus_sq(x), 1
             # a quartic peak: the cubic slope loses its sign over ~eps^(1/3), but
@@ -442,7 +441,7 @@ def _constant_search(
             hi = min(bounds[axis][1], point[axis] + spans[axis])
             if hi <= lo:
                 continue
-            x, v, _ = golden_max(lambda y: objective(point[:axis] + [y] + point[axis + 1:]), lo, hi, iters=48)
+            x, v, _ = _golden_max(lambda y: objective(point[:axis] + [y] + point[axis + 1:]), lo, hi, iters=48)
             if v > best:
                 best = v
                 point[axis] = x
@@ -465,28 +464,20 @@ def brute_sidon(
     return _constant_search(frequencies, None, grid_phases, simplex_n, grid_n)
 
 
-def brute_multiplier_norm(
-    frequencies: tuple[int, int, int],
-    multiplier: Multiplier,
-    grid_phases: int = 96,
-    simplex_n: int = 20,
-    grid_n: int = 1024,
-) -> float:
-    """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|."""
+def brute_multiplier_norm(frequencies: tuple[int, int, int], multiplier: Multiplier) -> float:
+    """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|,
+    searched on 96 phases, a 20-subdivision simplex and a grid floor of 1024."""
     shift = spectrum_geometry(frequencies).sort(multiplier.phases)
-    return _constant_search(frequencies, shift, grid_phases, simplex_n, grid_n)
+    return _constant_search(frequencies, shift, 96, 20, 1024)
 
 
 def random_trinomial(
-    rng: np.random.Generator,
-    max_freq: int = 12,
-    modulus_range: tuple[float, float] = (1e-2, 1e2),
+    rng: np.random.Generator, modulus_range: tuple[float, float] = (1e-2, 1e2)
 ) -> Trinomial:
-    """Random instance: distinct frequencies in [-max_freq, max_freq], log-uniform moduli."""
-    max_freq = _count(max_freq, 1, "max_freq must be at least 1, got {n}")
+    """Random instance: distinct frequencies in [-12, 12], log-uniform moduli."""
     _check_moduli(modulus_range)
     while True:
-        freqs = rng.integers(-max_freq, max_freq + 1, size=3)
+        freqs = rng.integers(-12, 13, size=3)
         if len(set(freqs.tolist())) == 3:
             break
     lo, hi = math.log(modulus_range[0]), math.log(modulus_range[1])
@@ -495,16 +486,14 @@ def random_trinomial(
     return Trinomial(*(int(f) for f in freqs), *moduli, *phases)
 
 
-def random_symmetric_pair(
-    rng: np.random.Generator, max_center: int = 8
-) -> Trinomial:
-    """Random instance with tau = pi, outside the boundary and knife-edge branches."""
-    max_center = _count(max_center, 0, "max_center must be at least 0, got {n}")
+def random_symmetric_pair(rng: np.random.Generator) -> Trinomial:
+    """Random instance with tau = pi, outside the boundary and knife-edge
+    branches, with its middle frequency in [-8, 8]."""
     coprime = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (3, 4), (1, 5)]
     while True:
         k, l = coprime[int(rng.integers(0, len(coprime)))]
         d = int(rng.integers(1, 4))
-        center = int(rng.integers(-max_center, max_center + 1))
+        center = int(rng.integers(-8, 9))
         freqs = (center - k * d, center, center + l * d)
         moduli = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=3))
         r1, r2, r3 = (float(m) for m in moduli)

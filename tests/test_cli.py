@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trinomax import cli
+from trinomax import cli, maxmod
 from trinomax.cli import main
 from trinomax.maxmod import BracketFailure
 from trinomax.oracle import VerificationRow
@@ -149,6 +149,17 @@ class TestAnalyze:
                 "command": "analyze",
             }
         }
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_points_outside_the_localization_interval_exit_3(self, capsys, monkeypatch, fmt):
+        endpoints = maxmod._localization_endpoints
+        monkeypatch.setattr(maxmod, "_localization_endpoints", lambda tri: tuple(e + 1.0 for e in endpoints(tri)))
+        code, out = run(
+            capsys, "analyze", "-l", "-1", "0", "2", "-r", "1.0", "1.5", "1.2", "-p", "0.3", "1.1", "2.0", *fmt
+        )
+        assert code == 3
+        if fmt:
+            assert "escape the localization interval" in json.loads(out)["error"]["message"]
 
 
 class TestSidon:

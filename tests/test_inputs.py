@@ -8,13 +8,11 @@ import pytest
 
 import trinomax
 from trinomax import (
-    Multiplier,
     ReducedForm,
     SpectrumError,
     Trinomial,
     binomial_max,
     brute_max,
-    brute_multiplier_norm,
     brute_sidon,
     chebotarev_derivative,
     classify_unit_ball_point,
@@ -24,7 +22,6 @@ from trinomax import (
     hypotrochoid_sample,
     lift_to_measure,
     max_points_global,
-    random_symmetric_pair,
     random_trinomial,
     run_verification,
     sidon_constant,
@@ -55,16 +52,14 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: fstar(0, 0, 1, 1, 1, 0.1),
         lambda: sweep_rows(1, -1, 1, 1, 1, 4),
         lambda: chebotarev_derivative(-1, 1, 1, 1, 1, 0.1),
+        lambda: chebotarev_derivative(1, 2, 1, 1, 1, 0.1, side="0"),
+        lambda: chebotarev_derivative(1, 2, 1, 1, 1, 0.0),
         lambda: unit_ball_point((-1, 0, 1), (1, 1), (0, 0, 0)),
         lambda: unit_ball_point((-1, 0, 1), (1, 1, 1), (0.3,)),
         lambda: unit_ball_point((-1, 0, 1), (1, 1, 1, 1), (0, 0, 0)),
         lambda: brute_sidon((-1, 0, 1), grid_phases=0),
         lambda: brute_sidon((-1, 0, 1), simplex_n=2),
-        lambda: brute_multiplier_norm((-1, 0, 1), Multiplier(0, math.pi / 2, 0), grid_phases=1.5),
-        lambda: random_trinomial(np.random.default_rng(0), max_freq=0),
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=(-1, 1)),
-        lambda: random_symmetric_pair(np.random.default_rng(0), max_center=-1),
-        lambda: random_symmetric_pair(np.random.default_rng(0), max_center=1.5),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -82,16 +77,14 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "fstar-zero-gap-sum",
         "sweep-zero-gap-sum",
         "chebotarev-zero-gap-sum",
+        "chebotarev-unknown-side",
+        "chebotarev-zero-phase",
         "unit-ball-two-moduli",
         "unit-ball-one-phase",
         "unit-ball-four-moduli",
         "sidon-no-phase-grid",
         "sidon-two-simplex-subdivisions",
-        "multiplier-fractional-phase-grid",
-        "random-trinomial-zero-max-freq",
         "random-trinomial-negative-moduli",
-        "symmetric-pair-negative-max-center",
-        "symmetric-pair-fractional-max-center",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

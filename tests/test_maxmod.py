@@ -127,6 +127,8 @@ class TestDerivativeHalf:
         for x in (0.0, 0.1, 0.25):
             d2_fd = (half_derivative(form, x + h) - half_derivative(form, x - h)) / (2 * h)
             assert half_derivative(form, x, 2) == pytest.approx(d2_fd, abs=1e-6)
+            d3_fd = (half_derivative(form, x + h, 2) - half_derivative(form, x - h, 2)) / (2 * h)
+            assert half_derivative(form, x, 3) == pytest.approx(d3_fd, abs=1e-6)
 
 
 class TestLocateInterval:
@@ -513,6 +515,31 @@ class TestRootFinder:
             assert find_max_reduced(form2).value == pytest.approx(
                 closed_form_k2_l1(*r), rel=1e-10
             )
+
+
+class TestBracketFailures:
+    """Each consistency check that raises BracketFailure, reached by breaking
+    the piece it guards."""
+
+    def test_symmetric_pair_values_diverge(self, monkeypatch):
+        # a wrong inverse puts the partner point off the symmetry axis
+        monkeypatch.setattr(maxmod, "modular_inverse", lambda a, m: 0)
+        with pytest.raises(BracketFailure, match="symmetric pair values diverge"):
+            find_max_reduced(ReducedForm(1, 2, 1.0, 1.5, 1.2, math.pi / 3))
+
+    def test_points_escape_the_localization_interval(self, monkeypatch):
+        endpoints = maxmod._localization_endpoints
+        monkeypatch.setattr(maxmod, "_localization_endpoints", lambda tri: tuple(e + 1.0 for e in endpoints(tri)))
+        with pytest.raises(BracketFailure, match="escape the localization interval"):
+            max_points_global(Trinomial(-1, 0, 2, 1.0, 1.5, 1.2, 0.3, 1.1, 2.0))
+
+    def test_tau_just_below_the_pi_margin_is_checked_as_unique(self):
+        # tau = pi - 1e-9 to rounding: the solve takes the unique branch, and the
+        # check holds its point to that branch's narrower interval
+        tri = Trinomial(-1, 0, 3, 1, 2, 1.3, 0, 0.7853981631474483, 0)
+        res = max_points_global(tri)
+        assert res.classification is MaxClassification.INTERIOR_UNIQUE
+        assert len(res.points) == 1 and res.s is None
 
 
 class TestBranchMargins:

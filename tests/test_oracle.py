@@ -222,9 +222,7 @@ class TestBruteSidon:
 
 class TestBruteMultiplierNorm:
     def test_isometric_multiplier(self):
-        value = brute_multiplier_norm(
-            (-1, 0, 1), Multiplier(0.4, 0.4, 0.4), grid_phases=48, simplex_n=12
-        )
+        value = brute_multiplier_norm((-1, 0, 1), Multiplier(0.4, 0.4, 0.4))
         assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_quarter_turn(self):
@@ -244,19 +242,12 @@ class TestSearchGridGuard:
 
         monkeypatch.setattr(oracle, "_grid_max", scan)
         monkeypatch.setattr(oracle, "_pair_table", scan)
-        quarter = Multiplier(0, math.pi / 2, 0)
         with pytest.raises(SpectrumError, match="at least 1024 points, got 512"):
             brute_sidon((-1, 0, 1), grid_n=512)
-        with pytest.raises(SpectrumError, match="at least 1024 points, got 512"):
-            brute_multiplier_norm((-1, 0, 1), quarter, grid_n=512)
         with pytest.raises(SpectrumError, match="phase grid must have at least 1 point, got 0"):
             brute_sidon((-1, 0, 1), grid_phases=0)
-        with pytest.raises(SpectrumError, match="at least 1 point, got 1.5"):
-            brute_multiplier_norm((-1, 0, 1), quarter, grid_phases=1.5)
         with pytest.raises(SpectrumError, match="simplex grid must have at least 3 subdivisions, got 2"):
             brute_sidon((-1, 0, 1), simplex_n=2)
-        with pytest.raises(SpectrumError, match="at least 3 subdivisions, got 2"):
-            brute_multiplier_norm((-1, 0, 1), quarter, simplex_n=2)
 
     def test_a_diameter_past_the_largest_grid_fails_before_any_table(self, monkeypatch):
         def table(*args):
@@ -318,7 +309,7 @@ class TestConstantSearchBounds:
             sidon = 1.0 / math.cos(math.pi / (2 * spectrum_geometry(freqs).D))
             norm, _ = multiplier_norm(freqs, mult)
             assert brute_sidon(freqs, grid_phases=48, simplex_n=12) <= sidon * (1.0 + 1e-12)
-            assert brute_multiplier_norm(freqs, mult, grid_phases=48, simplex_n=12) <= norm * (1.0 + 1e-12)
+            assert brute_multiplier_norm(freqs, mult) <= norm * (1.0 + 1e-12)
 
 
 class TestPairCosineEvaluator:

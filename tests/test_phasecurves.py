@@ -50,6 +50,9 @@ class TestFstar:
             ).value
             assert minus == pytest.approx(base, rel=1e-12)
             assert shifted == pytest.approx(base, rel=1e-12)
+            # the fold itself: -t and 2*pi/D - t land in the upper half of a period
+            for unfolded in (-t, t + TWO_PI / (k + l), TWO_PI / (k + l) - t):
+                assert fstar(k, l, *r, unfolded) == pytest.approx(base, rel=1e-12)
 
 
 class TestChebotarev:
