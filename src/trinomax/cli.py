@@ -117,15 +117,6 @@ def _max_result_dict(res: MaxResult) -> dict:
     }
 
 
-def _witness_dict(witness) -> dict:
-    return {
-        "frequencies": list(witness.frequencies),
-        "moduli": list(witness.moduli),
-        "phases": list(witness.phases),
-        "attained": witness.attained,
-    }
-
-
 def _cmd_analyze(args) -> int:
     trinomial = _trinomial_from_args(args)
     res = max_points_global(trinomial)
@@ -191,7 +182,7 @@ def _report_constant(args, key: str, search, results: dict, rows: list) -> int:
 def _cmd_sidon(args) -> int:
     freqs = tuple(args.frequencies)
     constant, witness = sidon_constant(freqs)
-    results = {"constant": constant, "witness": _witness_dict(witness)}
+    results = {"constant": constant, "witness": asdict(witness)}
     rows = [("sidon constant", _g9(constant))]
     return _report_constant(args, "constant", lambda: brute_sidon(freqs), results, rows)
 
@@ -207,7 +198,7 @@ def _cmd_multiplier(args) -> int:
         "norm": norm,
         "tau": tau,
         "D": geo.D,
-        "witness": _witness_dict(witness),
+        "witness": asdict(witness),
         "measureLift": {
             "atom0": {"re": lift.atom0.real, "im": lift.atom0.imag, "abs": abs(lift.atom0)},
             "atom1": {"re": lift.atom1.real, "im": lift.atom1.imag, "abs": abs(lift.atom1)},

@@ -138,7 +138,7 @@ def sidon_constant(frequencies: tuple[int, int, int]) -> tuple[float, Witness]:
     multiplier norm at tau = pi.
     """
     geo = spectrum_geometry(frequencies)
-    constant = 1.0 / math.cos(math.pi / (2.0 * geo.D))
+    constant = _norm_at(math.pi, geo.D)
     w = _extremal_trinomial(geo)
     attained = (w.r1 + w.r2 + w.r3) / max_points_global(w).value
     return constant, Witness(w.frequencies, w.moduli, w.phases, attained)
@@ -213,6 +213,6 @@ def geometric_progression_bounds(q: int) -> tuple[float, float, float]:
     """
     q = _count(q, 3, "q must be an integer >= 3, got {n}")
     lower1 = 1.0 + math.pi**2 / (8.0 * (q + 1) ** 2)
-    lower2 = 1.0 / math.cos(math.pi / (2.0 * (q + 1)))
+    lower2 = _norm_at(math.pi, q + 1)
     upper = 1.0 + math.pi**2 / (2.0 * q * q - 2.0 - math.pi**2)
     return lower1, lower2, upper

@@ -19,23 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxmod import max_at_zero, max_points_global
-from .spectrum import Trinomial, _count, spectrum_geometry
+from .spectrum import SpectrumGeometry, Trinomial, _count, spectrum_geometry
 
 __all__ = ["Curve", "hypotrochoid_sample", "curve_point", "farthest_points"]
 
 
 @dataclass(frozen=True)
 class Curve:
-    """Parameter-ordered samples of one period of the curve (not arc length)."""
+    """Parameter-ordered samples over x in (-pi, pi], d periods of the curve (not arc length)."""
 
     samples: tuple[tuple[float, complex], ...]
     closed: bool
     cusp_count: int | None
 
 
-def _outer_curve(trinomial: Trinomial):
-    """The outer-coefficient curve as a function of its parameter x."""
-    geo = spectrum_geometry(trinomial.frequencies)
+def _outer_curve(trinomial: Trinomial, geo: SpectrumGeometry):
+    """The outer-coefficient curve, on spectrum geometry geo, as a function of its parameter x."""
     r1, _, r3 = geo.sort(trinomial.moduli)
     t1, _, t3 = geo.sort(trinomial.phases)
     gap1, gap3 = geo.lams[1] - geo.lams[0], geo.lams[2] - geo.lams[1]
@@ -44,7 +43,7 @@ def _outer_curve(trinomial: Trinomial):
 
 def curve_point(trinomial: Trinomial, x: float) -> complex:
     """Point of the outer-coefficient curve at parameter x."""
-    return complex(_outer_curve(trinomial)(x))
+    return complex(_outer_curve(trinomial, spectrum_geometry(trinomial.frequencies))(x))
 
 
 def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
@@ -58,7 +57,7 @@ def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
     r1, _, r3 = geo.sort(trinomial.moduli)
     cusps = geo.D if max_at_zero(geo.k, r1, geo.l, r3) else None
     xs = -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
-    samples = tuple(zip(xs.tolist(), _outer_curve(trinomial)(xs).tolist()))
+    samples = tuple(zip(xs.tolist(), _outer_curve(trinomial, geo)(xs).tolist()))
     return Curve(samples=samples, closed=True, cusp_count=cusps)
 
 
@@ -68,9 +67,10 @@ def farthest_points(trinomial: Trinomial) -> list[tuple[float, float]]:
     This is exactly the maximum-modulus problem for the trinomial itself,
     so the parameters are its maximum points; one or two are returned.
     """
-    ts, _ = trinomial.sorted_by_frequency()
-    center = -ts.r2 * cmath.exp(1j * ts.t2)
+    geo = spectrum_geometry(trinomial.frequencies)
+    curve = _outer_curve(trinomial, geo)
+    center = -geo.sort(trinomial.moduli)[1] * cmath.exp(1j * geo.sort(trinomial.phases)[1])
     return [
-        (x, abs(curve_point(trinomial, x) - center))
+        (x, abs(complex(curve(x)) - center))
         for x, _ in max_points_global(trinomial).points
     ]

@@ -83,8 +83,8 @@ class MaxResult:
     """Maximum-modulus points of a trinomial, modulo its natural period.
 
     points holds one or two (x, value) pairs; two points occur only when
-    tau = pi.  multiplicity is 2 except on the degenerate coefficient set
-    where the maximum is attained with multiplicity 4.  s is the symmetry
+    tau = pi.  multiplicity follows from the classification: 4 on the
+    degenerate coefficient set (Degenerate4), 2 otherwise.  s is the symmetry
     axis parameter, present exactly when tau = pi (then x + y = s for the
     symmetric pair).  reduction is the (form, stats, transcript) of the
     canonical reduction max_points_global solved through; find_max_reduced,
@@ -92,7 +92,6 @@ class MaxResult:
     """
 
     points: tuple[tuple[float, float], ...]
-    multiplicity: int
     classification: MaxClassification
     s: float | None
     reduction: tuple[ReducedForm, SpectrumStats, Transcript] | None = None
@@ -100,6 +99,10 @@ class MaxResult:
     @property
     def value(self) -> float:
         return max(v for _, v in self.points)
+
+    @property
+    def multiplicity(self) -> int:
+        return 4 if self.classification is MaxClassification.DEGENERATE4 else 2
 
 
 def evaluate(trinomial: Trinomial, x):
@@ -253,11 +256,11 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
             edge, edge_scale = _knife_edge(form)
             if abs(edge) <= DEGENERATE_REL_TOL * edge_scale:
                 return MaxResult(
-                    ((t % TWO_PI, r2 + r3 - r1),), 4, MaxClassification.DEGENERATE4, 2.0 * t
+                    ((t % TWO_PI, r2 + r3 - r1),), MaxClassification.DEGENERATE4, 2.0 * t
                 )
             if edge < 0.0:
                 return MaxResult(
-                    ((t % TWO_PI, r2 + r3 - r1),), 2, MaxClassification.AT_BOUNDARY, 2.0 * t
+                    ((t % TWO_PI, r2 + r3 - r1),), MaxClassification.AT_BOUNDARY, 2.0 * t
                 )
             # the derivative vanishes identically at t, so the bracket stops
             # short of it; a maximum closer to t than that is taken as t - 1e-7 * t
@@ -275,9 +278,9 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
                 f"symmetric pair values diverge: {value} vs {value2} at tau within {TAU_PI_TOL} of pi"
             )
         points = tuple(sorted(((x_star % TWO_PI, value), (partner, value2))))
-        return MaxResult(points, 2, MaxClassification.SYMMETRIC_PAIR, axis)
+        return MaxResult(points, MaxClassification.SYMMETRIC_PAIR, axis)
     cls = MaxClassification.AT_ZERO if at_zero else MaxClassification.INTERIOR_UNIQUE
-    return MaxResult(((x_star % TWO_PI, value),), 2, cls, None)
+    return MaxResult(((x_star % TWO_PI, value),), cls, None)
 
 
 def _localization_endpoints(trinomial: Trinomial) -> tuple[float, float, float]:
@@ -364,7 +367,7 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     _check_localization(
         trinomial, res.classification, transcript.swapped, tuple(x for x, _ in points), period
     )
-    return MaxResult(points, res.multiplicity, res.classification, axis, (form, stats, transcript))
+    return MaxResult(points, res.classification, axis, (form, stats, transcript))
 
 
 def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[float, ...]]:

@@ -349,7 +349,7 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     for x, _ in keep:
         if all(_circular_distance(x, y, period) > radius for y in argmaxes):
             argmaxes.append(x)
-    return OracleReport(best, tuple(sorted(argmaxes)), grid_n, period, evaluations)
+    return OracleReport(best, tuple(argmaxes), grid_n, period, evaluations)
 
 
 def _simplex_grid(n: int) -> np.ndarray:
@@ -378,11 +378,11 @@ MAX_SEARCH_GRID = 2**16
 
 
 def _constant_search(
-    frequencies, shift: tuple[float, float, float] | None, grid_phases: int, simplex_n: int, grid_n: int
+    geo, shift: tuple[float, float, float] | None, grid_phases: int, simplex_n: int, grid_n: int
 ) -> float:
     """Sup of one ratio over moduli r on the unit simplex and the middle phase u2.
 
-    With top(r, phases) the maximum of |T| on the sorted spectrum, the ratio
+    With top(r, phases) the maximum of |T| on the sorted spectrum geo.lams, the ratio
     is top(r, base + shift) / top(r, base) at base = (0, u2, 0) for a
     multiplier's sorted phases ``shift``, and 1 / top(r, base) for the Sidon
     constant (``shift`` None; the moduli sum to 1).  It is maximised first on
@@ -392,7 +392,6 @@ def _constant_search(
     halving spans, with top ``_grid_and_refine`` on the whole table.  A grid
     past MAX_SEARCH_GRID (D > 2**13) raises SpectrumError before any table.
     """
-    geo = spectrum_geometry(frequencies)
     grid_phases = _count(grid_phases, 1, "phase grid must have at least 1 point, got {n}")
     simplex_n = _count(simplex_n, 3, "simplex grid must have at least 3 subdivisions, got {n}")
 
@@ -461,14 +460,14 @@ def brute_sidon(
     can be rotated away by an isometry), over a full-turn grid followed by
     coordinate-descent refinement of (r1, r2, u2) on the unit simplex.
     """
-    return _constant_search(frequencies, None, grid_phases, simplex_n, grid_n)
+    return _constant_search(spectrum_geometry(frequencies), None, grid_phases, simplex_n, grid_n)
 
 
 def brute_multiplier_norm(frequencies: tuple[int, int, int], multiplier: Multiplier) -> float:
     """Empirical multiplier norm: sup over the unit ball of max|MT| / max|T|,
     searched on 96 phases, a 20-subdivision simplex and a grid floor of 1024."""
-    shift = spectrum_geometry(frequencies).sort(multiplier.phases)
-    return _constant_search(frequencies, shift, 96, 20, 1024)
+    geo = spectrum_geometry(frequencies)
+    return _constant_search(geo, geo.sort(multiplier.phases), 96, 20, 1024)
 
 
 def random_trinomial(

@@ -39,6 +39,10 @@ ISOMETRY_TAU_TOL = 1e-9
 # slack on the reduced phase range [0, pi/(k+l)], absolute below 0 and
 # relative above the edge: a t computed from tau may round a few ulp past it
 REDUCED_T_SLACK = 1e-12
+# the largest modulus must lie in [1/MODULUS_SCALE, MODULUS_SCALE]: the solve and
+# the oracle square the moduli, which overflows past about 1.3e154 and turns subnormal
+# below about 1e-154, and |T| is homogeneous in the moduli, so any trinomial rescales into range
+MODULUS_SCALE = 1e100
 
 __all__ = [
     "SpectrumError",
@@ -81,10 +85,15 @@ def _frequencies(frequencies) -> tuple[int, int, int]:
 
 
 def _check_moduli(moduli) -> None:
-    """Trinomial moduli: positive and finite."""
+    """Trinomial moduli: positive and finite, the largest in [1/MODULUS_SCALE, MODULUS_SCALE]."""
     for r in moduli:
         if not 0.0 < r < inf:
             raise SpectrumError(f"moduli must be positive and finite, got {r}")
+    if not 1.0 / MODULUS_SCALE <= max(moduli) <= MODULUS_SCALE:
+        raise SpectrumError(
+            f"the largest modulus must lie in [{1.0 / MODULUS_SCALE:g}, {MODULUS_SCALE:g}], got "
+            f"{max(moduli)}; |T| scales with the moduli, so divide them by a common factor"
+        )
 
 
 def _check_phases(phases, name: str = "phases") -> None:
@@ -458,9 +467,6 @@ def canonical_reduction(
 
 
 def _two_adic_valuation(n: int) -> int:
-    n = abs(n)
-    if n == 0:
-        raise ValueError("valuation of zero is undefined")
     return (n & -n).bit_length() - 1
 
 

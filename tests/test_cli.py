@@ -127,6 +127,17 @@ class TestAnalyze:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"], ["--verify"]], ids=["text", "json", "verify"])
+    @pytest.mark.parametrize(
+        "moduli", [("1e160", "2e160", "3e160"), ("1e-160", "2e-160", "3e-160")], ids=["huge", "tiny"]
+    )
+    def test_moduli_out_of_range_exit_2(self, capsys, moduli, fmt):
+        code = main(["analyze", "-l", "-1", "0", "2", "-r", *moduli, "-p", "0.1", "0.2", "0.3", *fmt])
+        out, err = capsys.readouterr()
+        assert code == 2
+        message = json.loads(out)["error"]["message"] if fmt == ["--json"] else err
+        assert "the largest modulus must lie in [1e-100, 1e+100]" in message
+
     def test_invalid_spectrum_json_error_body(self, capsys):
         code, out = run(
             capsys, "analyze", "-l", "1", "1", "2", "-r", "1", "1", "1", "--json"

@@ -220,6 +220,14 @@ class TestReconstruction:
         with pytest.raises(NoSolution):
             reconstruct_from_two_points((-1, 0, 1), 0.0, math.pi, 2.0 + 0j, 2.0 + 0j)
 
+    def test_zero_value_is_no_solution(self):
+        with pytest.raises(NoSolution, match="nonzero"):
+            reconstruct_from_two_points((-1, 0, 1), 0.3, 1.2, 0j, 1 + 0j)
+
+    def test_points_one_period_apart_are_rejected(self):
+        with pytest.raises(SpectrumError, match="differ"):
+            reconstruct_from_two_points((-1, 0, 1), 0.3, 0.3 + TWO_PI, 1 + 0j, 1 + 0j)
+
     def test_rejects_mismatched_moduli(self):
         with pytest.raises(NoSolution):
             reconstruct_from_two_points((-1, 0, 1), 0.0, math.pi, 2.0 + 0j, 1.0j)

@@ -60,6 +60,12 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: brute_sidon((-1, 0, 1), grid_phases=0),
         lambda: brute_sidon((-1, 0, 1), simplex_n=2),
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=(-1, 1)),
+        lambda: Trinomial(-1, 0, 2, 1e160, 2e160, 3e160),
+        lambda: Trinomial(-1, 0, 2, 1e-160, 2e-160, 3e-160),
+        lambda: ReducedForm(1, 2, 1e101, 1.0, 1e101, 0.1),
+        lambda: binomial_max(1e-101, 1e-101),
+        lambda: maxmod.closed_form_k1_l1(1e200, 1e200, 1e200),
+        lambda: maxmod.closed_form_k2_l1(1e-300, 1e-300, 1e-300),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -85,6 +91,12 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "sidon-no-phase-grid",
         "sidon-two-simplex-subdivisions",
         "random-trinomial-negative-moduli",
+        "trinomial-moduli-above-range",
+        "trinomial-moduli-below-range",
+        "reduced-form-moduli-above-range",
+        "binomial-moduli-below-range",
+        "closed-form-k1-moduli-above-range",
+        "closed-form-k2-moduli-below-range",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

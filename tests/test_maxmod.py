@@ -221,6 +221,16 @@ class TestFindMaxReduced:
 
 
 class TestMaxPointsGlobal:
+    @pytest.mark.parametrize("freqs", [(-1, 0, 2), (0, 1, 3000)])
+    @pytest.mark.parametrize("scale", [1e100 / 3, 1e-100], ids=["top", "bottom"])
+    def test_moduli_at_the_range_ends_solve_as_at_scale_one(self, freqs, scale):
+        base = max_points_global(Trinomial(*freqs, 1, 2, 3, 0.1, 0.2, 0.3))
+        tri = Trinomial(*freqs, scale, 2 * scale, 3 * scale, 0.1, 0.2, 0.3)
+        res = max_points_global(tri)
+        assert [x for x, _ in res.points] == [x for x, _ in base.points]
+        assert res.value / scale == pytest.approx(base.value, rel=1e-15)
+        assert oracle.agreement(res, oracle.brute_max(tri)).ok
+
     def test_aligned_phases_unique_point(self):
         res = max_points_global(Trinomial(-2, 0, 1, 4, 1, 1))
         assert len(res.points) == 1
@@ -460,6 +470,16 @@ class TestRootFinder:
     def test_endpoint_signs_are_guarded(self, fun):
         with pytest.raises(BracketFailure, match="endpoint derivative signs violate the bracket"):
             maxmod._root_plus_to_minus(fun, 0.0, 1.0, 1.0)
+
+    def test_nonnegative_right_end_is_the_root(self):
+        assert maxmod._root_plus_to_minus(lambda x: (1.0 - x, -1.0), 0.0, 1.0, 1.0) == 1.0
+
+    def test_step_slope_ends_at_the_bisection_floor(self):
+        # g' = 0 refuses every Newton step, so only bisection narrows the bracket
+        root = maxmod._root_plus_to_minus(
+            lambda x: (1.0 if x < 1.0 / 3.0 else -1.0, 0.0), 0.0, 1.0, 1.0
+        )
+        assert root == 0.33333333333333326
 
     def test_converges_to_float_resolution(self):
         root = maxmod._root_plus_to_minus(

@@ -469,7 +469,7 @@ class TestAgreementRule:
     PERIOD = TWO_PI
 
     def result(self, *xs, value=2.0):
-        return MaxResult(tuple((x, value) for x in xs), 2, MaxClassification.INTERIOR_UNIQUE, None)
+        return MaxResult(tuple((x, value) for x in xs), MaxClassification.INTERIOR_UNIQUE, None)
 
     def report(self, *xs, value=2.0):
         return OracleReport(value, tuple(xs), 1024, self.PERIOD, 0)

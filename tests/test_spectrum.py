@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from trinomax import (
     Multiplier,
+    ReducedForm,
     SpectrumError,
     Trinomial,
     canonical_reduction,
@@ -63,6 +64,16 @@ def test_modular_inverse(a, n, m):
 def test_modular_inverse_rejects_noncoprime():
     with pytest.raises(SpectrumError):
         modular_inverse(2, 4)
+
+
+def test_modular_inverse_rejects_modulus_below_two():
+    with pytest.raises(SpectrumError, match="modulus must be >= 2"):
+        modular_inverse(1, 1)
+
+
+def test_reduced_form_rejects_unnormalised_moduli():
+    with pytest.raises(SpectrumError, match="normalisation"):
+        ReducedForm(1, 2, 5.0, 1.0, 1.0, 0.1)
 
 
 def test_wrap_angle_range_and_identity():
