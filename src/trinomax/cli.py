@@ -120,24 +120,25 @@ def _max_result_dict(res: MaxResult) -> dict:
 def _cmd_analyze(args) -> int:
     trinomial = _trinomial_from_args(args)
     res = max_points_global(trinomial)
-    form, stats, transcript = res.reduction
+    red = res.reduction
+    geo = red.geometry
     results = {
-        "spectrum": asdict(stats),
-        "reduced": asdict(form),
+        "spectrum": {"d": geo.d, "k": geo.k, "l": geo.l, "m": geo.m, "D": geo.D, "tau": red.tau},
+        "reduced": asdict(red.form),
         "transcript": {
-            "sortPermutation": list(transcript.sort_permutation),
-            "alpha": transcript.alpha,
-            "v": transcript.v,
-            "epsilon": transcript.epsilon,
-            "swapped": transcript.swapped,
-            "homothety": transcript.homothety,
+            "sortPermutation": list(geo.perm),
+            "alpha": red.alpha,
+            "v": red.v,
+            "epsilon": red.epsilon,
+            "swapped": red.swapped,
+            "homothety": geo.d,
         },
         "max": _max_result_dict(res),
     }
     rows = [
-        ("tau", _g9(stats.tau)),
-        ("d / k / l / D", f"{stats.d} / {stats.k} / {stats.l} / {stats.D}"),
-        ("reduced t", _g9(form.t)),
+        ("tau", _g9(red.tau)),
+        ("d / k / l / D", f"{geo.d} / {geo.k} / {geo.l} / {geo.D}"),
+        ("reduced t", _g9(red.form.t)),
         ("max modulus", _g9(res.value)),
         ("classification", res.classification.value),
         ("multiplicity", str(res.multiplicity)),
@@ -219,7 +220,7 @@ def _cmd_multiplier(args) -> int:
 
 def _cmd_sweep(args) -> int:
     trinomial = Trinomial(*args.frequencies, *args.moduli)
-    form, _, _ = canonical_reduction(trinomial)
+    form = canonical_reduction(trinomial).form
     rows = sweep_rows(form.k, form.l, form.r1, form.r2, form.r3, args.n)
     text = _csv(["tau", "t", "fstar", "ratio", "bound"], (astuple(row) for row in rows))
     return _emit(args, {"rows": [asdict(row) for row in rows]}, text)

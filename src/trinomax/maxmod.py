@@ -27,8 +27,8 @@ import numpy as np
 from .spectrum import (
     TWO_PI,
     ReducedForm,
-    SpectrumStats,
-    Transcript,
+    Reduction,
+    SpectrumGeometry,
     Trinomial,
     _check_moduli,
     _turn_shifts,
@@ -86,15 +86,15 @@ class MaxResult:
     tau = pi.  multiplicity follows from the classification: 4 on the
     degenerate coefficient set (Degenerate4), 2 otherwise.  s is the symmetry
     axis parameter, present exactly when tau = pi (then x + y = s for the
-    symmetric pair).  reduction is the (form, stats, transcript) of the
-    canonical reduction max_points_global solved through; find_max_reduced,
-    which starts from a reduced form, leaves it None.
+    symmetric pair).  reduction is the Reduction max_points_global solved
+    through; find_max_reduced, which starts from a reduced form, leaves it
+    None.
     """
 
     points: tuple[tuple[float, float], ...]
     classification: MaxClassification
     s: float | None
-    reduction: tuple[ReducedForm, SpectrumStats, Transcript] | None = None
+    reduction: Reduction | None = None
 
     @property
     def value(self) -> float:
@@ -283,19 +283,20 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     return MaxResult(((x_star % TWO_PI, value),), cls, None)
 
 
-def _localization_endpoints(trinomial: Trinomial) -> tuple[float, float, float]:
+def _localization_endpoints(
+    geo: SpectrumGeometry, phases: tuple[float, float, float], turns: tuple[int, int]
+) -> tuple[float, float, float]:
     """Maximum points of the three binomials left by dropping one coefficient.
 
     Returns the points e1 (first coefficient kept with the middle one), e2
-    (middle with last) and e3 (first with last), computed from the phases
-    alone after shifting t1, t3 by the whole turns of _turn_shifts, so that
-    the phase combination lands in (-pi, pi] and the endpoints stay within a
-    few turns of the origin.
+    (middle with last) and e3 (first with last), computed from the sorted
+    phases alone after shifting t1, t3 by the whole turns (U, W) of
+    _turn_shifts, so that the phase combination lands in (-pi, pi] and the
+    endpoints stay within a few turns of the origin.
     """
-    geo = spectrum_geometry(trinomial.frequencies)
     l1, l2, l3 = geo.lams
-    t1, t2, t3 = geo.sort(trinomial.phases)
-    u, w = _turn_shifts(geo, (t1, t2, t3))
+    t1, t2, t3 = phases
+    u, w = turns
     t1a = t1 - TWO_PI * u
     t3a = t3 - TWO_PI * w
     e1 = (t1a - t2) / (l2 - l1)
@@ -310,27 +311,30 @@ def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
     The endpoints are the maximum points of the two binomials obtained by
     dropping an outer coefficient, computed from the phases alone.
     """
-    e1, e2, _ = _localization_endpoints(trinomial)
+    geo = spectrum_geometry(trinomial.frequencies)
+    phases = geo.sort(trinomial.phases)
+    e1, e2, _ = _localization_endpoints(geo, phases, _turn_shifts(geo, phases)[1])
     return (min(e1, e2), max(e1, e2))
 
 
 def _check_localization(
-    trinomial: Trinomial, classification: MaxClassification, swapped: bool,
-    points: tuple[float, ...], period: float,
+    reduction: Reduction, phases: tuple[float, float, float],
+    classification: MaxClassification, points: tuple[float, ...],
 ) -> None:
-    """Raise BracketFailure unless a point lies, mod period, in the phase-only
-    interval of the branch the solve took: e3 at k*r1 = l*r3; for a unique
-    interior point, e3 and e2, or e1 when the reduction swapped (k*r1 >
-    l*r3); at tau = pi, e1 and e2."""
-    e1, e2, e3 = _localization_endpoints(trinomial)
+    """Raise BracketFailure unless a point lies, mod the period, in the
+    phase-only interval of the branch the solve took: e3 at k*r1 = l*r3; for
+    a unique interior point, e3 and e2, or e1 when the reduction swapped
+    (k*r1 > l*r3); at tau = pi, e1 and e2.  phases are the sorted phases."""
+    e1, e2, e3 = _localization_endpoints(reduction.geometry, phases, reduction.turns)
     if classification is MaxClassification.AT_ZERO:
         ends = (e3, e3)
     elif classification is MaxClassification.INTERIOR_UNIQUE:
-        ends = (e3, e1 if swapped else e2)
+        ends = (e3, e1 if reduction.swapped else e2)
     else:
         ends = (e1, e2)
     lo, hi = min(ends), max(ends)
     mid = 0.5 * (lo + hi)
+    period = reduction.period
     for x in points:
         folded = x - period * round((x - mid) / period)
         if lo - LOCALIZATION_TOL <= folded <= hi + LOCALIZATION_TOL:
@@ -344,7 +348,7 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     """Maximum-modulus points of a general trinomial, modulo 2*pi/d.
 
     Runs the canonical reduction, locates the maximum of the reduced form and
-    maps the points back through the transcript.  When tau = pi the symmetry
+    maps the points back through the reduction.  When tau = pi the symmetry
     axis s (with x + y = s for the pair) is reported as well.  The points are
     checked against the phase-only localization interval of the branch the
     solve took, and the result keeps the reduction it solved through.  The
@@ -353,21 +357,16 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     diameter l3 - l1 beyond about 5.6e6 for d = 1) raise SpectrumError from
     the reduction.
     """
-    form, stats, transcript = canonical_reduction(trinomial)
-    res = find_max_reduced(form)
-    period = TWO_PI / stats.d
-    points = tuple(
-        sorted((transcript.from_reduced(x) % period, v) for x, v in res.points)
-    )
+    reduction = canonical_reduction(trinomial)
+    res = find_max_reduced(reduction.form)
+    period = reduction.period
+    points = tuple(sorted((reduction.from_reduced(x) % period, v) for x, v in res.points))
     axis = None
     if res.s is not None:
-        axis = (
-            2.0 * transcript.v + res.s / (transcript.epsilon * transcript.homothety)
-        ) % period
-    _check_localization(
-        trinomial, res.classification, transcript.swapped, tuple(x for x, _ in points), period
-    )
-    return MaxResult(points, res.classification, axis, (form, stats, transcript))
+        axis = (2.0 * reduction.v + res.s / (reduction.epsilon * reduction.geometry.d)) % period
+    phases = reduction.geometry.sort(trinomial.phases)
+    _check_localization(reduction, phases, res.classification, tuple(x for x, _ in points))
+    return MaxResult(points, res.classification, axis, reduction)
 
 
 def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[float, ...]]:

@@ -48,7 +48,6 @@ from .spectrum import (
     Trinomial,
     _check_moduli,
     _count,
-    derive_spectrum_stats,
     make_reduced_form,
     spectrum_geometry,
 )
@@ -541,7 +540,7 @@ def _axis_error(res: MaxResult) -> tuple[float, bool] | None:
     if len(res.points) != 2 or res.s is None:
         return None
     (x, _), (y, _) = res.points
-    err = _circular_distance(x + y, res.s, TWO_PI / res.reduction[1].d)
+    err = _circular_distance(x + y, res.s, res.reduction.period)
     return err, err <= PAIR_AXIS_TOL
 
 
@@ -574,7 +573,7 @@ def run_verification(seed: int, count: int) -> list[VerificationRow]:
     single: list[Agreement | None] = []
     while len(single) < count:
         tri = random_trinomial(rng)
-        if derive_spectrum_stats(tri).tau >= math.pi - 1e-3:
+        if abs(spectrum_geometry(tri.frequencies).signed_tau(tri.phases)) >= math.pi - 1e-3:
             continue
         analytic = max_points_global(tri)
         agreed = agreement(analytic, brute_max(tri))

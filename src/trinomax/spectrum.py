@@ -13,7 +13,7 @@ to the canonical form
 
     r1*e^(-i k x) + r2*e^(i t) + r3*e^(i l x),   t in [0, pi/(k+l)],  k*r1 <= l*r3
 
-recording every normalisation step in an invertible transcript.
+returned as one Reduction: the form, the invariants and the map back to x.
 
 Everything here is pure and reentrant; all values are immutable.
 """
@@ -48,14 +48,12 @@ __all__ = [
     "SpectrumError",
     "Trinomial",
     "Multiplier",
-    "SpectrumStats",
     "SpectrumGeometry",
-    "Transcript",
     "ReducedForm",
+    "Reduction",
     "wrap_angle",
     "modular_inverse",
     "spectrum_geometry",
-    "derive_spectrum_stats",
     "phase_combination",
     "is_isometry",
     "canonical_reduction",
@@ -218,48 +216,6 @@ class Multiplier:
 
 
 @dataclass(frozen=True)
-class SpectrumStats:
-    """Discrete invariants of a three-point spectrum plus the phase invariant.
-
-    d is the gcd of the frequency gaps (the modulus profile is 2*pi/d
-    periodic), k and l are the coprime gaps after sorting, D = k + l is the
-    diameter divided by d, m is the inverse of l modulo D, and tau in
-    [0, pi] is the distance of the integer-weighted phase combination to
-    2*pi*Z.
-    """
-
-    d: int
-    k: int
-    l: int
-    m: int
-    D: int
-    tau: float
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Invertible record of the normalisations applied by canonical_reduction.
-
-    The reduction satisfies |T(x)| = |R(epsilon * d * (x - v))| for every x,
-    where R is the reduced form, so a point y of the reduced coordinate maps
-    back to v + y/(epsilon*d).
-    """
-
-    sort_permutation: tuple[int, int, int]
-    alpha: float
-    v: float
-    epsilon: int
-    swapped: bool
-    homothety: int
-
-    def to_reduced(self, x: float) -> float:
-        return self.epsilon * self.homothety * (x - self.v)
-
-    def from_reduced(self, y: float) -> float:
-        return self.v + y / (self.epsilon * self.homothety)
-
-
-@dataclass(frozen=True)
 class ReducedForm:
     """Canonical trinomial r1*e^(-ikx) + r2*e^(it) + r3*e^(ilx).
 
@@ -313,8 +269,8 @@ class SpectrumGeometry(NamedTuple):
     """Sort order and gap structure of a three-point spectrum.
 
     perm maps sorted slot j to the original index perm[j]; lams are the
-    sorted frequencies, d the gcd of their gaps and k, l the coprime gaps
-    divided by d.
+    sorted frequencies, d the gcd of their gaps (the modulus profile is
+    2*pi/d periodic) and k, l the coprime gaps divided by d.
     """
 
     perm: tuple[int, int, int]
@@ -326,6 +282,11 @@ class SpectrumGeometry(NamedTuple):
     @property
     def D(self) -> int:
         return self.k + self.l
+
+    @property
+    def m(self) -> int:
+        """The inverse of l modulo D."""
+        return modular_inverse(self.l, self.D)
 
     def sort(self, values) -> tuple:
         """Per-coefficient values reordered into sorted-frequency order."""
@@ -350,48 +311,65 @@ def spectrum_geometry(frequencies) -> SpectrumGeometry:
     return SpectrumGeometry(perm, (l1, l2, l3), d, (l2 - l1) // d, (l3 - l2) // d)
 
 
-def _stats(geo: SpectrumGeometry, tau: float) -> SpectrumStats:
-    return SpectrumStats(
-        d=geo.d, k=geo.k, l=geo.l, m=modular_inverse(geo.l, geo.D), D=geo.D, tau=tau
-    )
+@dataclass(frozen=True)
+class Reduction:
+    """A trinomial's canonical reduction: the reduced form R and the map back.
+
+    tau in [0, pi] is the phase invariant, turns the whole turns (U, W) of
+    _turn_shifts on the sorted phases, and (alpha, v) the isometric rotation
+    and shift stripped from the phases.  |T(x)| = |R(epsilon*d*(x - v))| for
+    every x; swapped records that k*r1 > l*r3 exchanged the outer coefficients.
+    """
+
+    form: ReducedForm
+    geometry: SpectrumGeometry
+    tau: float
+    turns: tuple[int, int]
+    alpha: float
+    v: float
+    epsilon: int
+    swapped: bool
+
+    @property
+    def period(self) -> float:
+        """2*pi/d, the period of the modulus profile."""
+        return TWO_PI / self.geometry.d
+
+    def from_reduced(self, y: float) -> float:
+        """The point x whose reduced coordinate epsilon*d*(x - v) is y."""
+        return self.v + y / (self.epsilon * self.geometry.d)
 
 
-def derive_spectrum_stats(trinomial: Trinomial) -> SpectrumStats:
-    """Spectrum invariants (d, k, l, m, D) and the phase invariant tau."""
-    geo = spectrum_geometry(trinomial.frequencies)
-    return _stats(geo, abs(geo.signed_tau(trinomial.phases)))
-
-
-def _turn_shifts(geo: SpectrumGeometry, phases: tuple[float, float, float]) -> tuple[int, int]:
-    """Whole turns (U, W) to take off the sorted phases t1 and t3.
+def _turn_shifts(geo: SpectrumGeometry, phases: tuple[float, float, float]) -> tuple[float, tuple[int, int]]:
+    """The wrapped phase combination and the whole turns (U, W) to take off
+    the sorted phases t1 and t3.
 
     0 <= U < k and U*l + W*k is the number of turns that brings the phase
     combination into (-pi, pi], so t1 - 2*pi*U, t2, t3 - 2*pi*W carry the
-    wrapped combination.  Integer arithmetic throughout: U is the shift
-    times the inverse of l modulo k, W follows exactly.
+    wrapped combination, the signed tau.  Integer arithmetic throughout: U is
+    the shift times the inverse of l modulo k, W follows exactly.
     """
     comb = phase_combination(geo.k, geo.l, *phases)
-    shift = round((wrap_angle(comb) - comb) / TWO_PI)
+    wrapped = wrap_angle(comb)
+    shift = round((wrapped - comb) / TWO_PI)
     u = shift * pow(geo.l, -1, geo.k) % geo.k
-    return u, (shift - u * geo.l) // geo.k
+    return wrapped, (u, (shift - u * geo.l) // geo.k)
 
 
-def _solve_common_shift(
-    geo: SpectrumGeometry, phases: tuple[float, float, float], tol: float
-) -> float:
+def _solve_common_shift(geo: SpectrumGeometry, phases: tuple[float, float, float], u: int, tol: float) -> float:
     """Solve phases[j] + lams[j]*v = const (mod 2*pi) for v, lams = geo.lams.
 
     phases are in sorted-frequency order.  A solution exists exactly when the
-    weighted phase combination lies in 2*pi*Z.  Taking U whole turns off t1
-    (see _turn_shifts) makes the combination vanish, so with n = -U mod k
+    weighted phase combination lies in 2*pi*Z.  Taking the U = u whole turns
+    of _turn_shifts off t1 makes the combination vanish, so with n = -U mod k
     v = (t1 - t2 + 2*pi*n)/(l2 - l1) solves the first congruence and, up to
     rounding, the second; its residual there is checked against tol.  The
-    cost is one modular inverse, O(log gap).
+    cost is one modular inverse, O(log gap).  Moving t2 by the signed tau
+    over k+l, as canonical_reduction does, leaves U unchanged.
     """
     l1, l2, l3 = geo.lams
     t1, t2, t3 = phases
-    n = -_turn_shifts(geo, phases)[0] % geo.k
-    v = (t1 - t2 + TWO_PI * n) / (l2 - l1)
+    v = (t1 - t2 + TWO_PI * (-u % geo.k)) / (l2 - l1)
     res = abs(wrap_angle((l3 - l2) * v - (t2 - t3)))
     if res > tol:
         raise SpectrumError(
@@ -412,18 +390,17 @@ def is_isometry(
     Mf(x) = e^(i*alpha) * f(x - v).
     """
     geo = spectrum_geometry(frequencies)
-    if abs(geo.signed_tau(multiplier.phases)) > ISOMETRY_TAU_TOL:
-        return False, None
     phases = geo.sort(multiplier.phases)
-    v = _solve_common_shift(geo, phases, 4.0 * ISOMETRY_TAU_TOL)
+    tau_signed, (u, _) = _turn_shifts(geo, phases)
+    if abs(tau_signed) > ISOMETRY_TAU_TOL:
+        return False, None
+    v = _solve_common_shift(geo, phases, u, 4.0 * ISOMETRY_TAU_TOL)
     alpha = wrap_angle(phases[1] + geo.lams[1] * v)
     return True, (alpha, v)
 
 
-def canonical_reduction(
-    trinomial: Trinomial,
-) -> tuple[ReducedForm, SpectrumStats, Transcript]:
-    """Reduce a trinomial to canonical form with an invertible transcript.
+def canonical_reduction(trinomial: Trinomial) -> Reduction:
+    """Reduce a trinomial to canonical form.
 
     The chain of normalisations is: sort frequencies; strip an isometric
     phase shift so the phases become (0, tau_signed/(k+l), 0); conjugate if
@@ -442,28 +419,19 @@ def canonical_reduction(
             f"above {STATIONARY_REL_TOL:.0e}"
         )
     big_d = geo.D
-    tau_signed = geo.signed_tau(trinomial.phases)
-    stats = _stats(geo, abs(tau_signed))
     t1, t2, t3 = geo.sort(trinomial.phases)
     r1, r2, r3 = geo.sort(trinomial.moduli)
+    tau_signed, turns = _turn_shifts(geo, (t1, t2, t3))
 
     t2_target = tau_signed / big_d
-    v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), tol=1e-7)
+    v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), turns[0], tol=1e-7)
     alpha = wrap_angle(t2 - t2_target + geo.lams[1] * v)
 
     epsilon = 1 if t2_target >= 0.0 else -1
     form, swapped = make_reduced_form(geo.k, geo.l, r1, r2, r3, min(abs(t2_target), math.pi / big_d))
     if swapped:
         epsilon = -epsilon
-    transcript = Transcript(
-        sort_permutation=geo.perm,
-        alpha=alpha,
-        v=v,
-        epsilon=epsilon,
-        swapped=swapped,
-        homothety=geo.d,
-    )
-    return form, stats, transcript
+    return Reduction(form, geo, abs(tau_signed), turns, alpha, v, epsilon, swapped)
 
 
 def _two_adic_valuation(n: int) -> int:
@@ -477,8 +445,9 @@ def _top_two_adic_pair(frequencies: tuple[int, int, int]) -> tuple[int, int]:
     Such a pair always exists: of the three gaps of distinct integers, two
     share the smallest 2-adic valuation and the third exceeds it.
     """
+    f = _frequencies(frequencies)
     pairs = ((0, 1), (0, 2), (1, 2))
-    vals = [_two_adic_valuation(frequencies[i] - frequencies[j]) for i, j in pairs]
+    vals = [_two_adic_valuation(f[i] - f[j]) for i, j in pairs]
     top = max(range(3), key=vals.__getitem__)
     assert vals.count(vals[top]) == 1, "no strictly maximal 2-adic gap"
     return pairs[top]

@@ -17,11 +17,11 @@ from trinomax import (
     brute_max,
     brute_multiplier_norm,
     brute_sidon,
+    canonical_reduction,
     chebotarev_derivative,
     closed_form_k1_l1,
     closed_form_k2_l1,
     cos_quotient_bound,
-    derive_spectrum_stats,
     evaluate,
     farthest_points,
     find_max_reduced,
@@ -89,15 +89,15 @@ def test_criterion_03_uniqueness_against_oracle(capsys):
     worst_value = worst_pos = 0.0
     while checked < 10_000:
         tri = random_trinomial(rng)
-        stats = derive_spectrum_stats(tri)
-        if stats.tau >= math.pi - 1e-3:
+        red = canonical_reduction(tri)
+        if red.tau >= math.pi - 1e-3:
             continue
         checked += 1
         analytic = max_points_global(tri)
         oracle = brute_max(tri, 1024)
         assert len(analytic.points) == 1, f"analytic multiple points for {tri}"
         assert len(oracle.argmaxes) == 1, f"oracle multiple points for {tri}"
-        period = TWO_PI / stats.d
+        period = red.period
         worst_value = max(worst_value, abs(analytic.value - oracle.value) / oracle.value)
         worst_pos = max(worst_pos, circular(analytic.points[0][0], oracle.argmaxes[0], period))
     assert worst_value <= 1e-9
@@ -114,12 +114,12 @@ def test_criterion_04_symmetric_pairs(capsys):
     worst = 0.0
     for _ in range(1000):
         tri = random_symmetric_pair(rng)
-        stats = derive_spectrum_stats(tri)
+        period = canonical_reduction(tri).period
         res = max_points_global(tri)
         assert len(res.points) == 2, f"expected a pair for {tri}"
         assert res.s is not None
         (x, _), (y, _) = res.points
-        err = circular(x + y, res.s, TWO_PI / stats.d)
+        err = circular(x + y, res.s, period)
         worst = max(worst, err)
     assert worst <= 1e-8
     with capsys.disabled():
@@ -232,14 +232,14 @@ def test_criterion_08_multiplier_norms(capsys):
         worst_norm = max(worst_norm, abs(empirical - norm))
         assert abs(empirical - norm) <= 1e-3
 
-        stats = derive_spectrum_stats(Trinomial(*freqs, 1, 1, 1, *mult.phases))
-        t = stats.tau / stats.D
-        lift = lift_to_measure(stats.k, stats.l, t)
-        model_norm, _ = multiplier_norm((-stats.k, 0, stats.l), Multiplier(0.0, t, 0.0))
+        red = canonical_reduction(Trinomial(*freqs, 1, 1, 1, *mult.phases))
+        k, l = red.geometry.k, red.geometry.l
+        t = red.tau / red.geometry.D
+        lift = lift_to_measure(k, l, t)
+        model_norm, _ = multiplier_norm((-k, 0, l), Multiplier(0.0, t, 0.0))
         worst_tv = max(worst_tv, abs(lift.total_variation - model_norm))
         assert abs(lift.total_variation - model_norm) <= 1e-12
 
-        k, l = stats.k, stats.l
         base = Trinomial(-k, 0, l, l, k + l, k, 0.0, math.pi / (k + l), 0.0)
         shifted = Trinomial(-k, 0, l, l, k + l, k, 0.0, math.pi / (k + l) + t, 0.0)
         for x in np.linspace(0.0, TWO_PI, 16, endpoint=False):

@@ -36,6 +36,26 @@ class TestAnalyze:
         assert points[1]["x"] == pytest.approx(math.pi)
         assert points[0]["value"] == pytest.approx(2 * math.sqrt(2))
 
+    def test_spectrum_and_transcript_blocks(self, capsys):
+        # d = 2, a non-trivial sort, a conjugation and a swap: every field moves
+        code, out = run(
+            capsys, "analyze", "-l", "4", "-2", "0", "-r", "1", "4", "1",
+            "-p", "0.3", "-0.2", "0.1", "--json",
+        )
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert list(res["spectrum"].items()) == [
+            ("d", 2), ("k", 1), ("l", 2), ("m", 2), ("D", 3), ("tau", 0.4000000000000001),
+        ]
+        assert list(res["transcript"].items()) == [
+            ("sortPermutation", [1, 2, 0]),
+            ("alpha", -0.033333333333333354),
+            ("v", -0.08333333333333333),
+            ("epsilon", -1),
+            ("swapped", True),
+            ("homothety", 2),
+        ]
+
     def test_aligned_phases(self, capsys):
         code, out = run(
             capsys, "analyze", "-l", "2", "5", "11", "-r", "1", "1", "1", "--json"
@@ -164,7 +184,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_points_outside_the_localization_interval_exit_3(self, capsys, monkeypatch, fmt):
         endpoints = maxmod._localization_endpoints
-        monkeypatch.setattr(maxmod, "_localization_endpoints", lambda tri: tuple(e + 1.0 for e in endpoints(tri)))
+        monkeypatch.setattr(maxmod, "_localization_endpoints", lambda *args: tuple(e + 1.0 for e in endpoints(*args)))
         code, out = run(
             capsys, "analyze", "-l", "-1", "0", "2", "-r", "1.0", "1.5", "1.2", "-p", "0.3", "1.1", "2.0", *fmt
         )

@@ -7,7 +7,7 @@ from trinomax import (
     Multiplier,
     SpectrumError,
     Trinomial,
-    derive_spectrum_stats,
+    canonical_reduction,
     evaluate,
     geometric_progression_bounds,
     is_isometry,
@@ -15,6 +15,7 @@ from trinomax import (
     max_points_global,
     multiplier_norm,
     sidon_constant,
+    spectrum_geometry,
     unconditional_constants,
 )
 
@@ -53,10 +54,8 @@ class TestMultiplierNorm:
             norm, witness = multiplier_norm(freqs, mult)
             assert witness.attained == pytest.approx(norm, rel=1e-9)
             # the witness phases satisfy the extremal congruence
-            stats = derive_spectrum_stats(
-                Trinomial(*witness.frequencies, 1, 1, 1, *witness.phases)
-            )
-            assert stats.tau == pytest.approx(math.pi, abs=1e-9)
+            red = canonical_reduction(Trinomial(*witness.frequencies, 1, 1, 1, *witness.phases))
+            assert red.tau == pytest.approx(math.pi, abs=1e-9)
 
 
 class TestSidonConstant:
@@ -89,9 +88,8 @@ class TestSidonConstant:
     def test_matches_multiplier_norm_at_half_turn(self):
         freqs = (0, 1, 3)
         constant, _ = sidon_constant(freqs)
-        stats = derive_spectrum_stats(Trinomial(*freqs, 1, 1, 1))
         # any multiplier with invariant pi realises the constant
-        phases = (0.0, math.pi / stats.D, 0.0)
+        phases = (0.0, math.pi / spectrum_geometry(freqs).D, 0.0)
         ts, _ = Trinomial(*freqs, 1, 1, 1).sorted_by_frequency()
         norm, _ = multiplier_norm(ts.frequencies, Multiplier(*phases))
         assert norm == pytest.approx(constant, rel=1e-14)

@@ -11,8 +11,8 @@ from trinomax import (
     SpectrumError,
     Trinomial,
     brute_max,
+    canonical_reduction,
     classify_unit_ball_point,
-    derive_spectrum_stats,
     evaluate,
     max_points_global,
     parabola_invariant,
@@ -137,7 +137,7 @@ class TestClassification:
             if not against_oracle:
                 continue
             if res.classification not in symmetric:
-                if derive_spectrum_stats(tri).tau >= math.pi - 1e-3:
+                if canonical_reduction(tri).tau >= math.pi - 1e-3:
                     continue
                 report = brute_max(tri, 1024)
             else:

@@ -22,10 +22,12 @@ from trinomax import (
     hypotrochoid_sample,
     lift_to_measure,
     max_points_global,
+    opposition_signs,
     random_trinomial,
     run_verification,
     sidon_constant,
     sweep_rows,
+    unconditional_constants,
     unit_ball_point,
 )
 from trinomax import constants, extremal, geometry, maxmod, oracle, phasecurves, spectrum
@@ -118,6 +120,8 @@ def test_numpy_integers_are_accepted():
     assert max_points_global(tri) == max_points_global(TRI)
     assert brute_max(TRI, i(1024)) == brute_max(TRI, 1024)
     assert sidon_constant((i(-1), i(0), i(1))) == sidon_constant((-1, 0, 1))
+    assert unconditional_constants((i(-1), i(0), i(1))) == unconditional_constants((-1, 0, 1))
+    assert opposition_signs(i(-1), i(0), i(2)) == opposition_signs(-1, 0, 2)
     # a reduced form with numpy gaps solves on the tau = pi branch too
     edge = math.pi / 3
     assert sweep_rows(i(1), i(2), 1.0, 2.0, 1.0, i(3)) == sweep_rows(1, 2, 1.0, 2.0, 1.0, 3)

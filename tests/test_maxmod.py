@@ -281,6 +281,28 @@ class TestMaxPointsGlobal:
                 for x, _ in stats.points
             )
 
+    def test_geometry_and_phase_combination_derived_once(self, monkeypatch):
+        from trinomax import spectrum
+
+        calls = []
+        for module, name in (
+            (spectrum, "spectrum_geometry"), (maxmod, "spectrum_geometry"), (spectrum, "phase_combination")
+        ):
+            def counted(*args, _name=name, _fun=getattr(module, name)):
+                calls.append(_name)
+                return _fun(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(9)
+        for tri in (
+            Trinomial(4, -2, 0, 1, 4, 1, 0.3, -0.2, 0.1),
+            random_trinomial(rng),
+            random_symmetric_pair(rng),
+        ):
+            calls.clear()
+            max_points_global(tri)
+            assert sorted(calls) == ["phase_combination", "spectrum_geometry"]
+
     def test_axis_symmetry_of_modulus(self):
         tri = Trinomial(-2, 0, 1, 4, 1, 1, 0, math.pi / 3, 0)
         s = max_points_global(tri).s
@@ -498,12 +520,12 @@ class TestRootFinder:
         monkeypatch.setattr(maxmod, "_slope_and_curvature", counted)
         rng = np.random.default_rng(66)
         forms = (
-            [canonical_reduction(random_trinomial(rng))[0] for _ in range(400)]
+            [canonical_reduction(random_trinomial(rng)).form for _ in range(400)]
             + [
-                canonical_reduction(random_trinomial(rng, modulus_range=(1e-6, 1e6)))[0]
+                canonical_reduction(random_trinomial(rng, modulus_range=(1e-6, 1e6))).form
                 for _ in range(400)
             ]
-            + [canonical_reduction(random_symmetric_pair(rng))[0] for _ in range(200)]
+            + [canonical_reduction(random_symmetric_pair(rng)).form for _ in range(200)]
             + [near_knife_edge_form(rng) for _ in range(200)]
         )
         counts = []
@@ -549,7 +571,7 @@ class TestBracketFailures:
 
     def test_points_escape_the_localization_interval(self, monkeypatch):
         endpoints = maxmod._localization_endpoints
-        monkeypatch.setattr(maxmod, "_localization_endpoints", lambda tri: tuple(e + 1.0 for e in endpoints(tri)))
+        monkeypatch.setattr(maxmod, "_localization_endpoints", lambda *args: tuple(e + 1.0 for e in endpoints(*args)))
         with pytest.raises(BracketFailure, match="escape the localization interval"):
             max_points_global(Trinomial(-1, 0, 2, 1.0, 1.5, 1.2, 0.3, 1.1, 2.0))
 

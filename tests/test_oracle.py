@@ -16,7 +16,7 @@ from trinomax import (
     brute_max,
     brute_multiplier_norm,
     brute_sidon,
-    derive_spectrum_stats,
+    canonical_reduction,
     evaluate,
     max_points_global,
     multiplier_norm,
@@ -101,15 +101,15 @@ class TestAgreementWithAnalyticPath:
         checked = 0
         while checked < 500:
             tri = random_trinomial(rng)
-            stats = derive_spectrum_stats(tri)
-            if stats.tau >= math.pi - 1e-3:
+            red = canonical_reduction(tri)
+            if red.tau >= math.pi - 1e-3:
                 continue
             checked += 1
             analytic = max_points_global(tri)
             report = brute_max(tri, 1024)
             assert len(analytic.points) == 1
             assert len(report.argmaxes) == 1
-            period = TWO_PI / stats.d
+            period = red.period
             assert analytic.value == pytest.approx(report.value, rel=1e-9)
             assert abs(
                 math.remainder(analytic.points[0][0] - report.argmaxes[0], period)
@@ -129,12 +129,11 @@ class TestAgreementWithAnalyticPath:
         rng = np.random.default_rng(77)
         for _ in range(25):
             tri = random_symmetric_pair(rng)
-            stats = derive_spectrum_stats(tri)
+            period = canonical_reduction(tri).period
             analytic = max_points_global(tri)
             report = brute_max(tri, 4096)
             assert len(analytic.points) == 2
             assert len(report.argmaxes) == 2
-            period = TWO_PI / stats.d
             for x, _ in analytic.points:
                 assert any(
                     abs(math.remainder(x - bx, period)) < AGREEMENT_ARGMAX_TOL for bx in report.argmaxes
@@ -149,7 +148,7 @@ class TestDerivativeRefinement:
         checked = 0
         for _ in range(1500):
             tri = random_trinomial(rng, modulus_range=(1e-6, 1e6))
-            if derive_spectrum_stats(tri).tau >= math.pi - 1e-3:
+            if canonical_reduction(tri).tau >= math.pi - 1e-3:
                 continue
             agreed = agreement(max_points_global(tri), brute_max(tri, 2048))
             if agreed.count_match:

@@ -12,7 +12,6 @@ from trinomax import (
     SpectrumError,
     Trinomial,
     canonical_reduction,
-    derive_spectrum_stats,
     evaluate,
     is_isometry,
     max_points_global,
@@ -39,11 +38,11 @@ TWO_PI = 2.0 * math.pi
     ],
 )
 def test_spectrum_stats_examples(freqs, phases, d, k, l, D, tau):
-    stats = derive_spectrum_stats(Trinomial(*freqs, 1, 1, 1, *phases))
-    assert (stats.d, stats.k, stats.l, stats.D) == (d, k, l, D)
-    assert stats.tau == pytest.approx(tau, abs=1e-12)
-    assert (stats.l * stats.m) % stats.D == 1
-    assert 1 <= stats.m <= stats.D - 1
+    geo = spectrum_geometry(freqs)
+    assert (geo.d, geo.k, geo.l, geo.D) == (d, k, l, D)
+    assert canonical_reduction(Trinomial(*freqs, 1, 1, 1, *phases)).tau == pytest.approx(tau, abs=1e-12)
+    assert (geo.l * geo.m) % geo.D == 1
+    assert 1 <= geo.m <= geo.D - 1
 
 
 def test_stats_reject_repeated_frequency():
@@ -130,23 +129,23 @@ class TestIsometry:
 
 class TestCanonicalReduction:
     def test_middle_phase_pi_over_two(self):
-        form, stats, transcript = canonical_reduction(
-            Trinomial(-1, 0, 1, 1, 2, 1, 0, math.pi / 2, 0)
-        )
+        red = canonical_reduction(Trinomial(-1, 0, 1, 1, 2, 1, 0, math.pi / 2, 0))
+        form = red.form
         assert (form.k, form.l) == (1, 1)
         assert form.t == pytest.approx(math.pi / 2, abs=1e-12)
         assert (form.r1, form.r2, form.r3) == (1, 2, 1)
-        assert not transcript.swapped
-        assert stats.tau == pytest.approx(math.pi)
+        assert not red.swapped
+        assert red.tau == pytest.approx(math.pi)
 
     def test_zero_invariant_gives_zero_phase(self):
-        form, _, _ = canonical_reduction(Trinomial(3, 7, 9, 2, 1, 5, 0.3, 0.3, 0.3))
+        form = canonical_reduction(Trinomial(3, 7, 9, 2, 1, 5, 0.3, 0.3, 0.3)).form
         # constant phases are an isometric rotation away from zero phases
         assert form.t == pytest.approx(0.0, abs=1e-12)
 
     def test_swap_applied_when_outer_weights_invert(self):
-        form, _, transcript = canonical_reduction(Trinomial(-2, 0, 1, 4, 1, 1))
-        assert transcript.swapped
+        red = canonical_reduction(Trinomial(-2, 0, 1, 4, 1, 1))
+        form = red.form
+        assert red.swapped
         assert (form.k, form.l) == (1, 2)
         assert (form.r1, form.r3) == (1, 4)
         assert form.t == pytest.approx(0.0, abs=1e-12)
@@ -164,20 +163,21 @@ class TestCanonicalReduction:
                 *np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 3)),
                 *rng.uniform(0, TWO_PI, 3),
             )
-            form, _, tr = canonical_reduction(tri)
+            red = canonical_reduction(tri)
+            form = red.form
             reduced = Trinomial(-form.k, 0, form.l, form.r1, form.r2, form.r3,
                                 0.0, form.t, 0.0)
             scale = tri.r1 + tri.r2 + tri.r3
             for x in xs:
                 lhs = abs(evaluate(tri, float(x)))
-                rhs = abs(evaluate(reduced, tr.to_reduced(float(x))))
+                rhs = abs(evaluate(reduced, red.epsilon * red.geometry.d * (float(x) - red.v)))
                 assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_max_modulus_preserved(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             tri = Trinomial(-3, 2, 4, *rng.uniform(0.2, 3.0, 3), *rng.uniform(0, TWO_PI, 3))
-            form, _, _ = canonical_reduction(tri)
+            form = canonical_reduction(tri).form
             reduced = Trinomial(-form.k, 0, form.l, form.r1, form.r2, form.r3,
                                 0.0, form.t, 0.0)
             assert max_points_global(reduced).value == pytest.approx(
@@ -192,9 +192,9 @@ angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 @settings(max_examples=100, deadline=None)
 def test_tau_invariant_under_full_turn_shifts(t1, t2, t3, which, turns):
     phases = [t1, t2, t3]
-    base = derive_spectrum_stats(Trinomial(-2, 1, 5, 1, 1, 1, *phases)).tau
+    base = canonical_reduction(Trinomial(-2, 1, 5, 1, 1, 1, *phases)).tau
     phases[which] += TWO_PI * turns
-    shifted = derive_spectrum_stats(Trinomial(-2, 1, 5, 1, 1, 1, *phases)).tau
+    shifted = canonical_reduction(Trinomial(-2, 1, 5, 1, 1, 1, *phases)).tau
     assert shifted == pytest.approx(base, abs=1e-10)
 
 
@@ -203,11 +203,11 @@ def test_tau_invariant_under_isometric_multipliers():
     freqs = (-1, 2, 3)
     for _ in range(50):
         phases = rng.uniform(0, TWO_PI, 3)
-        base = derive_spectrum_stats(Trinomial(*freqs, 1, 1, 1, *phases)).tau
+        base = canonical_reduction(Trinomial(*freqs, 1, 1, 1, *phases)).tau
         v = rng.uniform(-math.pi, math.pi)
         alpha = rng.uniform(-math.pi, math.pi)
         shifted_phases = [p + alpha - f * v for p, f in zip(phases, freqs)]
-        shifted = derive_spectrum_stats(Trinomial(*freqs, 1, 1, 1, *shifted_phases)).tau
+        shifted = canonical_reduction(Trinomial(*freqs, 1, 1, 1, *shifted_phases)).tau
         assert shifted == pytest.approx(base, abs=1e-10)
 
 
@@ -219,9 +219,9 @@ def test_tau_invariant_under_isometric_multipliers():
 def test_d_and_D_invariant_under_translation_and_negation(f1, f2, f3, shift):
     if len({f1, f2, f3}) != 3:
         return
-    base = derive_spectrum_stats(Trinomial(f1, f2, f3, 1, 1, 1))
-    moved = derive_spectrum_stats(Trinomial(f1 + shift, f2 + shift, f3 + shift, 1, 1, 1))
-    negated = derive_spectrum_stats(Trinomial(-f1, -f2, -f3, 1, 1, 1))
+    base = spectrum_geometry((f1, f2, f3))
+    moved = spectrum_geometry((f1 + shift, f2 + shift, f3 + shift))
+    negated = spectrum_geometry((-f1, -f2, -f3))
     assert (moved.d, moved.D) == (base.d, base.D)
     assert (negated.d, negated.D) == (base.d, base.D)
 
@@ -239,8 +239,7 @@ def test_opposition_signs(freqs, opposite_pair):
     i, j = opposite_pair
     assert signs[i] * signs[j] == -1
     phases = tuple(0.0 if s > 0 else math.pi for s in signs)
-    stats = derive_spectrum_stats(Trinomial(*freqs, 1, 1, 1, *phases))
-    assert stats.tau == pytest.approx(math.pi, abs=1e-9)
+    assert canonical_reduction(Trinomial(*freqs, 1, 1, 1, *phases)).tau == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_opposition_signs_random_spectra():
@@ -251,8 +250,8 @@ def test_opposition_signs_random_spectra():
             continue
         signs = opposition_signs(*(int(f) for f in freqs))
         phases = tuple(0.0 if s > 0 else math.pi for s in signs)
-        stats = derive_spectrum_stats(Trinomial(*(int(f) for f in freqs), 1, 1, 1, *phases))
-        assert stats.tau == pytest.approx(math.pi, abs=1e-9)
+        tri = Trinomial(*(int(f) for f in freqs), 1, 1, 1, *phases)
+        assert canonical_reduction(tri).tau == pytest.approx(math.pi, abs=1e-9)
 
 
 def enumerated_common_shift(freqs, phases, tol):
@@ -284,8 +283,10 @@ def wide_spectrum(rng):
 
 
 class TestClosedFormCommonShift:
-    def assert_same_translation(self, geo, phases):
-        v = _solve_common_shift(geo, phases, 1e-7)
+    def assert_same_translation(self, geo, phases, u=None):
+        if u is None:
+            u = _turn_shifts(geo, phases)[1][0]
+        v = _solve_common_shift(geo, phases, u, 1e-7)
         v_ref = enumerated_common_shift(geo.lams, phases, 1e-7)
         assert abs(math.remainder(v - v_ref, TWO_PI / geo.d)) <= 1e-12
 
@@ -303,8 +304,11 @@ class TestClosedFormCommonShift:
         for _ in range(200):
             geo = wide_spectrum(rng)
             t1, t2, t3 = rng.uniform(0, TWO_PI, 3)
-            target = geo.signed_tau((t1, t2, t3)) / geo.D
-            self.assert_same_translation(geo, (t1, t2 - target, t3))
+            tau_signed, (u, _) = _turn_shifts(geo, (t1, t2, t3))
+            stripped = (t1, t2 - tau_signed / geo.D, t3)
+            # the whole turns of the phases before the strip serve after it
+            assert _turn_shifts(geo, stripped)[1][0] == u
+            self.assert_same_translation(geo, stripped, u)
 
     def test_unsolvable_raise_in_both(self):
         rng = np.random.default_rng(43)
@@ -316,7 +320,7 @@ class TestClosedFormCommonShift:
                 continue
             cases += 1
             with pytest.raises(SpectrumError):
-                _solve_common_shift(geo, phases, 1e-7)
+                _solve_common_shift(geo, phases, _turn_shifts(geo, phases)[1][0], 1e-7)
             with pytest.raises(SpectrumError):
                 enumerated_common_shift(geo.lams, phases, 1e-7)
 
@@ -328,7 +332,8 @@ class TestClosedFormCommonShift:
             t1, t2, t3 = rng.uniform(-50.0, 50.0, 3)
             comb = phase_combination(k, l, t1, t2, t3)
             shift = round((wrap_angle(comb) - comb) / TWO_PI)
-            u, w = _turn_shifts(geo, (t1, t2, t3))
+            wrapped, (u, w) = _turn_shifts(geo, (t1, t2, t3))
+            assert wrapped == wrap_angle(comb)
             assert isinstance(u, int) and isinstance(w, int)
             assert 0 <= u < k
             assert u * l + w * k == shift
