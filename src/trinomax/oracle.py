@@ -6,20 +6,21 @@ multiplier norms: both are a supremum over the unit ball of a ratio of
 maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan
 and one coordinate descent.  Every stage evaluates
 |T(x)|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + (lambda_a - lambda_b) x)
-from the raw coefficients: on a grid of ``_grid_size`` points from one
-pair table (``_pair_table``, gathered by exact integer index from a
-memoised full-turn table of cos and sin), which a constant search builds
-once, and in the refinement, with its first two derivatives (four at a
-quartic peak), from three ``math.sin`` and three ``math.cos`` calls.  The
-refinement reads its three pair terms as Python floats, and a constant
-search computes its simplex rows' moduli terms once, so each scan cell
-forms only the cos and sin of its phase gaps.  The oracle shares one piece
-with the rest of the library, the period 2*pi/d from ``spectrum_geometry``;
-its evaluator is not the reduced-form expansion ``find_max_reduced`` uses,
-nor is its Newton loop on the + to - sign change of d|T|^2/dx the kernel's,
-so the comparison stays independent; ``agreement`` is the one rule that
-judges it.  ``_golden_max`` refines a bracket without that sign change (a
-flat or double peak) and runs the coordinate descent.
+from the raw coefficients: on a grid of ``_grid_size`` points, rounded up
+to a power of two, from one pair table (``_pair_table``, gathered by exact
+masked integer index from a memoised full-turn table of cos and sin), which
+a constant search builds once, and in the refinement, with its first two
+derivatives (four at a quartic peak), from three ``math.sin`` and three
+``math.cos`` calls.  The refinement reads its three pair terms as Python
+floats, and a constant search computes its simplex rows' moduli terms once,
+so each scan cell forms only the cos and sin of its phase gaps.  The oracle
+shares one piece with the rest of the library, the period 2*pi/d from
+``spectrum_geometry``; its evaluator is not the reduced-form expansion
+``find_max_reduced`` uses, nor is its Newton loop on the + to - sign change
+of d|T|^2/dx the kernel's, so the comparison stays independent;
+``agreement`` is the one rule that judges it.  ``_golden_max`` refines a
+bracket without that sign change (a flat or double peak) and runs the
+coordinate descent.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -201,7 +202,7 @@ def _slope_root(slope, lo: float, hi: float) -> tuple[float | None, int]:
 def brute_max(trinomial: Trinomial, grid_n: int = 1024) -> OracleReport:
     """Grid scan of |T| over one period 2*pi/d, refined on the derivative.
 
-    The grid has grid_n points, or 8 * D rounded up to a power of two if more
+    The grid has max(grid_n, 8 * D) points rounded up to a power of two
     (``_grid_size``).  |T|^2 is evaluated from the pair gaps lambda_a -
     lambda_b only (see ``_pair_table``: the grid phases are exact at any gap,
     by integer index), so a large common offset costs no precision.  Every
@@ -218,12 +219,12 @@ def brute_max(trinomial: Trinomial, grid_n: int = 1024) -> OracleReport:
 
 
 def _grid_size(grid_n: int, geo) -> int:
-    """The floor grid_n, or 8 * D rounded up to a power of two if more: |T|^2
-    has degree D on the period, so the coarse scan's every second point still
-    samples its top frequency 4 times a cycle, and powers of two bound the
-    ``_full_turn`` memo.  Past MAX_GRID raises SpectrumError, before any table."""
+    """max(grid_n, 8 * D) rounded up to a power of two: |T|^2 has degree D on
+    the period, so the coarse scan's every second point still samples its top
+    frequency 4 times a cycle; ``_pair_table`` masks by the power of two, which
+    bounds the ``_full_turn`` memo too.  Past MAX_GRID raises SpectrumError, before any table."""
     grid_n = _count(grid_n, 1024, "oracle grid must have at least 1024 points, got {n}")
-    n = max(grid_n, 1 << (8 * geo.D - 1).bit_length())
+    n = 1 << (max(grid_n, 8 * geo.D) - 1).bit_length()
     if n > MAX_GRID:
         raise SpectrumError(f"D = {geo.D} needs an oracle grid of {n} points, above MAX_GRID = {MAX_GRID}")
     return n
@@ -254,10 +255,12 @@ def _pair_table(lams, d: int, grid_n: int) -> _PairTable:
 
     Each gap is a multiple of d, so gap * x is exactly 2*pi * ((gap/d) * j mod
     grid_n) / grid_n, an entry of ``_full_turn``: no phase is lost however
-    large the gaps.  The steps gap/d are reduced as Python ints, past int64.
+    large the gaps.  The steps gap/d are reduced as Python ints, past int64,
+    so step * j < grid_n**2 <= 2**40, which the mask grid_n - 1 takes mod
+    grid_n exactly: grid_n is a power of two (``_grid_size``).
     """
     gaps = [lams[a] - lams[b] for a, b in zip(_A, _B)]
-    index = np.outer([(g // d) % grid_n for g in gaps], np.arange(grid_n)) % grid_n
+    index = np.outer([(g // d) % grid_n for g in gaps], np.arange(grid_n)) & (grid_n - 1)
     grid = np.take(_full_turn(grid_n), index, axis=1).reshape(6, grid_n)
     return _PairTable(tuple(map(float, gaps)), TWO_PI / d, grid)
 
@@ -298,9 +301,9 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     threshold = min(vmax_sq * (1.0 - 1e-7) ** 2, vmax_sq - droop_sq)
     # a band as wide as the whole period can hold several local maxima, so
     # each grid peak in it gets its own bracket (neighbours taken cyclically)
-    idx = np.flatnonzero(sq >= threshold)
+    idx = (sq >= threshold).nonzero()[0]
     top = sq[idx]
-    peaks = idx[(top >= sq[idx - 1]) & (top >= sq[(idx + 1) % grid_n])]
+    peaks = idx[(top >= sq[idx - 1]) & (top >= sq[(idx + 1) & (grid_n - 1)])]
 
     def modulus_sq(x: float) -> tuple[float, float]:
         # |T|^2 and d^2|T|^2/dx^2, from the same three cosines

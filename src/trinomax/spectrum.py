@@ -94,11 +94,18 @@ def _check_moduli(moduli) -> None:
         )
 
 
-def _check_phases(phases, name: str = "phases") -> None:
-    """Phases: finite."""
-    for t in phases:
+def _check_phases(phases, name: str = "phases") -> tuple[float, ...]:
+    """Phases: finite.  Returns them as floats, each one past a full turn
+    reduced to [-pi, pi] by atan2(sin t, cos t): libm reduces sin and cos
+    exactly, while math.remainder(t, TWO_PI) is off by t/(2*pi) times the
+    rounding of TWO_PI.  A phase within one turn is returned unchanged, as
+    reducing it gains no precision."""
+    reduced = []
+    for t in map(float, phases):
         if not math.isfinite(t):
             raise SpectrumError(f"{name} must be finite, got {t}")
+        reduced.append(math.atan2(math.sin(t), math.cos(t)) if abs(t) > TWO_PI else t)
+    return tuple(reduced)
 
 
 def _check_gaps(k, l) -> None:
@@ -153,7 +160,12 @@ def modular_inverse(a: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Trinomial:
-    """Three Fourier coefficients given as (modulus, phase) at integer frequencies."""
+    """Three Fourier coefficients given as (modulus, phase) at integer frequencies.
+
+    A phase past a full turn, |t| > 2*pi, is stored reduced to [-pi, pi]
+    (``_check_phases``), so the solve and the oracle read the same T even at
+    t = 1e12, where ulp(t) is about 1e-4.
+    """
 
     lambda1: int
     lambda2: int
@@ -167,10 +179,11 @@ class Trinomial:
 
     def __post_init__(self) -> None:
         _frequencies((self.lambda1, self.lambda2, self.lambda3))
-        for name in ("r1", "r2", "r3", "t1", "t2", "t3"):
+        for name in ("r1", "r2", "r3"):
             object.__setattr__(self, name, float(getattr(self, name)))
         _check_moduli((self.r1, self.r2, self.r3))
-        _check_phases((self.t1, self.t2, self.t3))
+        for name, t in zip(("t1", "t2", "t3"), _check_phases((self.t1, self.t2, self.t3))):
+            object.__setattr__(self, name, t)
 
     @property
     def frequencies(self) -> tuple[int, int, int]:
@@ -196,14 +209,16 @@ class Trinomial:
 
 @dataclass(frozen=True)
 class Multiplier:
-    """Unimodular phase increments applied to the three Fourier coefficients."""
+    """Unimodular phase increments applied to the three Fourier coefficients;
+    each past a full turn is stored reduced, as in ``Trinomial``."""
 
     u1: float
     u2: float
     u3: float
 
     def __post_init__(self) -> None:
-        _check_phases((self.u1, self.u2, self.u3), "multiplier phases")
+        for name, u in zip(("u1", "u2", "u3"), _check_phases((self.u1, self.u2, self.u3), "multiplier phases")):
+            object.__setattr__(self, name, u)
 
     @property
     def phases(self) -> tuple[float, float, float]:

@@ -234,6 +234,55 @@ class TestBruteMultiplierNorm:
         assert value == pytest.approx(expected, abs=1e-3)
 
 
+class TestPowerOfTwoGrid:
+    """Every oracle grid is max(floor, 8 * D) rounded up to a power of two,
+    and the peaks it refines are pinned on three shapes."""
+
+    @pytest.mark.parametrize("floor,size", [(1024, 1024), (1025, 2048), (1500, 2048), (4096, 4096)])
+    def test_the_floor_rounds_up_to_a_power_of_two(self, floor, size):
+        assert oracle._grid_size(floor, spectrum_geometry((-1, 0, 1))) == size
+
+    def test_the_diameter_rule_and_the_cap(self):
+        assert oracle._grid_size(1024, spectrum_geometry((0, 1, 3000))) == 32768
+        assert oracle._grid_size(1500, spectrum_geometry((0, 1, 3000))) == 32768
+        # past D = 2**17 is TestSearchGridGuard's; a floor past the cap raises too
+        with pytest.raises(SpectrumError, match="above MAX_GRID"):
+            oracle._grid_size(oracle.MAX_GRID + 1, spectrum_geometry((-1, 0, 1)))
+
+    @staticmethod
+    def wrap_at_the_last_grid_point() -> Trinomial:
+        # aligned at x0 = 1023.3 cells: the grid maximum is at index 1023, whose
+        # right neighbour is index 0
+        x0 = 1023.3 * TWO_PI / 1024
+        return Trinomial(0, 1, 3, 1.0, 0.7, 0.4, *(-lam * x0 for lam in (0, 1, 3)))
+
+    def test_the_shapes_are_as_named(self):
+        flat = np.abs(evaluate(Trinomial(-3, 0, 5, 1, 1e-8, 1e-8, 0.1, 0.2, 0.3), np.arange(1024) * TWO_PI / 1024))
+        assert flat.min() ** 2 >= flat.max() ** 2 * (1.0 - 1e-7) ** 2
+        wrap = np.abs(evaluate(self.wrap_at_the_last_grid_point(), np.arange(1024) * TWO_PI / 1024))
+        assert int(np.argmax(wrap)) == 1023 and wrap[0] < wrap[1023]
+
+    @pytest.mark.parametrize(
+        "shape,grid_size,evaluations,argmax",
+        [
+            # every grid point lies in the 1e-7 band
+            ("flat", 1024, 1077, 6.257157971917594),
+            ("wrap", 1024, 1030, 6.278890160973505),
+            ("wide", 32768, 35520, 6.182587542791041),
+        ],
+    )
+    def test_the_refined_peaks_are_pinned(self, shape, grid_size, evaluations, argmax):
+        tri = {
+            "flat": Trinomial(-3, 0, 5, 1, 1e-8, 1e-8, 0.1, 0.2, 0.3),
+            "wrap": self.wrap_at_the_last_grid_point(),
+            "wide": Trinomial(0, 1, 3000, 1, 2, 3, 0.1, 0.2, 0.3),
+        }[shape]
+        report = brute_max(tri)
+        assert report.grid_size == grid_size
+        assert report.evaluations == evaluations
+        assert report.argmaxes == pytest.approx((argmax,), rel=0.0, abs=1e-12)
+
+
 class TestSearchGridGuard:
     def test_small_grid_fails_before_the_coarse_scan(self, monkeypatch):
         def scan(*args):
@@ -322,7 +371,7 @@ class TestPairCosineEvaluator:
         geo = spectrum_geometry(freqs)
         phase_grid = rng.uniform(0.0, TWO_PI, 3)
         moduli = rng.dirichlet(np.ones(3), size=4)
-        grid_n = 384
+        grid_n = 512
         table = _pair_table(geo.lams, geo.d, grid_n)
         s0, w, _ = _cross_terms(moduli, np.zeros(3))
         got = []
@@ -375,7 +424,7 @@ class TestPairCosineEvaluator:
         np.testing.assert_array_equal(offset.grid, small.grid)
 
     @pytest.mark.parametrize("freqs", [(0, 1, 3), (-4, 2, 7), (-3, 0, 6)])
-    @pytest.mark.parametrize("grid_n", [1024, 1500])
+    @pytest.mark.parametrize("grid_n", [1024, 2048])
     def test_entries_match_the_direct_phases(self, freqs, grid_n):
         # gap * x_j evaluated directly, x_j = j * (2*pi/d) / grid_n; (-3, 0, 6) has d = 3
         d = spectrum_geometry(freqs).d
@@ -387,15 +436,20 @@ class TestPairCosineEvaluator:
         assert table.grid.shape == (6, grid_n)
         np.testing.assert_allclose(table.grid, np.vstack((np.cos(arg), np.sin(arg))), rtol=0.0, atol=1e-13)
 
-    def test_gaps_beyond_int64_do_not_overflow(self):
-        grid_n = 1024
-        table = _pair_table((0, 1, 10**19), 1, grid_n)
+    @pytest.mark.parametrize("freqs", [(0, 1, 10**19), (-(10**20) - 7, 3, 2**70 + 1), (5, -2, 9)])
+    @pytest.mark.parametrize("grid_n", [1024, 2**16])
+    def test_masked_index_matches_a_modulo_reference(self, freqs, grid_n):
+        # negative gaps and gaps beyond int64: the index (gap/d) * j mod grid_n
+        # in Python ints, against the table's mask of the reduced steps
+        d = spectrum_geometry(freqs).d
+        table = _pair_table(freqs, d, grid_n)
         turn = _full_turn(grid_n)
-        # the pair (0, 2) has gap -10**19: its step is -10**19 mod grid_n
-        index = (-(10**19 % grid_n) * np.arange(grid_n)) % grid_n
-        np.testing.assert_array_equal(table.grid[1], turn[0, index])
-        np.testing.assert_array_equal(table.grid[4], turn[1, index])
-        assert table.gaps[1] == -1e19
+        gaps = [freqs[a] - freqs[b] for a, b in ((0, 1), (0, 2), (1, 2))]
+        for row, gap in enumerate(gaps):
+            index = [(gap // d) * j % grid_n for j in range(grid_n)]
+            np.testing.assert_array_equal(table.grid[row], turn[0, index])
+            np.testing.assert_array_equal(table.grid[row + 3], turn[1, index])
+        assert table.gaps == tuple(map(float, gaps))
 
     def test_the_full_turn_memo_is_read_only(self):
         turn = _full_turn(1024)

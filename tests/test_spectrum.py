@@ -185,6 +185,30 @@ class TestCanonicalReduction:
             )
 
 
+class TestPhaseReduction:
+    """A phase past a full turn is stored reduced to [-pi, pi] by libm's exact
+    reduction; one within a turn is stored as given."""
+
+    def test_a_huge_phase_solves_like_its_hand_reduced_one(self):
+        # 1e12 mod 2*pi is -0.6576247591... (50-digit mpmath); math.remainder
+        # by TWO_PI gives -0.65758577..., off by 1.6e11 roundings of TWO_PI
+        reduced = math.atan2(math.sin(1e12), math.cos(1e12))
+        assert reduced == pytest.approx(-0.6576247591367865, abs=1e-15)
+        huge = Trinomial(-1, 0, 2, 1, 2, 3, 1e12, 0.2, 0.3)
+        by_hand = Trinomial(-1, 0, 2, 1, 2, 3, reduced, 0.2, 0.3)
+        assert huge == by_hand
+        assert max_points_global(huge) == max_points_global(by_hand)
+        assert Multiplier(1e12, 0.2, -1e12) == Multiplier(reduced, 0.2, -reduced)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 0.3, -3.5, math.pi, -math.pi, TWO_PI, -TWO_PI, 6.2831853])
+    def test_phases_within_a_turn_are_kept_bit_for_bit(self, t):
+        tri = Trinomial(-1, 0, 2, 1, 2, 3, t, -t, 1.0)
+        mult = Multiplier(t, 1.0, -t)
+        assert math.copysign(1.0, tri.t1) == math.copysign(1.0, t)
+        assert tri.phases == (t, -t, 1.0)
+        assert mult.phases == (t, 1.0, -t)
+
+
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
