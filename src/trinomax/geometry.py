@@ -57,6 +57,7 @@ def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:
     r1, _, r3 = geo.sort(trinomial.moduli)
     cusps = geo.D if max_at_zero(geo.k, r1, geo.l, r3) else None
     xs = -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
+    xs[-1] = math.pi  # the rounded formula can land an ulp past pi
     samples = tuple(zip(xs.tolist(), _outer_curve(trinomial, geo)(xs).tolist()))
     return Curve(samples=samples, closed=True, cusp_count=cusps)
 

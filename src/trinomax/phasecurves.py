@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maxmod import find_max_reduced
+from .maxmod import _max_values, find_max_reduced
 from .spectrum import (
     REDUCED_T_SLACK,
     TWO_PI,
@@ -145,23 +145,20 @@ def moduli_sum_bound(
 def sweep_rows(
     k: int, l: int, r1: float, r2: float, r3: float, n: int = 64
 ) -> list[SweepRow]:
-    """Sweep tau over n uniform values in [0, pi], deterministically ordered."""
+    """Sweep tau over n uniform values in [0, pi]: row i at tau = pi*i/(n-1), the
+    last at exactly pi.  Each fstar is bit for bit fstar(k, l, r1, r2, r3, t)
+    wherever numpy's sin and cos round like libm's: the rows with a unique
+    interior maximum solve in one batched rtsafe call, the rest (t <= 1e-15,
+    tau within TAU_PI_TOL of pi, every row when k*r1 = l*r3) through
+    find_max_reduced.  The batch costs some 0.4 ms at any n, so below about 30
+    rows it is slower than row by row (0.5 ms against 0.1 ms at n = 4)."""
     _check_gaps(k, l)
     n = _count(n, 2, "sweep needs at least 2 rows, got {n}")
     big_d = k + l
-    rows = []
-    for i in range(n):
-        tau = math.pi * i / (n - 1)
-        t = tau / big_d
-        # t lies in [0, pi/(k+l)], where fstar's fold is the identity
-        value = fstar(k, l, r1, r2, r3, t)
-        rows.append(
-            SweepRow(
-                tau=tau,
-                t=t,
-                fstar=value,
-                ratio=value / _modulus_at_zero(r1, r2, r3, t),
-                bound=math.cos(tau / (2.0 * big_d)),
-            )
-        )
-    return rows
+    form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
+    taus = [math.pi * i / (n - 1) for i in range(n - 1)] + [math.pi]
+    ts = [tau / big_d for tau in taus]
+    return [
+        SweepRow(tau, t, v, v / _modulus_at_zero(r1, r2, r3, t), math.cos(tau / (2.0 * big_d)))
+        for tau, t, v in zip(taus, ts, _max_values(form, ts))
+    ]

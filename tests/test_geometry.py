@@ -31,6 +31,12 @@ class TestHypotrochoidSample:
         assert min(xs) > -math.pi
         assert max(xs) == pytest.approx(math.pi)
 
+    def test_last_sample_is_exactly_pi(self):
+        # -pi + 2*pi*n/n rounds an ulp past pi at n = 26
+        xs = [x for x, _ in hypotrochoid_sample(FIG1, 26).samples]
+        assert xs[-1] == math.pi
+        assert xs[:-1] == [-math.pi + 2.0 * math.pi * i / 26 for i in range(1, 26)]
+
     def test_no_cusps_off_ratio(self):
         assert hypotrochoid_sample(FIG1, 64).cusp_count is None
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trinomax import (
+    MaxClassification,
     SpectrumError,
     Trinomial,
     chebotarev_derivative,
@@ -14,6 +15,8 @@ from trinomax import (
     ratio_gstar,
     sweep_rows,
 )
+from trinomax import find_max_reduced, make_reduced_form, maxmod
+from trinomax.maxmod import BracketFailure
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,3 +190,56 @@ class TestSweep:
             assert row.ratio >= 1.0 - 1e-12
             assert row.fstar / (0.5 + 1.5 + 1.0) >= row.bound - 1e-12
             assert row.t == pytest.approx(row.tau / 3)
+
+    @pytest.mark.parametrize("n", [12, 14, 26])
+    def test_last_row_is_exactly_pi(self, n):
+        # pi*(n-1)/(n-1) rounds below pi at n = 12 and above it at n = 14
+        rows = sweep_rows(1, 2, 1, 1, 1, n)
+        assert (rows[-1].tau, rows[-1].t) == (math.pi, math.pi / 3)
+        assert [row.tau for row in rows[:-1]] == [math.pi * i / (n - 1) for i in range(n - 1)]
+
+    def test_broken_bracket_raises_from_the_batch(self, monkeypatch):
+        # only the batched rows evaluate _slopes_and_curvatures; flipping its
+        # sign breaks every bracket
+        slopes = maxmod._slopes_and_curvatures
+        monkeypatch.setattr(
+            maxmod, "_slopes_and_curvatures", lambda *args: tuple(-a for a in slopes(*args))
+        )
+        with pytest.raises(BracketFailure, match="endpoint derivative signs violate the bracket"):
+            sweep_rows(1, 2, 0.5, 1.5, 1.0, 16)
+
+
+def _sweep_families():
+    """Seeded (kind, k, l, r1, r2, r3): wide moduli, moduli near 1e100 (the
+    kernel's products overflow to inf), k*r1 = l*r3, and l = 1 with r2 on the
+    knife edge or past it (the boundary branch at tau = pi)."""
+    rng = np.random.default_rng(41)
+    fams = [("huge", 1, 2, 3e99, 5e99, 1e100)]
+    for k, l in ((1, 1), (1, 2), (3, 2), (2, 5), (7, 3), (1, 12)):
+        fams.append(("wide", k, l, *np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 3)).tolist()))
+    for k, l in ((1, 2), (3, 1), (4, 3)):
+        r2, r3 = np.exp(rng.uniform(-2.0, 2.0, 2)).tolist()
+        fams.append(("at-zero", k, l, l * r3 / k, r2, r3))
+    for k in (1, 2, 3):
+        r1 = float(np.exp(rng.uniform(-1.0, 1.0)))
+        r3 = k * k * r1 * float(np.exp(rng.uniform(0.1, 2.0)))
+        edge = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1)
+        fams.append(("knife-edge", k, 1, r1, edge, r3))
+        fams.append(("boundary", k, 1, r1, 1.5 * edge, r3))
+    return fams
+
+
+LAST_ROW_CLASS = {"knife-edge": MaxClassification.DEGENERATE4, "boundary": MaxClassification.AT_BOUNDARY}
+
+
+@pytest.mark.parametrize("fam", _sweep_families(), ids=lambda fam: f"{fam[0]}-{fam[1]}-{fam[2]}")
+def test_sweep_matches_scalar_fstar(fam):
+    kind, k, l, r1, r2, r3 = fam
+    for n in (2, 3, 7, 14, 64, 301):
+        rows = sweep_rows(k, l, r1, r2, r3, n)
+        for row in rows:
+            ref = fstar(k, l, r1, r2, r3, row.t)
+            assert abs(row.fstar - ref) <= 2.0 * math.ulp(ref)
+        if kind in LAST_ROW_CLASS:
+            last, _ = make_reduced_form(k, l, r1, r2, r3, rows[-1].t)
+            assert find_max_reduced(last).classification is LAST_ROW_CLASS[kind]
