@@ -14,10 +14,6 @@ maximum is attained once modulo 2*pi/d unless tau = pi, in which case the
 modulus has an axis of symmetry and the maximum is attained either at a
 symmetric pair of points or, on a knife-edge coefficient set, at one point
 with multiplicity four.
-
-The kernel has an array twin, bit for bit the same element by element, for
-the phases of one form in phasecurves.sweep_rows: a call costs some 0.4 ms
-against some 10 us for one scalar solve, so every other caller keeps the scalar.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -161,11 +158,12 @@ def _derivative_scale(form: ReducedForm) -> float:
     return k * form.r1 * form.r2 + (k + l) * form.r1 * form.r3 + l * form.r2 * form.r3
 
 
-def _slope_and_curvature(form: ReducedForm, x: float) -> tuple[float, float]:
-    """half_derivative orders 1 and 2, bit for bit, from one set of sines and cosines."""
+def _slope_and_curvature(form: ReducedForm, t: float, x: float) -> tuple[float, float]:
+    """half_derivative orders 1 and 2 of form at phase t, bit for bit, from one
+    set of sines and cosines."""
     k, kl, l = form.k, form.k + form.l, form.l
     a, b, c = form.r1 * form.r2, form.r1 * form.r3, form.r2 * form.r3
-    u, v, w = form.t + k * x, kl * x, form.t - l * x
+    u, v, w = t + k * x, kl * x, t - l * x
     su, sv, sw = math.sin(u), math.sin(v), math.sin(w)
     cu, cv, cw = math.cos(u), math.cos(v), math.cos(w)
     return (
@@ -220,62 +218,6 @@ def _root_plus_to_minus(fun, lo: float, hi: float, scale: float) -> float:
     return x
 
 
-def _slopes_and_curvatures(form: ReducedForm, t: np.ndarray, x: np.ndarray):
-    """_slope_and_curvature of form at phases t, over arrays, with the same operations."""
-    k, kl, l = form.k, form.k + form.l, form.l
-    a, b, c = form.r1 * form.r2, form.r1 * form.r3, form.r2 * form.r3
-    u, v, w = t + k * x, kl * x, t - l * x
-    su, sv, sw = np.sin(u), np.sin(v), np.sin(w)
-    cu, cv, cw = np.cos(u), np.cos(v), np.cos(w)
-    slope = -(a * (k * su) + b * (kl * sv) - c * (l * sw))
-    return slope, -(a * (k * k * cu) + b * (kl * kl * cv) + c * (l * l * cw))
-
-
-@np.errstate(over="ignore")
-def _roots_plus_to_minus(fun, lo, hi, scale) -> np.ndarray:
-    """_root_plus_to_minus element by element, with the same operations, exits
-    and bits: lo, hi and scale broadcast together, fun maps an array of x to
-    the arrays (g, g'), and the first element that breaks the endpoint guard
-    raises.  Ended elements keep their root; overflow gives inf, as in floats."""
-    lo, hi, scale = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, scale)))
-    glo, dlo = fun(lo)
-    ghi, dhi = fun(hi)
-    broken = (glo < -1e-10 * scale) | (ghi > 1e-10 * scale)
-    if broken.any():
-        i = np.flatnonzero(broken)[0]
-        raise BracketFailure(
-            f"endpoint derivative signs violate the bracket: f({lo[i]})={glo[i]}, f({hi[i]})={ghi[i]}"
-        )
-    root = hi.copy()
-    live = ghi < 0.0
-    tol = 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-    noise = 8.0 * np.spacing(scale)
-    left = np.abs(glo * dhi) <= np.abs(ghi * dlo)
-    x, g, dg = np.where(left, lo, hi), np.where(left, glo, ghi), np.where(left, dlo, dhi)
-    step = hi - lo
-    for _ in range(200):
-        if not live.any():
-            return root
-        newton = np.divide(g, dg, out=np.full_like(g, np.inf), where=dg != 0.0)
-        moved = x - newton
-        ended = live & (np.abs(newton) <= tol)
-        np.copyto(root, moved, where=ended)
-        live &= ~ended
-        take = live & (lo < moved) & (moved < hi) & (np.abs(newton) <= 0.5 * np.abs(step))
-        ended = live & ~take & (dg < 0.0) & (np.abs(g) <= noise)
-        bisect = live & ~take & ~ended
-        step = np.where(bisect, 0.5 * (hi - lo), newton)
-        x = np.where(take, moved, np.where(bisect, lo + step, x))
-        ended |= bisect & ((x == lo) | (x == hi))
-        np.copyto(root, x, where=ended)
-        live &= ~ended
-        g, dg = fun(x)
-        lo = np.where(live & (g > 0.0), x, lo)
-        hi = np.where(live & ~(g > 0.0), x, hi)
-    np.copyto(root, x, where=live)
-    return root
-
-
 def max_at_zero(k: int, r1: float, l: int, r3: float) -> bool:
     """Whether k*r1 = l*r3 to AT_ZERO_REL_TOL: the maximum of the reduced form
     sits at 0, and the outer-coefficient curve is a hypocycloid."""
@@ -326,7 +268,7 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
             # short of it; a maximum closer to t than that is taken as t - 1e-7 * t
             hi = t - 1e-7 * t
         x_star = _root_plus_to_minus(
-            lambda x: _slope_and_curvature(form, x), 0.0, hi, _derivative_scale(form)
+            partial(_slope_and_curvature, form, t), 0.0, hi, _derivative_scale(form)
         )
     value = math.sqrt(2.0 * half_derivative(form, x_star, 0))
     if symmetric:
@@ -344,25 +286,24 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
 
 
 def _max_values(form: ReducedForm, phases: list[float]) -> list[float]:
-    """find_max_reduced(replace(form, t=t)).value for each t of phases; those with
-    a unique interior maximum (not max_at_zero, t > 1e-15, tau further than
-    TAU_PI_TOL from pi) from one call of the array kernel."""
-    big_d = form.k + form.l
-    at_zero = max_at_zero(form.k, form.r1, form.l, form.r3)
-    batched = [not at_zero and t > 1e-15 and abs(t * big_d - math.pi) > TAU_PI_TOL for t in phases]
-    ts = np.array([t for t, b in zip(phases, batched) if b])
-    x = _roots_plus_to_minus(
-        lambda x: _slopes_and_curvatures(form, ts, x), 0.0, ts / form.l, _derivative_scale(form)
-    )
+    """find_max_reduced(replace(form, t=t)).value for each t of phases, bit for
+    bit; a row with a unique interior maximum (not max_at_zero, t > 1e-15, tau
+    further than TAU_PI_TOL from pi) runs the kernel and half_derivative's
+    order-0 terms directly, without building its own form."""
+    k, l, big_d = form.k, form.l, form.k + form.l
     r1, r2, r3 = form.r1, form.r2, form.r3
-    # half_derivative of order 0, term by term
-    half = r1 * r2 * np.cos(ts + form.k * x) + r1 * r3 * np.cos(big_d * x) + r2 * r3 * np.cos(ts - form.l * x)
-    half += 0.5 * (r1 * r1 + r2 * r2 + r3 * r3)
-    interior = iter(np.sqrt(2.0 * half).tolist())
-    return [
-        next(interior) if b else find_max_reduced(replace(form, t=t)).value
-        for t, b in zip(phases, batched)
-    ]
+    at_zero = max_at_zero(k, r1, l, r3)
+    scale, squares = _derivative_scale(form), 0.5 * (r1 * r1 + r2 * r2 + r3 * r3)
+    values = []
+    for t in phases:
+        if at_zero or t <= 1e-15 or abs(t * big_d - math.pi) <= TAU_PI_TOL:
+            values.append(find_max_reduced(replace(form, t=t)).value)
+            continue
+        x = _root_plus_to_minus(partial(_slope_and_curvature, form, t), 0.0, t / l, scale)
+        half = (r1 * r2 * math.cos(t + k * x) + r1 * r3 * math.cos(big_d * x)
+                + r2 * r3 * math.cos(t - l * x))
+        values.append(math.sqrt(2.0 * (half + squares)))
+    return values
 
 
 def _localization_endpoints(

@@ -4,23 +4,24 @@ Grid maximisation of |T| with each grid peak refined on the derivative of
 |T|^2, and one constant search for the empirical Sidon constant and
 multiplier norms: both are a supremum over the unit ball of a ratio of
 maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan
-and one coordinate descent.  Every stage evaluates
-|T(x)|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + (lambda_a - lambda_b) x)
-from the raw coefficients: on a grid of ``_grid_size`` points, rounded up
-to a power of two, from one pair table (``_pair_table``, gathered by exact
-masked integer index from a memoised full-turn table of cos and sin), which
-a constant search builds once, and in the refinement, with its first two
-derivatives (four at a quartic peak), from three ``math.sin`` and three
-``math.cos`` calls.  The refinement reads its three pair terms as Python
-floats, and a constant search computes its simplex rows' moduli terms once,
-so each scan cell forms only the cos and sin of its phase gaps.  The oracle
-shares one piece with the rest of the library, the period 2*pi/d from
-``spectrum_geometry``; its evaluator is not the reduced-form expansion
-``find_max_reduced`` uses, nor is its Newton loop on the + to - sign change
-of d|T|^2/dx the kernel's, so the comparison stays independent;
-``agreement`` is the one rule that judges it.  ``_golden_max`` refines a
-bracket without that sign change (a flat or double peak) and runs the
-coordinate descent.
+and one coordinate descent.  Every stage works in y = d*x on the period 2*pi
+and evaluates |T|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + m_ab y)
+from the raw coefficients and the integer steps m_ab = (lambda_a -
+lambda_b)/d, so no gap is squared (2 r_a r_b gap^2 overflows past gaps of
+1e154): on a grid of ``_grid_size`` points, rounded up to a power of two,
+from one pair table (``_pair_table``, gathered by exact masked integer index
+from a memoised full-turn table of cos and sin), which a constant search
+builds once, and in the refinement, with its first two derivatives (four at
+a quartic peak), from three ``math.sin`` and three ``math.cos`` calls.  The
+refinement reads its three pair terms as Python floats, and a constant
+search computes its simplex rows' moduli terms once, so each scan cell forms
+only the cos and sin of its phase gaps.  The oracle shares one piece with
+the rest of the library, the dilation d from ``spectrum_geometry``; its
+evaluator is not the reduced-form expansion ``find_max_reduced`` uses, nor
+is its Newton loop on the + to - sign change of d|T|^2/dy the kernel's, so
+the comparison stays independent; ``agreement`` is the one rule that judges
+it.  ``_golden_max`` refines a bracket without that sign change (a flat or
+double peak) and runs the coordinate descent.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -236,9 +237,9 @@ _A, _B = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 @dataclass(frozen=True)
 class _PairTable:
-    gaps: tuple[float, float, float]
-    period: float
-    grid: np.ndarray  # cos, then sin, of gap * x on the grid; shape (6, grid_n)
+    steps: tuple[float, float, float]  # the integer gaps (lambda_a - lambda_b)/d
+    d: int
+    grid: np.ndarray  # cos, then sin, of step * y on the grid; shape (6, grid_n)
 
 
 @lru_cache(maxsize=8)
@@ -251,18 +252,19 @@ def _full_turn(grid_n: int) -> np.ndarray:
 
 
 def _pair_table(lams, d: int, grid_n: int) -> _PairTable:
-    """cos and sin of (lambda_a - lambda_b) * x at x = j * (2*pi/d) / grid_n.
+    """The steps m = (lambda_a - lambda_b)/d, d, and cos and sin of m * y at
+    y = d * x = j * 2*pi / grid_n, where the refinement runs too.
 
-    Each gap is a multiple of d, so gap * x is exactly 2*pi * ((gap/d) * j mod
-    grid_n) / grid_n, an entry of ``_full_turn``: no phase is lost however
-    large the gaps.  The steps gap/d are reduced as Python ints, past int64,
-    so step * j < grid_n**2 <= 2**40, which the mask grid_n - 1 takes mod
-    grid_n exactly: grid_n is a power of two (``_grid_size``).
+    m * y is exactly 2*pi * (m * j mod grid_n) / grid_n, an entry of
+    ``_full_turn``: no phase is lost however large the gaps.  The steps are
+    reduced as Python ints, past int64, so step * j < grid_n**2 <= 2**40,
+    which the mask grid_n - 1 takes mod grid_n exactly: grid_n is a power of
+    two (``_grid_size``).
     """
-    gaps = [lams[a] - lams[b] for a, b in zip(_A, _B)]
-    index = np.outer([(g // d) % grid_n for g in gaps], np.arange(grid_n)) & (grid_n - 1)
+    steps = [(lams[a] - lams[b]) // d for a, b in zip(_A, _B)]
+    index = np.outer([m % grid_n for m in steps], np.arange(grid_n)) & (grid_n - 1)
     grid = np.take(_full_turn(grid_n), index, axis=1).reshape(6, grid_n)
-    return _PairTable(tuple(map(float, gaps)), TWO_PI / d, grid)
+    return _PairTable(tuple(map(float, steps)), d, grid)
 
 
 def _cross_terms(r, t):
@@ -279,16 +281,17 @@ def _grid_weights(w, p) -> np.ndarray:
 
 def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     """``brute_max`` on a prebuilt pair table: ``_cross_terms`` and
-    ``_grid_weights`` in Python floats, which the refinement reads too."""
-    (r1, r2, r3), (t1, t2, t3), (g1, g2, g3) = map(float, moduli), map(float, phases), table.gaps
+    ``_grid_weights`` in Python floats, which the refinement reads too.  The
+    refinement runs in y = d * x on the period 2*pi, on the table's integer
+    steps; the argmaxes are reported as x = y / d."""
+    (r1, r2, r3), (t1, t2, t3), (g1, g2, g3) = map(float, moduli), map(float, phases), table.steps
     s0 = r1 * r1 + r2 * r2 + r3 * r3
     w1, w2, w3 = 2.0 * r1 * r2, 2.0 * r1 * r3, 2.0 * r2 * r3
     p1, p2, p3 = t1 - t2, t1 - t3, t2 - t3
     wg1, wg2, wg3 = w1 * g1, w2 * g2, w3 * g3
     wgg1, wgg2, wgg3 = wg1 * g1, wg2 * g2, wg3 * g3
     grid_n = table.grid.shape[1]
-    period = table.period
-    h = period / grid_n
+    h = TWO_PI / grid_n
     weights = np.array((w1 * math.cos(p1), w2 * math.cos(p2), w3 * math.cos(p3),
                         -w1 * math.sin(p1), -w2 * math.sin(p2), -w3 * math.sin(p3)))
     sq = s0 + weights @ table.grid
@@ -305,22 +308,22 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     top = sq[idx]
     peaks = idx[(top >= sq[idx - 1]) & (top >= sq[(idx + 1) & (grid_n - 1)])]
 
-    def modulus_sq(x: float) -> tuple[float, float]:
-        # |T|^2 and d^2|T|^2/dx^2, from the same three cosines
-        c1, c2, c3 = math.cos(p1 + g1 * x), math.cos(p2 + g2 * x), math.cos(p3 + g3 * x)
+    def modulus_sq(y: float) -> tuple[float, float]:
+        # |T|^2 and d^2|T|^2/dy^2, from the same three cosines
+        c1, c2, c3 = math.cos(p1 + g1 * y), math.cos(p2 + g2 * y), math.cos(p3 + g3 * y)
         return s0 + w1 * c1 + w2 * c2 + w3 * c3, -(wgg1 * c1 + wgg2 * c2 + wgg3 * c3)
 
-    def slope(x: float) -> tuple[float, float]:
-        # d|T|^2/dx and d^2|T|^2/dx^2
-        a1, a2, a3 = p1 + g1 * x, p2 + g2 * x, p3 + g3 * x
+    def slope(y: float) -> tuple[float, float]:
+        # d|T|^2/dy and d^2|T|^2/dy^2
+        a1, a2, a3 = p1 + g1 * y, p2 + g2 * y, p3 + g3 * y
         return (
             -(wg1 * math.sin(a1) + wg2 * math.sin(a2) + wg3 * math.sin(a3)),
             -(wgg1 * math.cos(a1) + wgg2 * math.cos(a2) + wgg3 * math.cos(a3)),
         )
 
-    def quartic_slope(x: float) -> tuple[float, float]:
-        # d^3|T|^2/dx^3 and d^4|T|^2/dx^4
-        a1, a2, a3 = p1 + g1 * x, p2 + g2 * x, p3 + g3 * x
+    def quartic_slope(y: float) -> tuple[float, float]:
+        # d^3|T|^2/dy^3 and d^4|T|^2/dy^4
+        a1, a2, a3 = p1 + g1 * y, p2 + g2 * y, p3 + g3 * y
         return (
             wgg1 * g1 * math.sin(a1) + wgg2 * g2 * math.sin(a2) + wgg3 * g3 * math.sin(a3),
             wgg1 * g1 * g1 * math.cos(a1) + wgg2 * g2 * g2 * math.cos(a2) + wgg3 * g3 * g3 * math.cos(a3),
@@ -329,29 +332,29 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     refined: list[tuple[float, float]] = []
     for i in peaks.tolist():
         lo, hi = (i - 1) * h, (i + 1) * h
-        x, n = _slope_root(slope, lo, hi)
-        if x is None:
-            x, v, m = _golden_max(lambda y: modulus_sq(y)[0], lo, hi)
+        y, n = _slope_root(slope, lo, hi)
+        if y is None:
+            y, v, m = _golden_max(lambda z: modulus_sq(z)[0], lo, hi)
         else:
-            (v, bend), m = modulus_sq(x), 1
+            (v, bend), m = modulus_sq(y), 1
             # a quartic peak: the cubic slope loses its sign over ~eps^(1/3), but
-            # d^3|T|^2/dx^3 goes + to - through the peak at a simple root
+            # d^3|T|^2/dy^3 goes + to - through the peak at a simple root
             if abs(bend) < QUARTIC_REL_TOL * curvature:
-                x4, n4 = _slope_root(quartic_slope, lo, hi)
+                y4, n4 = _slope_root(quartic_slope, lo, hi)
                 n += n4
-                if x4 is not None:
-                    x, (v, _), m = x4, modulus_sq(x4), m + 1
-        refined.append((x % period, math.sqrt(v)))
+                if y4 is not None:
+                    y, (v, _), m = y4, modulus_sq(y4), m + 1
+        refined.append((y % TWO_PI, math.sqrt(v)))
         evaluations += n + m
 
     best = max(v for _, v in refined)
-    keep = sorted((x, v) for x, v in refined if v >= best * (1.0 - TIE_REL_TOL))
-    radius = 1e-4 * period
+    keep = sorted((y, v) for y, v in refined if v >= best * (1.0 - TIE_REL_TOL))
+    radius = 1e-4 * TWO_PI
     argmaxes: list[float] = []
-    for x, _ in keep:
-        if all(_circular_distance(x, y, period) > radius for y in argmaxes):
-            argmaxes.append(x)
-    return OracleReport(best, tuple(argmaxes), grid_n, period, evaluations)
+    for y, _ in keep:
+        if all(_circular_distance(y, z, TWO_PI) > radius for z in argmaxes):
+            argmaxes.append(y)
+    return OracleReport(best, tuple(y / table.d for y in argmaxes), grid_n, TWO_PI / table.d, evaluations)
 
 
 def _simplex_grid(n: int) -> np.ndarray:

@@ -146,12 +146,11 @@ def sweep_rows(
     k: int, l: int, r1: float, r2: float, r3: float, n: int = 64
 ) -> list[SweepRow]:
     """Sweep tau over n uniform values in [0, pi]: row i at tau = pi*i/(n-1), the
-    last at exactly pi.  Each fstar is bit for bit fstar(k, l, r1, r2, r3, t)
-    wherever numpy's sin and cos round like libm's: the rows with a unique
-    interior maximum solve in one batched rtsafe call, the rest (t <= 1e-15,
-    tau within TAU_PI_TOL of pi, every row when k*r1 = l*r3) through
-    find_max_reduced.  The batch costs some 0.4 ms at any n, so below about 30
-    rows it is slower than row by row (0.5 ms against 0.1 ms at n = 4)."""
+    last at exactly pi.  Each fstar is bit for bit fstar(k, l, r1, r2, r3, t):
+    the family's form is built once, a row with a unique interior maximum runs
+    the scalar rtsafe kernel on it, and the rest (t <= 1e-15, tau within
+    TAU_PI_TOL of pi, every row when k*r1 = l*r3) go through find_max_reduced.
+    A row costs some 8 us, so the CLI's default n = 64 takes about 0.5 ms."""
     _check_gaps(k, l)
     n = _count(n, 2, "sweep needs at least 2 rows, got {n}")
     big_d = k + l

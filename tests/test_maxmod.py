@@ -483,22 +483,7 @@ def near_knife_edge_form(rng) -> ReducedForm:
     return ReducedForm(k, 1, float(r1), float(r2), float(r3), math.pi / (k + 1))
 
 
-def batched_root(fun, lo, hi, scale):
-    """The array kernel on a one-element batch of the scalar problem fun."""
-
-    def batch(xs):
-        g, dg = zip(*(fun(float(x)) for x in xs))
-        return np.array(g), np.array(dg)
-
-    (root,) = maxmod._roots_plus_to_minus(batch, [lo], [hi], scale).tolist()
-    return root
-
-
-class RootFinderContract:
-    """The root finder's contract, run on each kernel by the classes below."""
-
-    root = None
-
+class TestRootFinder:
     @pytest.mark.parametrize(
         "fun",
         [lambda x: (-0.5 - x, -1.0), lambda x: (1.5 - x, -1.0)],
@@ -506,76 +491,40 @@ class RootFinderContract:
     )
     def test_endpoint_signs_are_guarded(self, fun):
         with pytest.raises(BracketFailure, match="endpoint derivative signs violate the bracket"):
-            self.root(fun, 0.0, 1.0, 1.0)
+            maxmod._root_plus_to_minus(fun, 0.0, 1.0, 1.0)
 
     def test_nonnegative_right_end_is_the_root(self):
-        assert self.root(lambda x: (1.0 - x, -1.0), 0.0, 1.0, 1.0) == 1.0
+        assert maxmod._root_plus_to_minus(lambda x: (1.0 - x, -1.0), 0.0, 1.0, 1.0) == 1.0
 
     def test_step_slope_ends_at_the_bisection_floor(self):
         # g' = 0 refuses every Newton step, so only bisection narrows the
         # bracket; the division by it warns nowhere (RuntimeWarning is an error)
-        root = self.root(lambda x: (1.0 if x < 1.0 / 3.0 else -1.0, 0.0), 0.0, 1.0, 1.0)
+        root = maxmod._root_plus_to_minus(
+            lambda x: (1.0 if x < 1.0 / 3.0 else -1.0, 0.0), 0.0, 1.0, 1.0
+        )
         assert root == 0.33333333333333326
 
+    def test_flat_slope_ends_at_the_noise_exit(self):
+        # a g of 1e-16, within 8 ulp of the scale, whose Newton step halves too
+        # slowly after one step: the kernel stops instead of bisecting the noise
+        root = maxmod._root_plus_to_minus(
+            lambda x: (1e-16 if x < 0.5 else -1e-16, -1e-3), 0.0, 1.0, 1.0
+        )
+        assert root == 1e-16 / 1e-3
+
     def test_converges_to_float_resolution(self):
-        root = self.root(lambda x: (2.0 - math.exp(x), -math.exp(x)), 0.0, 2.0, 2.0)
+        root = maxmod._root_plus_to_minus(
+            lambda x: (2.0 - math.exp(x), -math.exp(x)), 0.0, 2.0, 2.0
+        )
         assert abs(root - math.log(2.0)) <= 2.0 * math.ulp(2.0)
-
-
-class TestBatchedRootFinder(RootFinderContract):
-    root = staticmethod(batched_root)
-
-    def test_elements_end_on_different_exits_in_one_call(self):
-        # right end, Newton, noise (a flat g of 1e-16 whose Newton step halves
-        # too slowly after one step) and bisection floor, element by element
-        problems = [
-            (lambda x: (1.0 - x, -1.0), 1.0),
-            (lambda x: (2.0 - math.exp(x), -math.exp(x)), 2.0),
-            (lambda x: (1e-16 if x < 0.5 else -1e-16, -1e-3), 1.0),
-            (lambda x: (1.0 if x < 1.0 / 3.0 else -1.0, 0.0), 1.0),
-        ]
-
-        def batch(xs):
-            g, dg = zip(*(fun(float(x)) for (fun, _), x in zip(problems, xs)))
-            return np.array(g), np.array(dg)
-
-        his = [hi for _, hi in problems]
-        roots = maxmod._roots_plus_to_minus(batch, 0.0, his, his).tolist()
-        assert roots == [
-            maxmod._root_plus_to_minus(fun, 0.0, hi, hi) for fun, hi in problems
-        ]
-        assert roots[0] == 1.0
-        assert abs(roots[1] - math.log(2.0)) <= 2.0 * math.ulp(2.0)
-        assert roots[2] == 1e-16 / 1e-3
-        assert roots[3] == 0.33333333333333326
-
-    def test_roots_match_the_scalar_kernel_on_sweeps(self):
-        # bit for bit, since numpy's sin and cos round like libm's here
-        rng = np.random.default_rng(68)
-        for _ in range(100):
-            form = canonical_reduction(random_trinomial(rng, modulus_range=(1e-4, 1e4))).form
-            ts = np.linspace(0.0, math.pi / (form.k + form.l), 34)[1:-1]
-            scale = maxmod._derivative_scale(form)
-            roots = maxmod._roots_plus_to_minus(
-                lambda x: maxmod._slopes_and_curvatures(form, ts, x), 0.0, ts / form.l, scale
-            )
-            for t, root in zip(ts.tolist(), roots.tolist()):
-                one = ReducedForm(form.k, form.l, form.r1, form.r2, form.r3, t)
-                assert root == maxmod._root_plus_to_minus(
-                    lambda x: maxmod._slope_and_curvature(one, x), 0.0, t / form.l, scale
-                )
-
-
-class TestRootFinder(RootFinderContract):
-    root = staticmethod(maxmod._root_plus_to_minus)
 
     def test_few_evaluations_and_stationary_points(self, monkeypatch):
         calls = []
         helper = maxmod._slope_and_curvature
 
-        def counted(form, x):
+        def counted(form, t, x):
             calls.append(x)
-            return helper(form, x)
+            return helper(form, t, x)
 
         monkeypatch.setattr(maxmod, "_slope_and_curvature", counted)
         rng = np.random.default_rng(66)

@@ -94,6 +94,19 @@ class TestBruteMax:
         assert all(0 <= x < math.pi + 1e-9 for x in report.argmaxes)
         assert report.value == pytest.approx(2 * math.sqrt(2), rel=1e-11)
 
+    @pytest.mark.parametrize("e,moduli", [(153, (1.0, 2.0, 3.0)), (54, (1e99, 2e99, 3e99))])
+    def test_huge_gaps_refine_in_y_without_overflow(self, e, moduli):
+        # 2*r_a*r_b*gap^2 overflows past gaps of 1e154 (1e54 at moduli near 1e99);
+        # in y = d*x only the integer steps gap/d are squared, so the dilated
+        # report is (0, 3, 5)'s with its argmaxes divided by d
+        d = 10**e
+        tri = Trinomial(0, 3 * d, 5 * d, *moduli, 0.1, 0.2, 0.3)
+        report, undilated = brute_max(tri), brute_max(Trinomial(0, 3, 5, *moduli, 0.1, 0.2, 0.3))
+        assert report.value == undilated.value
+        assert report.argmaxes == tuple(y / d for y in undilated.argmaxes)
+        assert report.period == TWO_PI / d
+        assert agreement(max_points_global(tri), report).ok
+
 
 class TestAgreementWithAnalyticPath:
     def test_five_hundred_random_instances(self):
@@ -408,19 +421,19 @@ class TestPairCosineEvaluator:
         # above it by at most the droop of |T|^2 between grid points
         geo = spectrum_geometry(freqs)
         table = _pair_table(geo.lams, geo.d, 1024)
-        h = table.period / 1024
+        h = TWO_PI / 1024
         rng = np.random.default_rng(17)
         for r, t in zip(np.exp(rng.uniform(-3.0, 3.0, (20, 3))), rng.uniform(0.0, TWO_PI, (20, 3))):
             s0, w, _ = _cross_terms(r[None, :], t)
             grid = _grid_max(table, s0, w, t)[0]
-            droop = float(w[0] @ np.square(table.gaps)) * h * h / 8.0
+            droop = float(w[0] @ np.square(table.steps)) * h * h / 8.0
             value = _grid_and_refine(table, r, t).value
             assert grid * (1.0 - 1e-15) <= value <= math.sqrt(grid * grid + droop)
 
     def test_grid_ignores_a_common_offset(self):
         offset = _pair_table((10**9, 10**9 + 1, 10**9 + 3), 1, 1024)
         small = _pair_table((0, 1, 3), 1, 1024)
-        assert offset.gaps == small.gaps
+        assert offset.steps == small.steps
         np.testing.assert_array_equal(offset.grid, small.grid)
 
     @pytest.mark.parametrize("freqs", [(0, 1, 3), (-4, 2, 7), (-3, 0, 6)])
@@ -431,8 +444,8 @@ class TestPairCosineEvaluator:
         table = _pair_table(freqs, d, grid_n)
         gaps = [freqs[a] - freqs[b] for a, b in ((0, 1), (0, 2), (1, 2))]
         arg = np.outer(gaps, np.arange(grid_n) * (TWO_PI / d / grid_n))
-        assert table.gaps == tuple(map(float, gaps))
-        assert table.period == TWO_PI / d
+        assert table.steps == tuple(float(gap // d) for gap in gaps)
+        assert table.d == d
         assert table.grid.shape == (6, grid_n)
         np.testing.assert_allclose(table.grid, np.vstack((np.cos(arg), np.sin(arg))), rtol=0.0, atol=1e-13)
 
@@ -449,7 +462,7 @@ class TestPairCosineEvaluator:
             index = [(gap // d) * j % grid_n for j in range(grid_n)]
             np.testing.assert_array_equal(table.grid[row], turn[0, index])
             np.testing.assert_array_equal(table.grid[row + 3], turn[1, index])
-        assert table.gaps == tuple(map(float, gaps))
+        assert table.steps == tuple(float(gap // d) for gap in gaps)
 
     def test_the_full_turn_memo_is_read_only(self):
         turn = _full_turn(1024)

@@ -198,12 +198,11 @@ class TestSweep:
         assert (rows[-1].tau, rows[-1].t) == (math.pi, math.pi / 3)
         assert [row.tau for row in rows[:-1]] == [math.pi * i / (n - 1) for i in range(n - 1)]
 
-    def test_broken_bracket_raises_from_the_batch(self, monkeypatch):
-        # only the batched rows evaluate _slopes_and_curvatures; flipping its
-        # sign breaks every bracket
-        slopes = maxmod._slopes_and_curvatures
+    def test_broken_bracket_raises_from_the_sweep(self, monkeypatch):
+        # flipping the slope's sign breaks the bracket of every interior row
+        slope = maxmod._slope_and_curvature
         monkeypatch.setattr(
-            maxmod, "_slopes_and_curvatures", lambda *args: tuple(-a for a in slopes(*args))
+            maxmod, "_slope_and_curvature", lambda *args: tuple(-a for a in slope(*args))
         )
         with pytest.raises(BracketFailure, match="endpoint derivative signs violate the bracket"):
             sweep_rows(1, 2, 0.5, 1.5, 1.0, 16)
@@ -239,7 +238,7 @@ def test_sweep_matches_scalar_fstar(fam):
         rows = sweep_rows(k, l, r1, r2, r3, n)
         for row in rows:
             ref = fstar(k, l, r1, r2, r3, row.t)
-            assert abs(row.fstar - ref) <= 2.0 * math.ulp(ref)
+            assert row.fstar == ref
         if kind in LAST_ROW_CLASS:
             last, _ = make_reduced_form(k, l, r1, r2, r3, rows[-1].t)
             assert find_max_reduced(last).classification is LAST_ROW_CLASS[kind]
