@@ -9,19 +9,20 @@ and evaluates |T|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + m_ab y)
 from the raw coefficients and the integer steps m_ab = (lambda_a -
 lambda_b)/d, so no gap is squared (2 r_a r_b gap^2 overflows past gaps of
 1e154): on a grid of ``_grid_size`` points, rounded up to a power of two,
-from one pair table (``_pair_table``, gathered by exact masked integer index
-from a memoised full-turn table of cos and sin), which a constant search
-builds once, and in the refinement, with its first two derivatives (four at
-a quartic peak), from three ``math.sin`` and three ``math.cos`` calls.  The
-refinement reads its three pair terms as Python floats, and a constant
-search computes its simplex rows' moduli terms once, so each scan cell forms
-only the cos and sin of its phase gaps.  The oracle shares one piece with
-the rest of the library, the dilation d from ``spectrum_geometry``; its
-evaluator is not the reduced-form expansion ``find_max_reduced`` uses, nor
-is its Newton loop on the + to - sign change of d|T|^2/dy the kernel's, so
-the comparison stays independent; ``agreement`` is the one rule that judges
-it.  ``_golden_max`` refines a bracket without that sign change (a flat or
-double peak) and runs the coordinate descent.
+from one pair table (``_pair_table``, stacking each step's memoised cos and
+sin rows, gathered by exact masked integer index from a memoised full-turn
+table), which a constant search builds once, and in the refinement, with its
+first two derivatives (four at a quartic peak), from three ``math.sin`` and
+three ``math.cos`` calls.  The refinement reads its three pair terms as
+Python floats, and a constant search computes its simplex rows' moduli terms
+once, so each scan cell forms only the cos and sin of its phase gaps.  The
+oracle shares one piece with the rest of the library, the dilation d from
+``spectrum_geometry``; its evaluator is not the reduced-form expansion
+``find_max_reduced`` uses, nor is its Newton loop on the + to - sign change
+of d|T|^2/dy the kernel's, so the comparison stays independent;
+``agreement`` is the one rule that judges it.  ``_golden_max`` refines a
+bracket without that sign change (a flat or double peak) and runs the
+coordinate descent.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -222,8 +223,8 @@ def brute_max(trinomial: Trinomial, grid_n: int = 1024) -> OracleReport:
 def _grid_size(grid_n: int, geo) -> int:
     """max(grid_n, 8 * D) rounded up to a power of two: |T|^2 has degree D on
     the period, so the coarse scan's every second point still samples its top
-    frequency 4 times a cycle; ``_pair_table`` masks by the power of two, which
-    bounds the ``_full_turn`` memo too.  Past MAX_GRID raises SpectrumError, before any table."""
+    frequency 4 times a cycle; ``_step_turn`` masks by the power of two, which
+    bounds its grid-size memos too.  Past MAX_GRID raises SpectrumError, before any table."""
     grid_n = _count(grid_n, 1024, "oracle grid must have at least 1024 points, got {n}")
     n = 1 << (max(grid_n, 8 * geo.D) - 1).bit_length()
     if n > MAX_GRID:
@@ -251,20 +252,40 @@ def _full_turn(grid_n: int) -> np.ndarray:
     return turn
 
 
-def _pair_table(lams, d: int, grid_n: int) -> _PairTable:
-    """The steps m = (lambda_a - lambda_b)/d, d, and cos and sin of m * y at
-    y = d * x = j * 2*pi / grid_n, where the refinement runs too.
+# the most bytes of step rows ``_step_memo`` keeps per grid size: 64 steps at 1024 points
+_STEP_MEMO_BYTES = 2**20
 
-    m * y is exactly 2*pi * (m * j mod grid_n) / grid_n, an entry of
-    ``_full_turn``: no phase is lost however large the gaps.  The steps are
-    reduced as Python ints, past int64, so step * j < grid_n**2 <= 2**40,
-    which the mask grid_n - 1 takes mod grid_n exactly: grid_n is a power of
-    two (``_grid_size``).
-    """
-    steps = [(lams[a] - lams[b]) // d for a, b in zip(_A, _B)]
-    index = np.outer([m % grid_n for m in steps], np.arange(grid_n)) & (grid_n - 1)
-    grid = np.take(_full_turn(grid_n), index, axis=1).reshape(6, grid_n)
-    return _PairTable(tuple(map(float, steps)), d, grid)
+
+@lru_cache(maxsize=8)
+def _step_memo(grid_n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    return {}
+
+
+def _step_turn(m: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of m * y_j for y_j = j * 2*pi / grid_n: two read-only rows.
+
+    m * y_j is exactly 2*pi * (m * j mod grid_n) / grid_n, an entry of
+    ``_full_turn``, however large m is: m is reduced mod grid_n as a Python
+    int, past int64, so m * j < grid_n**2 <= 2**40, which the mask grid_n - 1
+    takes mod grid_n exactly (grid_n is a power of two, ``_grid_size``).  The
+    rows are memoised while the grid's memo stays within _STEP_MEMO_BYTES."""
+    memo, m = _step_memo(grid_n), m % grid_n
+    rows = memo.get(m)
+    if rows is None:
+        turn = _full_turn(grid_n)[:, (m * np.arange(grid_n)) & (grid_n - 1)]
+        turn.flags.writeable = False
+        rows = tuple(turn)
+        if (len(memo) + 1) * turn.nbytes <= _STEP_MEMO_BYTES:
+            memo[m] = rows
+    return rows
+
+
+def _pair_table(lams, d: int, grid_n: int) -> _PairTable:
+    """The steps m = (lambda_a - lambda_b)/d, d, and ``_step_turn``'s exact cos and
+    sin of m * y at y = d * x = j * 2*pi / grid_n, where the refinement runs too."""
+    steps = [(lams[a] - lams[b]) // d for a, b in ((0, 1), (0, 2), (1, 2))]
+    (c1, s1), (c2, s2), (c3, s3) = (_step_turn(m, grid_n) for m in steps)
+    return _PairTable(tuple(map(float, steps)), d, np.array((c1, c2, c3, s1, s2, s3)))
 
 
 def _cross_terms(r, t):

@@ -21,6 +21,7 @@ Everything here is pure and reentrant; all values are immutable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from math import gcd, inf
 from operator import index
@@ -43,6 +44,8 @@ REDUCED_T_SLACK = 1e-12
 # the oracle square the moduli, which overflows past about 1.3e154 and turns subnormal
 # below about 1e-154, and |T| is homogeneous in the moduli, so any trinomial rescales into range
 MODULUS_SCALE = 1e100
+# the widest frequency span max - min, the float range: d and the period 2*pi/d are floats
+_MAX_SPAN = int(sys.float_info.max)
 
 __all__ = [
     "SpectrumError",
@@ -71,7 +74,7 @@ class SpectrumError(ValueError):
 
 
 def _frequencies(frequencies) -> tuple[int, int, int]:
-    """Three pairwise distinct integers (anything operator.index takes), as ints."""
+    """Three pairwise distinct integers (anything operator.index takes) spanning at most _MAX_SPAN, as ints."""
     try:
         f1, f2, f3 = frequencies
         f1, f2, f3 = index(f1), index(f2), index(f3)
@@ -79,6 +82,9 @@ def _frequencies(frequencies) -> tuple[int, int, int]:
         raise SpectrumError(f"frequencies must be three integers, got {frequencies}") from None
     if f1 == f2 or f2 == f3 or f1 == f3:
         raise SpectrumError(f"frequencies must be pairwise distinct, got {(f1, f2, f3)}")
+    if abs(f1 - f2) > _MAX_SPAN or abs(f1 - f3) > _MAX_SPAN or abs(f2 - f3) > _MAX_SPAN:
+        span = max(f1, f2, f3) - min(f1, f2, f3)
+        raise SpectrumError(f"frequencies must span at most {_MAX_SPAN:.6g}, got a span of {len(str(span))} digits")
     return f1, f2, f3
 
 

@@ -158,6 +158,15 @@ class TestAnalyze:
         message = json.loads(out)["error"]["message"] if fmt == ["--json"] else err
         assert "the largest modulus must lie in [1e-100, 1e+100]" in message
 
+    @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--verify"], ["sidon", "--verify"]])
+    def test_frequency_span_past_the_float_range_exits_2(self, capsys, command):
+        # d and the period 2*pi/d are floats; a span of 2e400 used to raise a bare OverflowError
+        moduli = ["-r", "1", "2", "3", "-p", "0.1", "0.2", "0.3"] if command[0] == "analyze" else []
+        code = main([command[0], "-l", "0", str(3 * 10**400), str(5 * 10**400), *moduli, *command[1:]])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert "frequencies must span at most 1.79769e+308, got a span of 401 digits" in err
+
     def test_invalid_spectrum_json_error_body(self, capsys):
         code, out = run(
             capsys, "analyze", "-l", "1", "1", "2", "-r", "1", "1", "1", "--json"

@@ -68,6 +68,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: binomial_max(1e-101, 1e-101),
         lambda: maxmod.closed_form_k1_l1(1e200, 1e200, 1e200),
         lambda: maxmod.closed_form_k2_l1(1e-300, 1e-300, 1e-300),
+        lambda: Trinomial(0, 3 * 10**400, 5 * 10**400, 1, 2, 3),
+        lambda: sidon_constant((0, 3 * 10**400, 5 * 10**400)),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -99,6 +101,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "binomial-moduli-below-range",
         "closed-form-k1-moduli-above-range",
         "closed-form-k2-moduli-below-range",
+        "trinomial-span-past-float-range",
+        "sidon-span-past-float-range",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

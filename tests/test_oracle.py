@@ -40,6 +40,16 @@ from trinomax.oracle import (
 )
 
 TWO_PI = 2.0 * math.pi
+# negative steps and steps past int64, on a grid whose step memo holds 64 steps and one holding 1
+MASKED_FREQS = pytest.mark.parametrize("freqs", [(0, 1, 10**19), (-(10**20) - 7, 3, 2**70 + 1), (5, -2, 9)])
+MASKED_GRIDS = pytest.mark.parametrize("grid_n", [1024, 2**16])
+
+
+@pytest.fixture
+def fresh_step_memo():
+    oracle._step_memo.cache_clear()
+    yield
+    oracle._step_memo.cache_clear()
 
 
 class TestBruteMax:
@@ -449,8 +459,8 @@ class TestPairCosineEvaluator:
         assert table.grid.shape == (6, grid_n)
         np.testing.assert_allclose(table.grid, np.vstack((np.cos(arg), np.sin(arg))), rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("freqs", [(0, 1, 10**19), (-(10**20) - 7, 3, 2**70 + 1), (5, -2, 9)])
-    @pytest.mark.parametrize("grid_n", [1024, 2**16])
+    @MASKED_FREQS
+    @MASKED_GRIDS
     def test_masked_index_matches_a_modulo_reference(self, freqs, grid_n):
         # negative gaps and gaps beyond int64: the index (gap/d) * j mod grid_n
         # in Python ints, against the table's mask of the reduced steps
@@ -469,6 +479,43 @@ class TestPairCosineEvaluator:
         assert turn is _full_turn(1024)
         with pytest.raises(ValueError):
             turn[0, 0] = 2.0
+
+    def test_step_rows_are_read_only_and_memoised(self, fresh_step_memo):
+        rows = oracle._step_turn(-3, 1024)
+        assert oracle._step_turn(1021, 1024) is rows
+        for row in rows:
+            with pytest.raises(ValueError):
+                row[0] = 2.0
+
+    def test_the_step_memo_stops_storing_at_its_byte_cap(self, monkeypatch, fresh_step_memo):
+        # three steps' cos and sin rows at 1024 points
+        monkeypatch.setattr(oracle, "_STEP_MEMO_BYTES", 3 * 2 * 1024 * 8)
+        first = [oracle._step_turn(m, 1024) for m in range(5)]
+        assert sorted(oracle._step_memo(1024)) == [0, 1, 2]
+        again = [oracle._step_turn(m, 1024) for m in range(5)]
+        assert [a is b for a, b in zip(first, again)] == [True, True, True, False, False]
+        np.testing.assert_array_equal(first, again)
+        assert oracle._step_memo.cache_info().maxsize == 8
+
+    @MASKED_FREQS
+    @MASKED_GRIDS
+    def test_memoised_rows_give_the_gathered_tables_and_reports(self, freqs, grid_n, monkeypatch, fresh_step_memo):
+        # the memo off (cap 0) against tables read back from it, on steps past
+        # int64 and on a dilation by 2**64 with a common offset
+        dilated = Trinomial(10**9, 10**9 + 3 * 2**64, 10**9 + 7 * 2**64, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+        d = spectrum_geometry(freqs).d
+        r, t = (1.0, 2.0, 3.0), (0.1, 0.2, 0.3)
+        monkeypatch.setattr(oracle, "_STEP_MEMO_BYTES", 0)
+        gathered, gathered_report = _pair_table(freqs, d, grid_n), brute_max(dilated, grid_n)
+        assert not oracle._step_memo(grid_n)
+        monkeypatch.undo()
+        _pair_table(freqs, d, grid_n), brute_max(dilated, grid_n)  # fills the memo up to its cap
+        memoised, memoised_report = _pair_table(freqs, d, grid_n), brute_max(dilated, grid_n)
+        assert oracle._step_memo(grid_n)
+        assert (memoised.steps, memoised.d) == (gathered.steps, gathered.d)
+        np.testing.assert_array_equal(memoised.grid, gathered.grid)
+        assert _grid_and_refine(memoised, r, t) == _grid_and_refine(gathered, r, t)
+        assert memoised_report == gathered_report
 
     @staticmethod
     def assert_value_is_the_modulus_at_the_argmaxes(report, tri):
