@@ -9,6 +9,8 @@ zeros, or one quadruple zero).  No binomial is extreme.
 Both facts are read off the branch of ``max_points_global`` that found the
 maximum: the zeros of 1 - |P|^2 are exactly its maximum points, each of the
 multiplicity that branch reports (four on the knife edge, two elsewhere).
+Given p1 + p2 + p3 = rho, the paper's parabola condition on the signed
+coefficients of a quadruple point is that same knife edge, tested in maxmod.
 
 Reconstruction: a trinomial that attains its maximum modulus at two given
 points is pinned down by its values there, via a 3-equation linear system in
@@ -33,7 +35,6 @@ __all__ = [
     "unit_ball_point",
     "classify_unit_ball_point",
     "reconstruct_from_two_points",
-    "parabola_invariant",
 ]
 
 _ZERO_COEFF_REL = 1e-12
@@ -225,22 +226,3 @@ def reconstruct_from_two_points(
         ):
             raise NoSolution(f"candidate does not attain its maximum at {point}")
     return candidate
-
-
-def parabola_invariant(
-    k: int, p1: float, p2: float, p3: float, rho: float
-) -> bool:
-    """Whether signed coefficients of a quadruple-point trinomial lie on the parabola.
-
-    Tests (k*p1 - p3)^2 = rho*(k^2*p1 + p3) to 1e-10 relative together with
-    k^2*p1*p2 + (k+1)^2*p1*p3 + p2*p3 = 0; callers guarantee the p's are
-    nonzero with p1 + p2 + p3 = rho > 0.
-    """
-    lhs = (k * p1 - p3) ** 2
-    rhs = rho * (k * k * p1 + p3)
-    scale = abs(lhs) + abs(rhs)
-    first = abs(lhs - rhs) <= 1e-10 * max(scale, 1e-300)
-    combo = k * k * p1 * p2 + (k + 1) ** 2 * p1 * p3 + p2 * p3
-    combo_scale = abs(k * k * p1 * p2) + abs((k + 1) ** 2 * p1 * p3) + abs(p2 * p3)
-    second = abs(combo) <= 1e-10 * max(combo_scale, 1e-300)
-    return first and second

@@ -21,7 +21,7 @@ import numpy as np
 from .maxmod import max_at_zero, max_points_global
 from .spectrum import SpectrumGeometry, Trinomial, _count, spectrum_geometry
 
-__all__ = ["Curve", "hypotrochoid_sample", "curve_point", "farthest_points"]
+__all__ = ["Curve", "hypotrochoid_sample", "farthest_points"]
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,6 @@ def _outer_curve(trinomial: Trinomial, geo: SpectrumGeometry):
     t1, _, t3 = geo.sort(trinomial.phases)
     gap1, gap3 = geo.lams[1] - geo.lams[0], geo.lams[2] - geo.lams[1]
     return lambda x: r1 * np.exp(1j * (t1 - gap1 * x)) + r3 * np.exp(1j * (t3 + gap3 * x))
-
-
-def curve_point(trinomial: Trinomial, x: float) -> complex:
-    """Point of the outer-coefficient curve at parameter x."""
-    return complex(_outer_curve(trinomial, spectrum_geometry(trinomial.frequencies))(x))
 
 
 def hypotrochoid_sample(trinomial: Trinomial, n: int) -> Curve:

@@ -44,14 +44,12 @@ __all__ = [
     "MaxResult",
     "evaluate",
     "half_derivative",
-    "locate_interval",
     "localization_interval",
     "find_max_reduced",
     "max_at_zero",
     "max_points_global",
     "closed_form_k1_l1",
     "closed_form_k2_l1",
-    "binomial_max",
 ]
 
 # |t*(k+l) - pi| at or below this counts as tau = pi
@@ -143,14 +141,6 @@ def half_derivative(form: ReducedForm, x: float, order: int = 1) -> float:
     if order == 0:
         out += 0.5 * (r1 * r1 + r2 * r2 + r3 * r3)
     return out
-
-
-def locate_interval(form: ReducedForm) -> tuple[float, float]:
-    """[-t/k, t/l]: contains an absolute maximum point for any moduli.
-
-    Under the normalisation k*r1 <= l*r3 the maximum point lies in [0, t/l].
-    """
-    return (-form.t / form.k, form.t / form.l)
 
 
 def _derivative_scale(form: ReducedForm) -> float:
@@ -433,13 +423,3 @@ def closed_form_k2_l1(r1: float, r2: float, r3: float) -> float:
         )
         return math.sqrt(squared)
     return -r1 + r2 + r3
-
-
-def binomial_max(r1: float, r2: float) -> float:
-    """Maximum modulus of a trigonometric binomial: always r1 + r2.
-
-    Degenerate entry point for spectra where one trinomial coefficient
-    vanishes; the maximum does not depend on frequencies or phases.
-    """
-    _check_moduli((r1, r2))
-    return r1 + r2

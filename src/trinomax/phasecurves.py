@@ -5,8 +5,8 @@ r1*e^(-ikx) + r2*e^(it) + r3*e^(ilx) is an even, 2*pi/(k+l)-periodic
 function of t that strictly decreases on [0, pi/(k+l)].  This module
 computes that curve, its directional derivative through the max-function
 expansion (the derivative of a parametric maximum is the extreme of the
-partial derivatives over the argmax set), and the two cosine bounds that
-sandwich the decrease.
+partial derivatives over the argmax set), and a sweep over tau whose rows
+carry both sides of the paper's two cosine bounds on the decrease.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ __all__ = [
     "SweepRow",
     "fstar",
     "chebotarev_derivative",
-    "ratio_gstar",
-    "cos_quotient_bound",
-    "moduli_sum_bound",
     "sweep_rows",
 ]
 
@@ -39,7 +36,10 @@ __all__ = [
 class SweepRow:
     """One row of a phase sweep: invariant tau, reduced phase t = tau/(k+l),
     maximum modulus, its quotient by |r1 + r2*e^(it) + r3|, and the cosine
-    reference cos(tau/(2D))."""
+    reference cos(tau/(2D)).  ratio and bound carry the paper's inequalities:
+    ratio is 1 throughout when k*r1 = l*r3 and strictly increasing otherwise,
+    and fstar/(r1+r2+r3) >= bound, with equality at tau = 0 and at moduli
+    (l, k+l, k), so fstar_i >= bound_i/bound_j * fstar_j for rows i > j."""
 
     tau: float
     t: float
@@ -106,40 +106,6 @@ def chebotarev_derivative(
 def _modulus_at_zero(r1: float, r2: float, r3: float, t: float) -> float:
     """|r1 + r2*e^(it) + r3|, the modulus of the reduced form at x = 0."""
     return math.hypot(r1 + r3 + r2 * math.cos(t), r2 * math.sin(t))
-
-
-def ratio_gstar(k: int, l: int, r1: float, r2: float, r3: float, t: float) -> float:
-    """fstar divided by |r1 + r2*e^(it) + r3| (the modulus at x = 0).
-
-    Identically 1 when k*r1 = l*r3; otherwise strictly increasing in t on
-    [0, pi/(k+l)].
-    """
-    return fstar(k, l, r1, r2, r3, t) / _modulus_at_zero(r1, r2, r3, t)
-
-
-def cos_quotient_bound(tau: float, tau_prime: float, big_d: int) -> float:
-    """cos(tau/(2D)) / cos(tau'/(2D)) for 0 <= tau' < tau <= pi.
-
-    The maximum modulus at invariant tau is at least this multiple of the
-    maximum at tau', with equality exactly at moduli proportional to
-    (l, k+l, k).
-    """
-    big_d = _count(big_d, 2, "D must be an integer >= 2, got {n}")
-    if not (0.0 <= tau_prime < tau <= math.pi * (1.0 + 1e-12)):
-        raise SpectrumError(f"need 0 <= tau' < tau <= pi, got tau'={tau_prime}, tau={tau}")
-    return math.cos(tau / (2.0 * big_d)) / math.cos(tau_prime / (2.0 * big_d))
-
-
-def moduli_sum_bound(
-    k: int, l: int, r1: float, r2: float, r3: float, t: float
-) -> tuple[float, float]:
-    """(fstar/(r1+r2+r3), cos(t/2)): the left side never drops below the right.
-
-    Equality holds exactly when t = 0 or the moduli are proportional to
-    (l, k+l, k); in reduced coordinates cos(t/2) = cos(tau/(2D)).
-    """
-    lhs = fstar(k, l, r1, r2, r3, t) / (r1 + r2 + r3)
-    return lhs, math.cos(_fold_phase(t, k + l) / 2.0)
 
 
 def sweep_rows(

@@ -7,6 +7,7 @@ import pytest
 from trinomax import (
     MaxClassification,
     NoSolution,
+    ReducedForm,
     SingularConfiguration,
     SpectrumError,
     Trinomial,
@@ -14,13 +15,14 @@ from trinomax import (
     canonical_reduction,
     classify_unit_ball_point,
     evaluate,
+    find_max_reduced,
     max_points_global,
-    parabola_invariant,
     random_symmetric_pair,
     random_trinomial,
     reconstruct_from_two_points,
     unit_ball_point,
 )
+from trinomax import maxmod
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +44,12 @@ class TestClassification:
         assert point.sup_norm == pytest.approx(1.0)
         cls = classify_unit_ball_point(point)
         assert not cls.exposed and not cls.extreme
+
+    @pytest.mark.parametrize("r1,r2", [(1, 1), (2, 3), (0.5, 0.5)])
+    def test_binomial_sup_norm_is_the_sum_of_moduli(self, r1, r2):
+        # whatever the frequencies and phases, a binomial attains r1 + r2
+        point = unit_ball_point((-1, 0, 2), (r1, 0.0, r2), (0.3, 0.0, 1.1))
+        assert point.sup_norm == r1 + r2
 
     def test_two_point_trinomial_is_exposed_and_extreme(self):
         s = 2 * math.sqrt(2)
@@ -233,33 +241,24 @@ class TestReconstruction:
             reconstruct_from_two_points((-1, 0, 1), 0.0, math.pi, 2.0 + 0j, 1.0j)
 
 
-class TestParabolaInvariant:
-    def construct(self, k, p1, p3):
-        p2 = -((k + 1) ** 2) * p1 * p3 / (k * k * p1 + p3)
-        rho = p1 + p2 + p3
-        return p1, p2, p3, rho
+@pytest.mark.parametrize("k,r1,r3", [(1, 1.0, 2.0), (2, 0.3, 2.0), (3, 0.1, 2.0)])
+class TestKnifeEdge:
+    # given p1 + p2 + p3 = rho, the paper's parabola through the signed
+    # coefficients (-r1, r2, r3) is the knife edge at
+    # r2 = (k+1)^2 * r1 * r3 / (r3 - k^2 * r1)
+    def on_edge(self, k, r1, r2, r3):
+        form = ReducedForm(k, 1, r1, r2, r3, math.pi / (k + 1))
+        margin, scale = maxmod._knife_edge(form)
+        cls = find_max_reduced(form).classification
+        return abs(margin) <= maxmod.DEGENERATE_REL_TOL * scale, cls is MaxClassification.DEGENERATE4
 
-    @pytest.mark.parametrize("k,p1,p3", [(1, -1.0, 2.0), (2, -0.3, 2.0), (3, 0.5, -20.0)])
-    def test_constructed_solutions(self, k, p1, p3):
-        p1, p2, p3, rho = self.construct(k, p1, p3)
-        if rho <= 0:
-            p1, p2, p3, rho = -p1, -p2, -p3, -rho
-        assert parabola_invariant(k, p1, p2, p3, rho)
+    def test_quadruple_point_moduli_lie_on_the_knife_edge(self, k, r1, r3):
+        edge = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1)
+        assert self.on_edge(k, r1, edge, r3) == (True, True)
 
-    def test_quadruple_point_coefficients_lie_on_the_parabola(self):
-        # signed coefficients at the degenerate maximum: (-r1, r2, r3)
-        k = 2
-        r1, r3 = 0.3, 2.0
-        r2 = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1)
-        rho = -r1 + r2 + r3
-        assert parabola_invariant(k, -r1, r2, r3, rho)
-
-    def test_perturbation_breaks_it(self):
-        k = 2
-        r1, r3 = 0.3, 2.0
-        r2 = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1)
-        rho = -r1 + r2 + r3
-        assert not parabola_invariant(k, -r1, r2 * 1.001, r3, rho)
+    def test_perturbation_breaks_it(self, k, r1, r3):
+        edge = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1)
+        assert self.on_edge(k, r1, edge * 1.001, r3) == (False, False)
 
 
 def test_unit_ball_point_and_classification_solve_once(monkeypatch):

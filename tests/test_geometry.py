@@ -7,7 +7,6 @@ from trinomax import (
     MaxClassification,
     SpectrumError,
     Trinomial,
-    curve_point,
     farthest_points,
     hypotrochoid_sample,
     max_points_global,
@@ -67,6 +66,17 @@ class TestHypotrochoidSample:
         with pytest.raises(SpectrumError):
             hypotrochoid_sample(FIG1, 8)
 
+    @pytest.mark.parametrize(
+        "tri", [FIG1, Trinomial(3, -6, 0, 1, 4, 1, 0.9, 0.2, 0.5)], ids=["fig1", "dilated-unsorted"]
+    )
+    def test_samples_match_the_outer_curve_formula(self, tri):
+        # r1*e^(i(t1 - gap1*x)) + r3*e^(i(t3 + gap3*x)) over the sorted spectrum
+        (l1, r1, t1), (l2, _, _), (l3, r3, t3) = sorted(zip(tri.frequencies, tri.moduli, tri.phases))
+        gap1, gap3 = l2 - l1, l3 - l2
+        for x, z in hypotrochoid_sample(tri, 64).samples:
+            want = r1 * cmath.exp(1j * (t1 - gap1 * x)) + r3 * cmath.exp(1j * (t3 + gap3 * x))
+            assert abs(z - want) <= 1e-12 * (r1 + r3)
+
 
 class TestFarthestPoints:
     def test_fig1_unique_point(self):
@@ -117,8 +127,3 @@ class TestSampleConvergence:
             assert reported <= sample_max + correction * 1.000001 + 1e-12
             errors.append(reported - sample_max)
         assert errors[1] <= errors[0] + 1e-15
-
-    def test_curve_point_consistency(self):
-        curve = hypotrochoid_sample(FIG1, 64)
-        for x, z in curve.samples[:8]:
-            assert curve_point(FIG1, x) == pytest.approx(z)

@@ -11,12 +11,10 @@ from trinomax import (
     ReducedForm,
     SpectrumError,
     Trinomial,
-    binomial_max,
     brute_max,
     brute_sidon,
     chebotarev_derivative,
     classify_unit_ball_point,
-    cos_quotient_bound,
     fstar,
     geometric_progression_bounds,
     hypotrochoid_sample,
@@ -41,8 +39,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
     [
         lambda: unit_ball_point((-1, 0, 1), (1, NAN, 1), (0, 0, 0)),
         lambda: unit_ball_point((-1, 0, 1), (INF, 1, 1), (0, 0, 0)),
+        lambda: unit_ball_point((-1, 0, 2), (INF, 0, 1), (0, 0, 0)),
         lambda: classify_unit_ball_point(unit_ball_point((-1, 0, 1), (1, 0, 0), (NAN, 0, 0))),
-        lambda: binomial_max(INF, 1),
         lambda: brute_max(TRI, 1024.5),
         lambda: run_verification(1, 1.5),
         lambda: Trinomial(0.5, 1, 2, 1, 1, 1),
@@ -65,7 +63,6 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: Trinomial(-1, 0, 2, 1e160, 2e160, 3e160),
         lambda: Trinomial(-1, 0, 2, 1e-160, 2e-160, 3e-160),
         lambda: ReducedForm(1, 2, 1e101, 1.0, 1e101, 0.1),
-        lambda: binomial_max(1e-101, 1e-101),
         lambda: maxmod.closed_form_k1_l1(1e200, 1e200, 1e200),
         lambda: maxmod.closed_form_k2_l1(1e-300, 1e-300, 1e-300),
         lambda: Trinomial(0, 3 * 10**400, 5 * 10**400, 1, 2, 3),
@@ -74,8 +71,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
     ids=[
         "unit-ball-nan-modulus",
         "unit-ball-inf-modulus",
-        "unit-ball-nan-phase",
         "binomial-inf",
+        "unit-ball-nan-phase",
         "brute-max-fractional-grid",
         "verify-fractional-count",
         "trinomial-fractional-frequency",
@@ -98,7 +95,6 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "trinomial-moduli-above-range",
         "trinomial-moduli-below-range",
         "reduced-form-moduli-above-range",
-        "binomial-moduli-below-range",
         "closed-form-k1-moduli-above-range",
         "closed-form-k2-moduli-below-range",
         "trinomial-span-past-float-range",
@@ -117,7 +113,6 @@ def test_unit_ball_moduli_message_says_finite():
 
 def test_numpy_integers_are_accepted():
     i = np.int64
-    assert cos_quotient_bound(1.0, 0.5, i(3)) == cos_quotient_bound(1.0, 0.5, 3)
     assert geometric_progression_bounds(i(3)) == geometric_progression_bounds(3)
     tri = Trinomial(i(-1), i(0), i(2), 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
     assert tri == TRI

@@ -10,13 +10,11 @@ from trinomax import (
     ReducedForm,
     SpectrumError,
     Trinomial,
-    binomial_max,
     closed_form_k1_l1,
     closed_form_k2_l1,
     evaluate,
     find_max_reduced,
     half_derivative,
-    locate_interval,
     localization_interval,
     make_reduced_form,
     max_points_global,
@@ -131,31 +129,6 @@ class TestDerivativeHalf:
             assert half_derivative(form, x, 3) == pytest.approx(d3_fd, abs=1e-6)
 
 
-class TestLocateInterval:
-    def test_degenerate_at_zero_phase(self):
-        assert locate_interval(ReducedForm(1, 2, 1, 1, 1, 0.0)) == (0.0, 0.0)
-
-    def test_arithmetic(self):
-        lo, hi = locate_interval(ReducedForm(1, 2, 1, 1, 1, math.pi / 6))
-        assert lo == pytest.approx(-math.pi / 6)
-        assert hi == pytest.approx(math.pi / 12)
-
-    def test_contains_oracle_argmax(self):
-        from trinomax import brute_max
-
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            r = np.exp(rng.uniform(math.log(0.1), math.log(10), 3))
-            form, _ = make_reduced_form(1, 2, *r, rng.uniform(0, math.pi / 3))
-            lo, hi = locate_interval(form)
-            report = brute_max(reduced_as_trinomial(form), 2048)
-            ok = any(
-                lo - 1e-6 <= x - TWO_PI * round((x - (lo + hi) / 2) / TWO_PI) <= hi + 1e-6
-                for x in report.argmaxes
-            )
-            assert ok
-
-
 class TestFindMaxReduced:
     def test_balanced_outer_weights_pin_argmax_at_zero(self):
         # k*r1 = l*r3 forces the maximum point to 0 for every phase
@@ -194,6 +167,24 @@ class TestFindMaxReduced:
         assert res.classification is MaxClassification.AT_BOUNDARY
         assert res.multiplicity == 2
         assert res.value == pytest.approx(13.0)
+
+    def test_contains_oracle_argmax(self):
+        # the maximum of a reduced form lies in [0, t/l], the bracket the
+        # solve searches, and the grid oracle finds it there too
+        from trinomax import brute_max
+
+        rng = np.random.default_rng(2)
+        for _ in range(25):
+            r = np.exp(rng.uniform(math.log(0.1), math.log(10), 3))
+            form, _ = make_reduced_form(1, 2, *r, rng.uniform(0, math.pi / 3))
+            hi = form.t / form.l
+            ((x, _),) = find_max_reduced(form).points
+            assert -1e-12 <= x <= hi + 1e-12
+            report = brute_max(reduced_as_trinomial(form), 2048)
+            assert any(
+                -1e-6 <= y - TWO_PI * round((y - hi / 2) / TWO_PI) <= hi + 1e-6
+                for y in report.argmaxes
+            )
 
     def test_zero_phase_short_circuit(self):
         form = ReducedForm(2, 3, 0.4, 1.1, 0.9, 0.0)
@@ -360,11 +351,6 @@ class TestClosedForms:
             v2 = closed_form_k2_l1(*r)
             form2, _ = make_reduced_form(2, 1, *r, math.pi / 3)
             assert v2 == pytest.approx(find_max_reduced(form2).value, rel=1e-10)
-
-
-@pytest.mark.parametrize("r1,r2,expected", [(1, 1, 2), (2, 3, 5), (0.5, 0.5, 1.0)])
-def test_binomial_max(r1, r2, expected):
-    assert binomial_max(r1, r2) == expected
 
 
 def test_degenerate_quadruple_derivatives():

@@ -5,14 +5,10 @@ import pytest
 
 from trinomax import (
     MaxClassification,
-    SpectrumError,
     Trinomial,
     chebotarev_derivative,
-    cos_quotient_bound,
     evaluate,
     fstar,
-    moduli_sum_bound,
-    ratio_gstar,
     sweep_rows,
 )
 from trinomax import find_max_reduced, make_reduced_form, maxmod
@@ -98,71 +94,82 @@ class TestChebotarev:
         assert abs(slopes[-1]) < 1e-2
 
 
+def pairs_of_rows(rows):
+    return [(rows[i], rows[j]) for i in range(len(rows)) for j in range(i)]
+
+
 class TestRatio:
-    def test_constant_when_balanced(self):
-        for t in np.linspace(0, math.pi / 3, 16):
-            assert ratio_gstar(1, 2, 2.0, 0.7, 1.0, float(t)) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("family", [(1, 2, 2.0, 0.7, 1.0), (1, 1, 1, 2, 1)])
+    def test_constant_when_balanced(self, family):
+        # k*r1 = l*r3: the maximum stays at 0, so ratio is 1 up to the last row (tau = pi)
+        for row in sweep_rows(*family, 16):
+            assert row.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_extremal_instance_is_balanced(self):
-        # (1, 2, 1) with k = l = 1 has k*r1 = l*r3, hence ratio 1 even at pi/2
-        assert ratio_gstar(1, 1, 1, 2, 1, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+        # moduli (l, k+l, k) have k*r1 = l*r3, hence ratio 1 up to tau = pi
+        for k, l in ((1, 2), (3, 2), (2, 5)):
+            for row in sweep_rows(k, l, l, k + l, k, 16):
+                assert row.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_increasing_otherwise(self):
-        ts = np.linspace(0.0, math.pi / 3, 24)
-        vals = [ratio_gstar(1, 2, 1.0, 1.0, 1.0, float(t)) for t in ts]
+        vals = [row.ratio for row in sweep_rows(1, 2, 1.0, 1.0, 1.0, 24)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert vals[0] == pytest.approx(1.0)
+        assert vals[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCosQuotientBound:
     def test_reference_value(self):
-        assert cos_quotient_bound(math.pi, 0.0, 2) == pytest.approx(1 / math.sqrt(2))
+        rows = sweep_rows(1, 1, 1.0, 1.0, 1.0, 2)
+        assert rows[-1].bound / rows[0].bound == pytest.approx(1 / math.sqrt(2))
 
     def test_tends_to_one(self):
-        assert cos_quotient_bound(0.5 + 1e-9, 0.5, 3) == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(SpectrumError):
-            cos_quotient_bound(0.3, 0.4, 2)
+        # on a fine sweep neighbouring rows are 1e-3 apart: both quotients
+        # lie in [bound quotient, 1] and the bound quotient tends to 1
+        rows = sweep_rows(1, 2, 0.5, 1.5, 1.0, 512)
+        for prev, row in zip(rows, rows[1:]):
+            quotient = row.bound / prev.bound
+            assert 1.0 - 1e-3 < quotient < 1.0
+            assert quotient * (1 - 1e-12) <= row.fstar / prev.fstar <= 1.0
 
     def test_equality_at_extremal_moduli(self):
-        # moduli (l, k+l, k): the bound is attained
+        # moduli (l, k+l, k): the bound is attained between every pair of rows
         for k, l in ((1, 1), (1, 2), (3, 2)):
-            big_d = k + l
-            for tau, tau_p in ((math.pi, 0.0), (2.0, 0.5)):
-                lhs = fstar(k, l, l, k + l, k, tau / big_d)
-                rhs = fstar(k, l, l, k + l, k, tau_p / big_d)
-                bound = cos_quotient_bound(tau, tau_p, big_d)
-                assert lhs == pytest.approx(bound * rhs, rel=1e-10)
+            for i, j in pairs_of_rows(sweep_rows(k, l, l, k + l, k, 9)):
+                assert i.fstar == pytest.approx(i.bound / j.bound * j.fstar, rel=1e-10)
 
     def test_strict_inequality_for_generic_moduli(self):
         rng = np.random.default_rng(35)
         for _ in range(50):
             r = np.exp(rng.uniform(math.log(0.1), math.log(10), 3))
-            tau = float(rng.uniform(1.0, math.pi))
-            tau_p = float(rng.uniform(0.0, tau - 0.5))
-            lhs = fstar(1, 2, *r, tau / 3)
-            rhs = fstar(1, 2, *r, tau_p / 3)
-            bound = cos_quotient_bound(tau, tau_p, 3)
-            assert lhs >= bound * rhs * (1 - 1e-12)
+            for i, j in pairs_of_rows(sweep_rows(1, 2, *r, 9)):
+                assert i.fstar >= i.bound / j.bound * j.fstar * (1 - 1e-12)
 
 
 class TestModuliSumBound:
     def test_zero_phase_equality(self):
-        lhs, bound = moduli_sum_bound(1, 2, 0.7, 1.1, 2.0, 0.0)
-        assert lhs == pytest.approx(1.0)
-        assert bound == pytest.approx(1.0)
+        row = sweep_rows(1, 2, 0.7, 1.1, 2.0, 8)[0]
+        assert row.tau == 0.0
+        assert row.fstar / (0.7 + 1.1 + 2.0) == pytest.approx(1.0)
+        assert row.bound == 1.0
+
+    def test_holds_on_every_row(self):
+        rng = np.random.default_rng(34)
+        for k, l in ((1, 1), (1, 2), (3, 2), (2, 5)):
+            r = np.exp(rng.uniform(math.log(0.1), math.log(10), 3))
+            rows = sweep_rows(k, l, *r, 16)
+            total = float(sum(r))
+            assert rows[0].fstar / total == pytest.approx(1.0)
+            for row in rows:
+                assert row.fstar / total >= row.bound * (1 - 1e-12)
 
     def test_extremal_moduli_equality(self):
         for k, l in ((1, 2), (2, 1), (1, 1)):
-            for frac in (0.3, 0.8, 1.0):
-                t = frac * math.pi / (k + l)
-                lhs, bound = moduli_sum_bound(k, l, l, k + l, k, t)
-                assert lhs == pytest.approx(bound, abs=1e-10)
+            for row in sweep_rows(k, l, l, k + l, k, 16):
+                assert row.fstar / (2 * (k + l)) == pytest.approx(row.bound, abs=1e-10)
 
     def test_strict_above_otherwise(self):
-        lhs, bound = moduli_sum_bound(1, 2, 1.0, 1.0, 1.0, math.pi / 6)
-        assert lhs > bound + 1e-9
+        row = sweep_rows(1, 2, 1.0, 1.0, 1.0, 3)[1]  # tau = pi/2, t = pi/6
+        assert row.fstar / 3.0 > row.bound + 1e-9
 
     def test_shortcut_chain(self):
         # max >= |value at 0| >= (r1+r2+r3) cos(t/2)
