@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .maxmod import MaxResult, evaluate, max_points_global
-from .spectrum import TWO_PI, SpectrumError, Trinomial, _check_phases, _frequencies, spectrum_geometry
+from .spectrum import TWO_PI, SpectrumError, Trinomial, _check_moduli, _check_phases, _frequencies, spectrum_geometry
 
 __all__ = [
     "NoSolution",
@@ -99,8 +99,7 @@ def unit_ball_point(
     frequencies = _frequencies(frequencies)
     if len(moduli) != 3 or len(phases) != 3:
         raise SpectrumError(f"need three moduli and three phases, got {moduli} and {phases}")
-    if not all(0.0 <= r < math.inf for r in moduli) or max(moduli) <= 0.0:
-        raise SpectrumError(f"moduli must be finite, nonnegative and not all zero, got {moduli}")
+    _check_moduli(moduli, zeros=True)
     _check_phases(phases)
     live = _live_moduli(moduli)
     maximum = None

@@ -63,10 +63,8 @@ def farthest_points(trinomial: Trinomial) -> list[tuple[float, float]]:
     This is exactly the maximum-modulus problem for the trinomial itself,
     so the parameters are its maximum points; one or two are returned.
     """
-    geo = spectrum_geometry(trinomial.frequencies)
+    res = max_points_global(trinomial)
+    geo = res.reduction.geometry
     curve = _outer_curve(trinomial, geo)
     center = -geo.sort(trinomial.moduli)[1] * cmath.exp(1j * geo.sort(trinomial.phases)[1])
-    return [
-        (x, abs(complex(curve(x)) - center))
-        for x, _ in max_points_global(trinomial).points
-    ]
+    return [(x, abs(complex(curve(x)) - center)) for x, _ in res.points]

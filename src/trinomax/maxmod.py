@@ -330,15 +330,12 @@ def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
     return (min(e1, e2), max(e1, e2))
 
 
-def _check_localization(
-    reduction: Reduction, phases: tuple[float, float, float],
-    classification: MaxClassification, points: tuple[float, ...],
-) -> None:
+def _check_localization(reduction: Reduction, classification: MaxClassification, points: tuple[float, ...]) -> None:
     """Raise BracketFailure unless a point lies, mod the period, in the
     phase-only interval of the branch the solve took: e3 at k*r1 = l*r3; for
     a unique interior point, e3 and e2, or e1 when the reduction swapped
-    (k*r1 > l*r3); at tau = pi, e1 and e2.  phases are the sorted phases."""
-    e1, e2, e3 = _localization_endpoints(reduction.geometry, phases, reduction.turns)
+    (k*r1 > l*r3); at tau = pi, e1 and e2."""
+    e1, e2, e3 = _localization_endpoints(reduction.geometry, reduction.phases, reduction.turns)
     if classification is MaxClassification.AT_ZERO:
         ends = (e3, e3)
     elif classification is MaxClassification.INTERIOR_UNIQUE:
@@ -365,10 +362,10 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     axis s (with x + y = s for the pair) is reported as well.  The points are
     checked against the phase-only localization interval of the branch the
     solve took, and the result keeps the reduction it solved through.  The
-    points are stationary to spectrum.STATIONARY_REL_TOL relative; spectra
-    past float resolution for that (2*(l3 - l1)*ulp(2*pi/d) above it, a
-    diameter l3 - l1 beyond about 5.6e6 for d = 1) raise SpectrumError from
-    the reduction.
+    points are stationary to spectrum.STATIONARY_REL_TOL relative (the
+    reduction refuses spectra past float resolution for that).  No input is
+    checked again (Trinomial did), and the fresh, unshared reduced-form
+    result is completed in place: one MaxResult per solve.
     """
     reduction = canonical_reduction(trinomial)
     res = find_max_reduced(reduction.form)
@@ -377,9 +374,10 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     axis = None
     if res.s is not None:
         axis = (2.0 * reduction.v + res.s / (reduction.epsilon * reduction.geometry.d)) % period
-    phases = reduction.geometry.sort(trinomial.phases)
-    _check_localization(reduction, phases, res.classification, tuple(x for x, _ in points))
-    return MaxResult(points, res.classification, axis, reduction)
+    _check_localization(reduction, res.classification, tuple(x for x, _ in points))
+    for name, value in (("points", points), ("s", axis), ("reduction", reduction)):
+        object.__setattr__(res, name, value)
+    return res
 
 
 def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[float, ...]]:

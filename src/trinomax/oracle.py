@@ -508,7 +508,7 @@ def random_trinomial(
     lo, hi = math.log(modulus_range[0]), math.log(modulus_range[1])
     moduli = np.exp(rng.uniform(lo, hi, size=3))
     phases = rng.uniform(0.0, TWO_PI, size=3)
-    return Trinomial(*(int(f) for f in freqs), *moduli, *phases)
+    return Trinomial(*freqs, *moduli, *phases)
 
 
 def random_symmetric_pair(rng: np.random.Generator) -> Trinomial:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import gcd, inf
 from operator import index
 from typing import NamedTuple
@@ -69,8 +69,8 @@ class SpectrumError(ValueError):
     """Invalid trinomial data: repeated frequencies, nonpositive moduli, ..."""
 
 
-# The input rules.  Each is checked here and nowhere else; every entry point
-# that takes such an input calls its rule.
+# The input rules.  Each is defined here and runs once, in the public
+# constructors and entry points; internal records are built from trusted values.
 
 
 def _frequencies(frequencies) -> tuple[int, int, int]:
@@ -88,11 +88,11 @@ def _frequencies(frequencies) -> tuple[int, int, int]:
     return f1, f2, f3
 
 
-def _check_moduli(moduli) -> None:
-    """Trinomial moduli: positive and finite, the largest in [1/MODULUS_SCALE, MODULUS_SCALE]."""
+def _check_moduli(moduli, zeros: bool = False) -> None:
+    """Moduli: positive (with ``zeros``, nonnegative) and finite, the largest in [1/MODULUS_SCALE, MODULUS_SCALE]."""
     for r in moduli:
-        if not 0.0 < r < inf:
-            raise SpectrumError(f"moduli must be positive and finite, got {r}")
+        if not (0.0 <= r < inf if zeros else 0.0 < r < inf):
+            raise SpectrumError(f"moduli must be {'nonnegative' if zeros else 'positive'} and finite, got {r}")
     if not 1.0 / MODULUS_SCALE <= max(moduli) <= MODULUS_SCALE:
         raise SpectrumError(
             f"the largest modulus must lie in [{1.0 / MODULUS_SCALE:g}, {MODULUS_SCALE:g}], got "
@@ -168,9 +168,9 @@ def modular_inverse(a: int, n: int) -> int:
 class Trinomial:
     """Three Fourier coefficients given as (modulus, phase) at integer frequencies.
 
-    A phase past a full turn, |t| > 2*pi, is stored reduced to [-pi, pi]
-    (``_check_phases``), so the solve and the oracle read the same T even at
-    t = 1e12, where ulp(t) is about 1e-4.
+    The input rules run here, once: frequencies are stored as ints, moduli as
+    floats, and a phase past a full turn, |t| > 2*pi, reduced to [-pi, pi]
+    (``_check_phases``), so the solve and the oracle read the same T.
     """
 
     lambda1: int
@@ -184,12 +184,10 @@ class Trinomial:
     t3: float = 0.0
 
     def __post_init__(self) -> None:
-        _frequencies((self.lambda1, self.lambda2, self.lambda3))
-        for name in ("r1", "r2", "r3"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _check_moduli((self.r1, self.r2, self.r3))
-        for name, t in zip(("t1", "t2", "t3"), _check_phases((self.t1, self.t2, self.t3))):
-            object.__setattr__(self, name, t)
+        values = (*_frequencies(self.frequencies), *map(float, self.moduli))
+        _check_moduli(values[3:])
+        for name, value in zip(self.__dataclass_fields__, values + _check_phases(self.phases)):
+            object.__setattr__(self, name, value)
 
     @property
     def frequencies(self) -> tuple[int, int, int]:
@@ -209,7 +207,7 @@ class Trinomial:
         The permutation maps sorted slot j to the original coefficient index
         perm[j] (0-based).
         """
-        geo = spectrum_geometry(self.frequencies)
+        geo = _geometry(self.frequencies)
         return Trinomial(*geo.lams, *geo.sort(self.moduli), *geo.sort(self.phases)), geo.perm
 
 
@@ -271,9 +269,20 @@ def make_reduced_form(
     The swap replaces x by -x, which leaves the maximum modulus unchanged.
     Returns the form and whether the swap was applied.
     """
-    if k * r1 > l * r3:
-        return ReducedForm(l, k, r3, r2, r1, t), True
-    return ReducedForm(k, l, r1, r2, r3, t), False
+    form, swapped = _trusted_form(k, l, r1, r2, r3, t)
+    form.__post_init__()
+    return form, swapped
+
+
+def _trusted_form(k, l, r1, r2, r3, t) -> tuple[ReducedForm, bool]:
+    """make_reduced_form, unchecked, of values that already satisfy ReducedForm's rules.
+    The fields are set by __setattr__: filling __dict__ would slow every later read."""
+    swapped = k * r1 > l * r3
+    form = object.__new__(ReducedForm)
+    fields = (l, k, r3, r2, r1, t) if swapped else (k, l, r1, r2, r3, t)
+    for name, value in zip(ReducedForm.__dataclass_fields__, fields):
+        object.__setattr__(form, name, value)
+    return form, swapped
 
 
 def phase_combination(k: int, l: int, t1: float, t2: float, t3: float) -> float:
@@ -325,7 +334,11 @@ def spectrum_geometry(frequencies) -> SpectrumGeometry:
 
     Raises SpectrumError unless they are three pairwise distinct integers.
     """
-    f = _frequencies(frequencies)
+    return _geometry(_frequencies(frequencies))
+
+
+def _geometry(f: tuple[int, int, int]) -> SpectrumGeometry:
+    """spectrum_geometry of frequencies that already passed _frequencies, as ints."""
     perm = tuple(sorted(range(3), key=f.__getitem__))
     l1, l2, l3 = f[perm[0]], f[perm[1]], f[perm[2]]
     d = gcd(l2 - l1, l3 - l2)
@@ -340,6 +353,7 @@ class Reduction:
     _turn_shifts on the sorted phases, and (alpha, v) the isometric rotation
     and shift stripped from the phases.  |T(x)| = |R(epsilon*d*(x - v))| for
     every x; swapped records that k*r1 > l*r3 exchanged the outer coefficients.
+    phases, the source's sorted phases, are input, so the repr leaves them out.
     """
 
     form: ReducedForm
@@ -350,6 +364,7 @@ class Reduction:
     v: float
     epsilon: int
     swapped: bool
+    phases: tuple[float, float, float] = field(repr=False)
 
     @property
     def period(self) -> float:
@@ -428,9 +443,10 @@ def canonical_reduction(trinomial: Trinomial) -> Reduction:
     the remaining phase is negative; rescale x by d; swap the outer
     coefficients if k*r1 > l*r3.  The maximum modulus is preserved at every
     step and |T(x)| = |R(epsilon*d*(x - v))| for all x.  Raises SpectrumError
-    for frequencies past float resolution (see STATIONARY_REL_TOL).
+    for frequencies past float resolution (see STATIONARY_REL_TOL).  Nothing
+    else is checked: Trinomial did, and the form's rules hold by construction.
     """
-    geo = spectrum_geometry(trinomial.frequencies)
+    geo = _geometry(trinomial.frequencies)
     diameter = geo.lams[2] - geo.lams[0]
     resolution = 2.0 * diameter * math.ulp(TWO_PI / geo.d)
     if resolution > STATIONARY_REL_TOL:
@@ -440,19 +456,19 @@ def canonical_reduction(trinomial: Trinomial) -> Reduction:
             f"above {STATIONARY_REL_TOL:.0e}"
         )
     big_d = geo.D
-    t1, t2, t3 = geo.sort(trinomial.phases)
+    phases = t1, t2, t3 = geo.sort(trinomial.phases)
     r1, r2, r3 = geo.sort(trinomial.moduli)
-    tau_signed, turns = _turn_shifts(geo, (t1, t2, t3))
+    tau_signed, turns = _turn_shifts(geo, phases)
 
     t2_target = tau_signed / big_d
     v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), turns[0], tol=1e-7)
     alpha = wrap_angle(t2 - t2_target + geo.lams[1] * v)
 
     epsilon = 1 if t2_target >= 0.0 else -1
-    form, swapped = make_reduced_form(geo.k, geo.l, r1, r2, r3, min(abs(t2_target), math.pi / big_d))
+    form, swapped = _trusted_form(geo.k, geo.l, r1, r2, r3, min(abs(t2_target), math.pi / big_d))
     if swapped:
         epsilon = -epsilon
-    return Reduction(form, geo, abs(tau_signed), turns, alpha, v, epsilon, swapped)
+    return Reduction(form, geo, abs(tau_signed), turns, alpha, v, epsilon, swapped, phases)
 
 
 def _two_adic_valuation(n: int) -> int:

@@ -67,6 +67,7 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: maxmod.closed_form_k2_l1(1e-300, 1e-300, 1e-300),
         lambda: Trinomial(0, 3 * 10**400, 5 * 10**400, 1, 2, 3),
         lambda: sidon_constant((0, 3 * 10**400, 5 * 10**400)),
+        lambda: unit_ball_point((-1, 0, 2), (0, 0, 0), (0, 0, 0)),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -99,6 +100,7 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "closed-form-k2-moduli-below-range",
         "trinomial-span-past-float-range",
         "sidon-span-past-float-range",
+        "unit-ball-all-zero",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):
@@ -109,6 +111,14 @@ def test_malformed_input_raises_spectrum_error(call):
 def test_unit_ball_moduli_message_says_finite():
     with pytest.raises(SpectrumError, match="finite"):
         unit_ball_point((-1, 0, 1), (1, NAN, 1), (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "moduli", [(1e-101, 0, 1e-101), (1e200, 0, 1e200), (0, 1e200, 0)], ids=["binomial-below", "binomial-above", "monomial-above"]
+)
+def test_unit_ball_moduli_range_is_the_trinomial_rule(moduli):
+    with pytest.raises(SpectrumError, match=r"the largest modulus must lie in \[1e-100, 1e\+100\]"):
+        unit_ball_point((-1, 0, 2), moduli, (0, 0, 0))
 
 
 def test_numpy_integers_are_accepted():

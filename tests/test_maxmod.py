@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,27 +273,46 @@ class TestMaxPointsGlobal:
                 for x, _ in stats.points
             )
 
-    def test_geometry_and_phase_combination_derived_once(self, monkeypatch):
+    @staticmethod
+    def solve_calls(monkeypatch, names):
+        """For each of three solves, the sorted calls it makes to the spectrum helpers of names."""
         from trinomax import spectrum
 
-        calls = []
-        for module, name in (
-            (spectrum, "spectrum_geometry"), (maxmod, "spectrum_geometry"), (spectrum, "phase_combination")
-        ):
-            def counted(*args, _name=name, _fun=getattr(module, name)):
-                calls.append(_name)
-                return _fun(*args)
-
-            monkeypatch.setattr(module, name, counted)
         rng = np.random.default_rng(9)
-        for tri in (
-            Trinomial(4, -2, 0, 1, 4, 1, 0.3, -0.2, 0.1),
-            random_trinomial(rng),
-            random_symmetric_pair(rng),
-        ):
+        tris = (Trinomial(4, -2, 0, 1, 4, 1, 0.3, -0.2, 0.1), random_trinomial(rng), random_symmetric_pair(rng))
+        calls = []
+        for name in names:
+            def counted(*args, _name=name, _fun=getattr(spectrum, name), **kwargs):
+                calls.append(_name)
+                return _fun(*args, **kwargs)
+
+            monkeypatch.setattr(spectrum, name, counted)
+        per_solve = []
+        for tri in tris:
             calls.clear()
             max_points_global(tri)
-            assert sorted(calls) == ["phase_combination", "spectrum_geometry"]
+            per_solve.append(sorted(calls))
+        return per_solve
+
+    def test_geometry_and_phase_combination_derived_once(self, monkeypatch):
+        # every geometry, spectrum_geometry's included, is derived by spectrum._geometry
+        per_solve = self.solve_calls(monkeypatch, ("_geometry", "phase_combination"))
+        assert per_solve == [["_geometry", "phase_combination"]] * 3
+
+    def test_inputs_are_not_checked_again(self, monkeypatch):
+        rules = ("_frequencies", "_check_moduli", "_check_phases", "_check_reduced")
+        assert self.solve_calls(monkeypatch, rules) == [[]] * 3
+
+    def test_numpy_integer_frequencies_are_stored_as_ints(self):
+        lo, hi = -2**63 + 1, 2**63 - 1
+        tri = Trinomial(np.int64(lo), 0, np.int64(hi), 1, 2, 3, 0.1, 0.2, 0.3)
+        assert [type(f) for f in tri.frequencies] == [int] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = max_points_global(tri)
+        plain = max_points_global(Trinomial(lo, 0, hi, 1, 2, 3, 0.1, 0.2, 0.3))
+        assert res == plain and repr(res) == repr(plain)
+        assert res.reduction.geometry.lams == (lo, 0, hi)
 
     def test_axis_symmetry_of_modulus(self):
         tri = Trinomial(-2, 0, 1, 4, 1, 1, 0, math.pi / 3, 0)
