@@ -122,7 +122,7 @@ def multiplier_norm(
     geo = spectrum_geometry(frequencies)
     norm = _norm_at(abs(geo.signed_tau(multiplier.phases)), geo.D)
     w = _extremal_trinomial(geo)
-    shifted = Multiplier(*geo.sort(multiplier.phases)).apply(w)
+    shifted = Trinomial(*w.frequencies, *w.moduli, *(t + u for t, u in zip(w.phases, geo.sort(multiplier.phases))))
     attained = max_points_global(shifted).value / max_points_global(w).value
     return norm, Witness(w.frequencies, w.moduli, w.phases, attained)
 
@@ -173,9 +173,9 @@ def unconditional_constants(
     four each have phase invariant pi and realise the common constant
     sec(pi/(2D)).
     """
-    complex_constant, _ = sidon_constant(frequencies)
     geo = spectrum_geometry(frequencies)
-    equal_pair = tuple(i + 1 for i in _top_two_adic_pair(frequencies))
+    complex_constant = _norm_at(math.pi, geo.D)  # the Sidon constant
+    equal_pair = tuple(i + 1 for i in _top_two_adic_pair(geo))
 
     isometric: list[tuple[int, int, int]] = []
     non_isometric: list[tuple[int, int, int]] = []

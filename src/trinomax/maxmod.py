@@ -19,7 +19,7 @@ with multiplicity four.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -32,6 +32,7 @@ from .spectrum import (
     SpectrumGeometry,
     Trinomial,
     _check_moduli,
+    _trusted_form,
     _turn_shifts,
     canonical_reduction,
     modular_inverse,
@@ -275,11 +276,16 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     return MaxResult(((x_star % TWO_PI, value),), cls, None)
 
 
+def _at_phase(form: ReducedForm, t: float) -> ReducedForm:
+    """replace(form, t=t), unchecked, for a float t in [0, pi/(k+l)]: the form's other rules already hold."""
+    return _trusted_form(form.k, form.l, form.r1, form.r2, form.r3, t)[0]
+
+
 def _max_values(form: ReducedForm, phases: list[float]) -> list[float]:
-    """find_max_reduced(replace(form, t=t)).value for each t of phases, bit for
-    bit; a row with a unique interior maximum (not max_at_zero, t > 1e-15, tau
-    further than TAU_PI_TOL from pi) runs the kernel and half_derivative's
-    order-0 terms directly, without building its own form."""
+    """find_max_reduced(_at_phase(form, t)).value for each t in [0, pi/(k+l)] of
+    phases, bit for bit; a row with a unique interior maximum (not max_at_zero,
+    t > 1e-15, tau further than TAU_PI_TOL from pi) runs the kernel and
+    half_derivative's order-0 terms directly, without building its own form."""
     k, l, big_d = form.k, form.l, form.k + form.l
     r1, r2, r3 = form.r1, form.r2, form.r3
     at_zero = max_at_zero(k, r1, l, r3)
@@ -287,7 +293,7 @@ def _max_values(form: ReducedForm, phases: list[float]) -> list[float]:
     values = []
     for t in phases:
         if at_zero or t <= 1e-15 or abs(t * big_d - math.pi) <= TAU_PI_TOL:
-            values.append(find_max_reduced(replace(form, t=t)).value)
+            values.append(find_max_reduced(_at_phase(form, t)).value)
             continue
         x = _root_plus_to_minus(partial(_slope_and_curvature, form, t), 0.0, t / l, scale)
         half = (r1 * r2 * math.cos(t + k * x) + r1 * r3 * math.cos(big_d * x)

@@ -1,28 +1,28 @@
 """Brute-force verification oracle, independent of the analytic path.
 
-Grid maximisation of |T| with each grid peak refined on the derivative of
-|T|^2, and one constant search for the empirical Sidon constant and
+Grid maximisation of |T|, each grid peak near the maximum refined on the
+derivative of |T|^2 (a one-point band is its own peak, one refined peak the
+maximum), and one constant search for the empirical Sidon constant and
 multiplier norms: both are a supremum over the unit ball of a ratio of
-maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan
-and one coordinate descent.  Every stage works in y = d*x on the period 2*pi
-and evaluates |T|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + m_ab y)
-from the raw coefficients and the integer steps m_ab = (lambda_a -
-lambda_b)/d, so no gap is squared (2 r_a r_b gap^2 overflows past gaps of
-1e154): on a grid of ``_grid_size`` points, rounded up to a power of two,
-from one pair table (``_pair_table``, stacking each step's memoised cos and
-sin rows, gathered by exact masked integer index from a memoised full-turn
-table), which a constant search builds once, and in the refinement, with its
-first two derivatives (four at a quartic peak), from three ``math.sin`` and
-three ``math.cos`` calls.  The refinement reads its three pair terms as
-Python floats, and a constant search computes its simplex rows' moduli terms
-once, so each scan cell forms only the cos and sin of its phase gaps.  The
-oracle shares one piece with the rest of the library, the dilation d from
-``spectrum_geometry``; its evaluator is not the reduced-form expansion
+maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan and
+one coordinate descent.  Every stage works in y = d*x on the period 2*pi and
+evaluates |T|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + m_ab y) from
+the raw coefficients and the integer steps m_ab = (lambda_a - lambda_b)/d, so
+no gap is squared (2 r_a r_b gap^2 overflows past gaps of 1e154): on a grid
+of ``_grid_size`` points, rounded up to a power of two, from one pair table
+(``_pair_table``, stacking each step's memoised cos and sin rows, gathered by
+exact masked integer index from a memoised full-turn table), which a constant
+search builds once, and in the refinement, with its first two derivatives
+(four at a quartic peak), from three ``math.sin`` and three ``math.cos``
+calls.  The refinement reads its three pair terms as Python floats, and a
+constant search computes its simplex rows' moduli terms once, so each scan
+cell forms only the cos and sin of its phase gaps.  The oracle shares one
+piece with the rest of the library, the dilation d of the spectrum
+geometry; its evaluator is not the reduced-form expansion
 ``find_max_reduced`` uses, nor is its Newton loop on the + to - sign change
-of d|T|^2/dy the kernel's, so the comparison stays independent;
-``agreement`` is the one rule that judges it.  ``_golden_max`` refines a
-bracket without that sign change (a flat or double peak) and runs the
-coordinate descent.
+of d|T|^2/dy the kernel's, so the comparison stays independent; ``agreement``
+is the one rule that judges it.  ``_golden_max`` refines a bracket without
+that sign change (a flat or double peak) and runs the coordinate descent.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -51,6 +51,7 @@ from .spectrum import (
     Trinomial,
     _check_moduli,
     _count,
+    _geometry,
     make_reduced_form,
     spectrum_geometry,
 )
@@ -210,12 +211,12 @@ def brute_max(trinomial: Trinomial, grid_n: int = 1024) -> OracleReport:
     by integer index), so a large common offset costs no precision.  Every
     grid local maximum that could hide the global maximum given the quadratic
     droop of |T|^2 between grid points (and at least every one within a 1e-7
-    relative band of the grid maximum) is refined over its two neighbouring
-    grid cells to the + to - root of d|T|^2/dx, or by golden section where
-    the slope lacks those signs; refined points within TIE_REL_TOL relative
-    of the best are maximum points, clustered with radius 1e-4 of the period.
-    """
-    geo = spectrum_geometry(trinomial.frequencies)
+    relative band of the grid maximum; a band of one point is the grid argmax)
+    is refined over its two neighbouring grid cells to the + to - root of
+    d|T|^2/dx, or by golden section where the slope lacks those signs; refined
+    points within TIE_REL_TOL relative of the best (a single one is the best)
+    are maximum points, clustered with radius 1e-4 of the period."""
+    geo = _geometry(trinomial.frequencies)
     table = _pair_table(trinomial.frequencies, geo.d, _grid_size(grid_n, geo))
     return _grid_and_refine(table, trinomial.moduli, trinomial.phases)
 
@@ -315,19 +316,22 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     h = TWO_PI / grid_n
     weights = np.array((w1 * math.cos(p1), w2 * math.cos(p2), w3 * math.cos(p3),
                         -w1 * math.sin(p1), -w2 * math.sin(p2), -w3 * math.sin(p3)))
-    sq = s0 + weights @ table.grid
+    sq = weights @ table.grid
+    sq += s0
     evaluations = grid_n
-    vmax_sq = float(sq.max())
+    vmax_sq = float(sq[sq.argmax()])
 
     # |T|^2 droops at most max |(|T|^2)''| * h^2 / 8 between samples; /6 is a wider margin
     curvature = wgg1 + wgg2 + wgg3
     droop_sq = curvature * h * h / 6.0
     threshold = min(vmax_sq * (1.0 - 1e-7) ** 2, vmax_sq - droop_sq)
     # a band as wide as the whole period can hold several local maxima, so
-    # each grid peak in it gets its own bracket (neighbours taken cyclically)
-    idx = (sq >= threshold).nonzero()[0]
-    top = sq[idx]
-    peaks = idx[(top >= sq[idx - 1]) & (top >= sq[(idx + 1) & (grid_n - 1)])]
+    # each grid peak in it gets its own bracket (neighbours taken cyclically);
+    # a band of one index holds the grid argmax alone, the only peak
+    peaks = (sq >= threshold).nonzero()[0]
+    if len(peaks) > 1:
+        top = sq[peaks]
+        peaks = peaks[(top >= sq[peaks - 1]) & (top >= sq[(peaks + 1) & (grid_n - 1)])]
 
     def modulus_sq(y: float) -> tuple[float, float]:
         # |T|^2 and d^2|T|^2/dy^2, from the same three cosines
@@ -368,6 +372,9 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
         refined.append((y % TWO_PI, math.sqrt(v)))
         evaluations += n + m
 
+    if len(refined) == 1:  # the best peak, and its only tie
+        (y, best), = refined
+        return OracleReport(best, (y / table.d,), grid_n, TWO_PI / table.d, evaluations)
     best = max(v for _, v in refined)
     keep = sorted((y, v) for y, v in refined if v >= best * (1.0 - TIE_REL_TOL))
     radius = 1e-4 * TWO_PI
@@ -600,7 +607,7 @@ def run_verification(seed: int, count: int) -> list[VerificationRow]:
     single: list[Agreement | None] = []
     while len(single) < count:
         tri = random_trinomial(rng)
-        if abs(spectrum_geometry(tri.frequencies).signed_tau(tri.phases)) >= math.pi - 1e-3:
+        if abs(_geometry(tri.frequencies).signed_tau(tri.phases)) >= math.pi - 1e-3:
             continue
         analytic = max_points_global(tri)
         agreed = agreement(analytic, brute_max(tri))

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maxmod import _max_values, find_max_reduced
+from .maxmod import _at_phase, _max_values, find_max_reduced
 from .spectrum import (
     REDUCED_T_SLACK,
     TWO_PI,
     SpectrumError,
-    _check_gaps,
     _count,
     make_reduced_form,
 )
@@ -49,7 +48,9 @@ class SweepRow:
 
 
 def _fold_phase(t: float, big_d: int) -> float:
-    # evenness + 2*pi/(k+l) periodicity fold t into [0, pi/(k+l)]
+    # evenness + 2*pi/(k+l) periodicity fold a finite t into [0, pi/(k+l)]
+    if not math.isfinite(t):
+        raise SpectrumError(f"t must be finite, got {t}")
     period = TWO_PI / big_d
     tm = t % period
     if tm > period / 2.0:
@@ -63,9 +64,8 @@ def fstar(k: int, l: int, r1: float, r2: float, r3: float, t: float) -> float:
     t is folded into [0, pi/(k+l)] by evenness and periodicity, so the
     function is defined for every real t.
     """
-    _check_gaps(k, l)
-    form, _ = make_reduced_form(k, l, r1, r2, r3, _fold_phase(t, k + l))
-    return find_max_reduced(form).value
+    form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
+    return find_max_reduced(_at_phase(form, _fold_phase(t, k + l))).value
 
 
 def chebotarev_derivative(
@@ -85,11 +85,11 @@ def chebotarev_derivative(
     """
     if side not in ("+", "-"):
         raise SpectrumError(f"side must be '+' or '-', got {side!r}")
-    _check_gaps(k, l)
-    big_d = k + l
-    if not 0.0 < t <= math.pi / big_d * (1.0 + REDUCED_T_SLACK):
+    form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
+    edge = math.pi / (k + l)
+    if not 0.0 < t <= edge * (1.0 + REDUCED_T_SLACK):
         raise SpectrumError(f"t must lie in (0, pi/(k+l)], got {t}")
-    form, _ = make_reduced_form(k, l, r1, r2, r3, min(t, math.pi / big_d))
+    form = _at_phase(form, float(min(t, edge)))
     res = find_max_reduced(form)
     slopes = [
         -2.0
@@ -117,10 +117,9 @@ def sweep_rows(
     the scalar rtsafe kernel on it, and the rest (t <= 1e-15, tau within
     TAU_PI_TOL of pi, every row when k*r1 = l*r3) go through find_max_reduced.
     A row costs some 8 us, so the CLI's default n = 64 takes about 0.5 ms."""
-    _check_gaps(k, l)
+    form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
     n = _count(n, 2, "sweep needs at least 2 rows, got {n}")
     big_d = k + l
-    form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
     taus = [math.pi * i / (n - 1) for i in range(n - 1)] + [math.pi]
     ts = [tau / big_d for tau in taus]
     return [

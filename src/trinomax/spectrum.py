@@ -475,19 +475,18 @@ def _two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _top_two_adic_pair(frequencies: tuple[int, int, int]) -> tuple[int, int]:
-    """Index pair (i, j), i < j, whose frequency difference carries the
-    strictly largest power of two.
+def _top_two_adic_pair(geo: SpectrumGeometry) -> tuple[int, int]:
+    """Index pair (i, j), i < j, of the frequencies in their given order whose
+    difference carries the strictly largest power of two.
 
     Such a pair always exists: of the three gaps of distinct integers, two
     share the smallest 2-adic valuation and the third exceeds it.
     """
-    f = _frequencies(frequencies)
-    pairs = ((0, 1), (0, 2), (1, 2))
+    f, pairs = geo.lams, ((0, 1), (0, 2), (1, 2))
     vals = [_two_adic_valuation(f[i] - f[j]) for i, j in pairs]
     top = max(range(3), key=vals.__getitem__)
     assert vals.count(vals[top]) == 1, "no strictly maximal 2-adic gap"
-    return pairs[top]
+    return tuple(sorted(geo.perm[i] for i in pairs[top]))
 
 
 def opposition_signs(
@@ -498,10 +497,9 @@ def opposition_signs(
     The pair of indices whose frequency difference carries the strictly
     largest power of two receives opposite signs.
     """
-    freqs = (lambda1, lambda2, lambda3)
-    geo = spectrum_geometry(freqs)
+    geo = spectrum_geometry((lambda1, lambda2, lambda3))
     signs = [1, 1, 1]
-    signs[_top_two_adic_pair(freqs)[1]] = -1
+    signs[_top_two_adic_pair(geo)[1]] = -1
     phases = tuple(0.0 if s > 0 else math.pi for s in signs)
     assert abs(abs(geo.signed_tau(phases)) - math.pi) < 1e-9
     return tuple(signs)

@@ -57,6 +57,24 @@ class TestMultiplierNorm:
             red = canonical_reduction(Trinomial(*witness.frequencies, 1, 1, 1, *witness.phases))
             assert red.tau == pytest.approx(math.pi, abs=1e-9)
 
+    def test_witness_is_the_multiplier_applied(self):
+        # the sorted phases pass a full turn on the witness, so its phases are reduced
+        mult = Multiplier(0.7, 5.9, 6.1)
+        _, witness = multiplier_norm((2, -1, 0), mult)
+        w = witness.trinomial
+        shifted = Multiplier(*spectrum_geometry((2, -1, 0)).sort(mult.phases)).apply(w)
+        assert witness.attained == max_points_global(shifted).value / max_points_global(w).value
+
+
+def test_inputs_are_checked_once(count_rules):
+    # the input once; multiplier_norm also builds its witness and the shifted witness
+    rules = ("_frequencies", "_check_moduli", "_check_phases")
+    assert count_rules(lambda: unconditional_constants((-1, 0, 2)), *rules) == {"_frequencies": 1}
+    mult = Multiplier(0.0, 1.5, 0.0)
+    assert count_rules(lambda: multiplier_norm((-1, 0, 2), mult), *rules) == {
+        "_frequencies": 3, "_check_moduli": 2, "_check_phases": 2
+    }
+
 
 class TestSidonConstant:
     def test_symmetric_spectrum(self):

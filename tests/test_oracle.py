@@ -86,6 +86,10 @@ class TestBruteMax:
         b = brute_max(tri, 1024)
         assert a == b
 
+    def test_reads_the_trinomial_s_checked_frequencies(self, count_rules):
+        tri = Trinomial(-1, 0, 2, 1, 2, 3, 0.1, 0.2, 0.3)
+        assert count_rules(lambda: brute_max(tri), "_frequencies") == {}
+
     def test_rejects_small_grid(self):
         with pytest.raises(SpectrumError):
             brute_max(Trinomial(-1, 0, 1, 1, 1, 1), 512)
@@ -259,7 +263,7 @@ class TestBruteMultiplierNorm:
 
 class TestPowerOfTwoGrid:
     """Every oracle grid is max(floor, 8 * D) rounded up to a power of two,
-    and the peaks it refines are pinned on three shapes."""
+    and the peaks it refines are pinned on four shapes."""
 
     @pytest.mark.parametrize("floor,size", [(1024, 1024), (1025, 2048), (1500, 2048), (4096, 4096)])
     def test_the_floor_rounds_up_to_a_power_of_two(self, floor, size):
@@ -284,6 +288,9 @@ class TestPowerOfTwoGrid:
         assert flat.min() ** 2 >= flat.max() ** 2 * (1.0 - 1e-7) ** 2
         wrap = np.abs(evaluate(self.wrap_at_the_last_grid_point(), np.arange(1024) * TWO_PI / 1024))
         assert int(np.argmax(wrap)) == 1023 and wrap[0] < wrap[1023]
+        # the runner-up falls below the band's droop margin, sum w * gap^2 * h^2 / 6
+        narrow = np.sort(np.abs(evaluate(Trinomial(-1, 0, 2, 1, 2, 3, 0.1, 0.2, 0.3), np.arange(1024) * TWO_PI / 1024)))
+        assert narrow[-2] ** 2 < narrow[-1] ** 2 - 106.0 * (TWO_PI / 1024) ** 2 / 6.0
 
     @pytest.mark.parametrize(
         "shape,grid_size,evaluations,argmax",
@@ -292,6 +299,8 @@ class TestPowerOfTwoGrid:
             ("flat", 1024, 1077, 6.257157971917594),
             ("wrap", 1024, 1030, 6.278890160973505),
             ("wide", 32768, 35520, 6.182587542791041),
+            # the band holds the grid maximum alone
+            ("narrow", 1024, 1030, 6.222808192680188),
         ],
     )
     def test_the_refined_peaks_are_pinned(self, shape, grid_size, evaluations, argmax):
@@ -299,6 +308,7 @@ class TestPowerOfTwoGrid:
             "flat": Trinomial(-3, 0, 5, 1, 1e-8, 1e-8, 0.1, 0.2, 0.3),
             "wrap": self.wrap_at_the_last_grid_point(),
             "wide": Trinomial(0, 1, 3000, 1, 2, 3, 0.1, 0.2, 0.3),
+            "narrow": Trinomial(-1, 0, 2, 1, 2, 3, 0.1, 0.2, 0.3),
         }[shape]
         report = brute_max(tri)
         assert report.grid_size == grid_size

@@ -5,6 +5,7 @@ import pytest
 
 from trinomax import (
     MaxClassification,
+    SpectrumError,
     Trinomial,
     chebotarev_derivative,
     evaluate,
@@ -249,3 +250,26 @@ def test_sweep_matches_scalar_fstar(fam):
         if kind in LAST_ROW_CLASS:
             last, _ = make_reduced_form(k, l, r1, r2, r3, rows[-1].t)
             assert find_max_reduced(last).classification is LAST_ROW_CLASS[kind]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sweep_rows(1, 2, 1.0, 2.0, 3.0, 4),
+        lambda: fstar(1, 2, 1.0, 2.0, 3.0, 0.4),
+        lambda: fstar(2, 1, 3.0, 2.0, 1.0, -7.0),
+        lambda: chebotarev_derivative(1, 2, 1.0, 2.0, 3.0, 0.4),
+        lambda: chebotarev_derivative(2, 1, 3.0, 2.0, 1.0, math.pi / 3, side="-"),
+    ],
+    ids=["sweep", "fstar", "fstar-folded-swapped", "chebotarev", "chebotarev-edge-swapped"],
+)
+def test_each_input_rule_runs_once(count_rules, call):
+    # the sweep's t = 0 and tau = pi rows and the folded phase build their forms unchecked
+    rules = ("_check_gaps", "_check_reduced", "_check_moduli")
+    assert count_rules(call, *rules) == dict.fromkeys(rules, 1)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_fstar_rejects_a_phase_that_is_not_finite(t):
+    with pytest.raises(SpectrumError, match="t must be finite"):
+        fstar(1, 2, 1.0, 2.0, 3.0, t)
