@@ -215,6 +215,13 @@ def max_at_zero(k: int, r1: float, l: int, r3: float) -> bool:
     return abs(k * r1 - l * r3) <= AT_ZERO_REL_TOL * max(k * r1, l * r3)
 
 
+def _modulus(form: ReducedForm, t: float, x: float) -> float:
+    """sqrt(2 * half_derivative(form, x, 0)) with form.t = t, bit for bit: |R(x)| at phase t."""
+    k, l, r1, r2, r3 = form.k, form.l, form.r1, form.r2, form.r3
+    half = r1 * r2 * math.cos(t + k * x) + r1 * r3 * math.cos((k + l) * x) + r2 * r3 * math.cos(t - l * x)
+    return math.sqrt(2.0 * (half + 0.5 * (r1 * r1 + r2 * r2 + r3 * r3)))
+
+
 def _knife_edge(form: ReducedForm) -> tuple[float, float]:
     """The knife-edge margin k^2*r1*r2 + (k+1)^2*r1*r3 - r2*r3 of an l = 1
     form at tau = pi, and its scale, the same sum with + r2*r3."""
@@ -233,7 +240,7 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     boundary point t with the maximum value r2 + r3 - r1, with multiplicity
     4 on the knife edge k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 (relative
     tolerance DEGENERATE_REL_TOL).  The maximum sits at 0 when max_at_zero
-    holds.
+    holds.  Values come from _modulus: sqrt(2 * half_derivative(form, x, 0)), bit for bit.
     """
     k, l = form.k, form.l
     r1, r2, r3, t = form.r1, form.r2, form.r3, form.t
@@ -247,25 +254,21 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
         hi = t / l
         if symmetric and l == 1:
             edge, edge_scale = _knife_edge(form)
-            if abs(edge) <= DEGENERATE_REL_TOL * edge_scale:
-                return MaxResult(
-                    ((t % TWO_PI, r2 + r3 - r1),), MaxClassification.DEGENERATE4, 2.0 * t
-                )
-            if edge < 0.0:
-                return MaxResult(
-                    ((t % TWO_PI, r2 + r3 - r1),), MaxClassification.AT_BOUNDARY, 2.0 * t
-                )
+            knife = abs(edge) <= DEGENERATE_REL_TOL * edge_scale
+            if knife or edge < 0.0:
+                cls = MaxClassification.DEGENERATE4 if knife else MaxClassification.AT_BOUNDARY
+                return MaxResult(((t % TWO_PI, r2 + r3 - r1),), cls, 2.0 * t)
             # the derivative vanishes identically at t, so the bracket stops
             # short of it; a maximum closer to t than that is taken as t - 1e-7 * t
             hi = t - 1e-7 * t
         x_star = _root_plus_to_minus(
             partial(_slope_and_curvature, form, t), 0.0, hi, _derivative_scale(form)
         )
-    value = math.sqrt(2.0 * half_derivative(form, x_star, 0))
+    value = _modulus(form, t, x_star)
     if symmetric:
         axis = TWO_PI * modular_inverse(l, big_d) / big_d
         partner = (axis - x_star) % TWO_PI
-        value2 = math.sqrt(2.0 * half_derivative(form, partner, 0))
+        value2 = _modulus(form, t, partner)
         if abs(value2 - value) > 1e-8 * value:
             raise BracketFailure(
                 f"symmetric pair values diverge: {value} vs {value2} at tau within {TAU_PI_TOL} of pi"
@@ -285,20 +288,17 @@ def _max_values(form: ReducedForm, phases: list[float]) -> list[float]:
     """find_max_reduced(_at_phase(form, t)).value for each t in [0, pi/(k+l)] of
     phases, bit for bit; a row with a unique interior maximum (not max_at_zero,
     t > 1e-15, tau further than TAU_PI_TOL from pi) runs the kernel and
-    half_derivative's order-0 terms directly, without building its own form."""
-    k, l, big_d = form.k, form.l, form.k + form.l
-    r1, r2, r3 = form.r1, form.r2, form.r3
-    at_zero = max_at_zero(k, r1, l, r3)
-    scale, squares = _derivative_scale(form), 0.5 * (r1 * r1 + r2 * r2 + r3 * r3)
+    _modulus directly, without building its own form."""
+    l, big_d = form.l, form.k + form.l
+    at_zero = max_at_zero(form.k, form.r1, l, form.r3)
+    scale = _derivative_scale(form)
     values = []
     for t in phases:
         if at_zero or t <= 1e-15 or abs(t * big_d - math.pi) <= TAU_PI_TOL:
             values.append(find_max_reduced(_at_phase(form, t)).value)
             continue
         x = _root_plus_to_minus(partial(_slope_and_curvature, form, t), 0.0, t / l, scale)
-        half = (r1 * r2 * math.cos(t + k * x) + r1 * r3 * math.cos(big_d * x)
-                + r2 * r3 * math.cos(t - l * x))
-        values.append(math.sqrt(2.0 * (half + squares)))
+        values.append(_modulus(form, t, x))
     return values
 
 
@@ -336,27 +336,27 @@ def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
     return (min(e1, e2), max(e1, e2))
 
 
-def _check_localization(reduction: Reduction, classification: MaxClassification, points: tuple[float, ...]) -> None:
-    """Raise BracketFailure unless a point lies, mod the period, in the
-    phase-only interval of the branch the solve took: e3 at k*r1 = l*r3; for
-    a unique interior point, e3 and e2, or e1 when the reduction swapped
-    (k*r1 > l*r3); at tau = pi, e1 and e2."""
-    e1, e2, e3 = _localization_endpoints(reduction.geometry, reduction.phases, reduction.turns)
-    if classification is MaxClassification.AT_ZERO:
+def _check_localization(res: MaxResult) -> None:
+    """Raise BracketFailure unless a point of the solved result lies, mod the
+    period, in the phase-only interval of the branch the solve took: e3 at
+    k*r1 = l*r3; for a unique interior point, e3 and e2, or e1 when the
+    reduction swapped (k*r1 > l*r3); at tau = pi, e1 and e2."""
+    e1, e2, e3 = _localization_endpoints(res.reduction.geometry, res.reduction.phases, res.reduction.turns)
+    if res.classification is MaxClassification.AT_ZERO:
         ends = (e3, e3)
-    elif classification is MaxClassification.INTERIOR_UNIQUE:
-        ends = (e3, e1 if reduction.swapped else e2)
+    elif res.classification is MaxClassification.INTERIOR_UNIQUE:
+        ends = (e3, e1 if res.reduction.swapped else e2)
     else:
         ends = (e1, e2)
     lo, hi = min(ends), max(ends)
     mid = 0.5 * (lo + hi)
-    period = reduction.period
-    for x in points:
+    period = res.reduction.period
+    for x, _ in res.points:
         folded = x - period * round((x - mid) / period)
         if lo - LOCALIZATION_TOL <= folded <= hi + LOCALIZATION_TOL:
             return
     raise BracketFailure(
-        f"maximum points {points} escape the localization interval [{lo}, {hi}] mod {period}"
+        f"maximum points {res.points} escape the localization interval [{lo}, {hi}] mod {period}"
     )
 
 
@@ -364,25 +364,29 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     """Maximum-modulus points of a general trinomial, modulo 2*pi/d.
 
     Runs the canonical reduction, locates the maximum of the reduced form and
-    maps the points back through the reduction.  When tau = pi the symmetry
-    axis s (with x + y = s for the pair) is reported as well.  The points are
-    checked against the phase-only localization interval of the branch the
-    solve took, and the result keeps the reduction it solved through.  The
-    points are stationary to spectrum.STATIONARY_REL_TOL relative (the
-    reduction refuses spectra past float resolution for that).  No input is
-    checked again (Trinomial did), and the fresh, unshared reduced-form
-    result is completed in place: one MaxResult per solve.
+    maps each point y back to reduction.from_reduced(y) mod the period, a
+    symmetric pair in ascending order.  When tau = pi the symmetry axis s
+    (with x + y = s for the pair) is reported as well.  The result keeps the
+    reduction it solved through, and its points are checked against the
+    phase-only localization interval of the branch the solve took.  They are
+    stationary to spectrum.STATIONARY_REL_TOL relative (the reduction refuses
+    spectra past float resolution for that).  No input is checked again
+    (Trinomial did); the fresh reduced-form result is completed in place.
     """
     reduction = canonical_reduction(trinomial)
     res = find_max_reduced(reduction.form)
     period = reduction.period
-    points = tuple(sorted((reduction.from_reduced(x) % period, v) for x, v in res.points))
-    axis = None
+    y, value = res.points[0]
+    points = ((reduction.from_reduced(y) % period, value),)
+    if len(res.points) == 2:
+        y, value = res.points[1]
+        points = tuple(sorted(points + ((reduction.from_reduced(y) % period, value),)))
     if res.s is not None:
         axis = (2.0 * reduction.v + res.s / (reduction.epsilon * reduction.geometry.d)) % period
-    _check_localization(reduction, res.classification, tuple(x for x, _ in points))
-    for name, value in (("points", points), ("s", axis), ("reduction", reduction)):
-        object.__setattr__(res, name, value)
+        object.__setattr__(res, "s", axis)
+    object.__setattr__(res, "points", points)
+    object.__setattr__(res, "reduction", reduction)
+    _check_localization(res)
     return res
 
 

@@ -600,6 +600,7 @@ def run_verification(seed: int, count: int) -> list[VerificationRow]:
     pairs, closed forms, and Sidon/multiplier spot checks.  Each suite judges
     its instances once and ``_row`` counts them.
     """
+    seed = _count(seed, 0, "seed must be a nonnegative integer, got {n}")
     count = _count(count, 1, "count must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
 

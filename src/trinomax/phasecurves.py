@@ -115,8 +115,7 @@ def sweep_rows(
     last at exactly pi.  Each fstar is bit for bit fstar(k, l, r1, r2, r3, t):
     the family's form is built once, a row with a unique interior maximum runs
     the scalar rtsafe kernel on it, and the rest (t <= 1e-15, tau within
-    TAU_PI_TOL of pi, every row when k*r1 = l*r3) go through find_max_reduced.
-    A row costs some 8 us, so the CLI's default n = 64 takes about 0.5 ms."""
+    TAU_PI_TOL of pi, every row when k*r1 = l*r3) go through find_max_reduced."""
     form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
     n = _count(n, 2, "sweep needs at least 2 rows, got {n}")
     big_d = k + l

@@ -338,9 +338,9 @@ def spectrum_geometry(frequencies) -> SpectrumGeometry:
 
 
 def _geometry(f: tuple[int, int, int]) -> SpectrumGeometry:
-    """spectrum_geometry of frequencies that already passed _frequencies, as ints."""
-    perm = tuple(sorted(range(3), key=f.__getitem__))
-    l1, l2, l3 = f[perm[0]], f[perm[1]], f[perm[2]]
+    """spectrum_geometry of frequencies that already passed _frequencies: pairwise distinct ints, one index each."""
+    l1, l2, l3 = sorted(f)
+    perm = (f.index(l1), f.index(l2), f.index(l3))
     d = gcd(l2 - l1, l3 - l2)
     return SpectrumGeometry(perm, (l1, l2, l3), d, (l2 - l1) // d, (l3 - l2) // d)
 
@@ -455,19 +455,19 @@ def canonical_reduction(trinomial: Trinomial) -> Reduction:
             f"[0, 2*pi/{geo.d}) fixes the phase gaps only to {resolution:.1e} relative, "
             f"above {STATIONARY_REL_TOL:.0e}"
         )
-    big_d = geo.D
-    phases = t1, t2, t3 = geo.sort(trinomial.phases)
-    r1, r2, r3 = geo.sort(trinomial.moduli)
+    big_d = geo.k + geo.l
+    p0, p1, p2 = geo.perm
+    ph, r = trinomial.phases, trinomial.moduli
+    phases = t1, t2, t3 = ph[p0], ph[p1], ph[p2]
+    r1, r2, r3 = r[p0], r[p1], r[p2]
     tau_signed, turns = _turn_shifts(geo, phases)
 
     t2_target = tau_signed / big_d
     v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), turns[0], tol=1e-7)
     alpha = wrap_angle(t2 - t2_target + geo.lams[1] * v)
 
-    epsilon = 1 if t2_target >= 0.0 else -1
     form, swapped = _trusted_form(geo.k, geo.l, r1, r2, r3, min(abs(t2_target), math.pi / big_d))
-    if swapped:
-        epsilon = -epsilon
+    epsilon = -1 if (t2_target < 0.0) != swapped else 1
     return Reduction(form, geo, abs(tau_signed), turns, alpha, v, epsilon, swapped, phases)
 
 

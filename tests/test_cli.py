@@ -334,6 +334,17 @@ class TestVerify:
             "error": {"message": f"count must be at least 1, got {count}", "command": "verify"}
         }
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_negative_seed_is_invalid_input(self, capsys, fmt):
+        code = main(["verify", "--seed", "-1", "--count", "3", *fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        message = "seed must be a nonnegative integer, got -1"
+        if fmt:
+            assert json.loads(captured.out) == {"error": {"message": message, "command": "verify"}}
+        else:
+            assert captured.out == "" and captured.err == f"error: {message}\n"
+
 
 class TestOneSolvePerAnswer:
     def test_analyze_reduces_once(self, capsys, monkeypatch):

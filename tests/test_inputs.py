@@ -108,6 +108,12 @@ def test_malformed_input_raises_spectrum_error(call):
         call()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "1"], ids=["negative", "fractional", "string"])
+def test_verify_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(SpectrumError, match=f"seed must be a nonnegative integer, got {seed}"):
+        run_verification(seed, 3)
+
+
 def test_unit_ball_moduli_message_says_finite():
     with pytest.raises(SpectrumError, match="finite"):
         unit_ball_point((-1, 0, 1), (1, NAN, 1), (0, 0, 0))

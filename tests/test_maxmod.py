@@ -489,6 +489,73 @@ def near_knife_edge_form(rng) -> ReducedForm:
     return ReducedForm(k, 1, float(r1), float(r2), float(r3), math.pi / (k + 1))
 
 
+COPRIME = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 2), (2, 5)]
+
+
+def branch_forms(rng, count: int = 20) -> list[ReducedForm]:
+    """Seeded reduced forms from every branch of find_max_reduced: interior,
+    k*r1 = l*r3, t <= 1e-15, symmetric pairs (one near the knife edge), the
+    boundary point and the knife edge."""
+    forms = []
+    for _ in range(count):
+        k, l = COPRIME[int(rng.integers(len(COPRIME)))]
+        r1, r2, r3 = (float(r) for r in np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3)))
+        forms.append(canonical_reduction(random_trinomial(rng)).form)
+        forms.append(make_reduced_form(k, l, r1, r2, k * r1 / l, float(rng.uniform(1e-3, math.pi / (k + l))))[0])
+        forms.append(make_reduced_form(k, l, r1, r2, r3, float(rng.choice([0.0, 1e-16])))[0])
+        forms.append(canonical_reduction(random_symmetric_pair(rng)).form)
+        forms.append(near_knife_edge_form(rng))
+        # l = 1 at tau = pi: r2 on the knife edge, and past it (the boundary point)
+        r3 = max(r3, k * k * r1 * 1.5)
+        edge_r2 = (k + 1) ** 2 * r1 * r3 / (r3 - k * k * r1)
+        forms.append(ReducedForm(k, 1, r1, edge_r2, r3, math.pi / (k + 1)))
+        forms.append(ReducedForm(k, 1, r1, edge_r2 * float(rng.uniform(1.1, 4.0)), r3, math.pi / (k + 1)))
+    return forms
+
+
+class TestAgainstReferencePaths:
+    """The solve's direct paths against the general ones they replace, bit for bit."""
+
+    def test_values_are_half_derivative_order_zero(self):
+        seen = set()
+        for form in branch_forms(np.random.default_rng(29)):
+            res = find_max_reduced(form)
+            seen.add(res.classification)
+            if res.classification in (MaxClassification.AT_BOUNDARY, MaxClassification.DEGENERATE4):
+                # the boundary value is r2 + r3 - r1 in closed form, not evaluated
+                ((x, value),) = res.points
+                assert value == form.r2 + form.r3 - form.r1
+                assert value == pytest.approx(math.sqrt(2.0 * half_derivative(form, x, 0)), rel=1e-12)
+                continue
+            for x, value in res.points:
+                assert value == math.sqrt(2.0 * half_derivative(form, x, 0))
+        assert seen == set(MaxClassification)
+
+    def test_points_are_the_reduced_points_mapped_back(self):
+        rng = np.random.default_rng(30)
+        tris = [random_trinomial(rng) for _ in range(150)] + [random_symmetric_pair(rng) for _ in range(50)]
+        tris += [
+            Trinomial(-1, 0, 1, 1, 12, 2, 0, math.pi / 2, 0),  # boundary
+            Trinomial(-1, 0, 1, 1, 8, 2, 0, math.pi / 2, 0),  # knife edge
+            Trinomial(5, 3, 9, 1, 2, 1, 0.4, 1.3, -2.1),  # k*r1 = l*r3, d = 2
+        ]
+        for tri in tris:
+            res = max_points_global(tri)
+            red = res.reduction
+            reduced = find_max_reduced(red.form).points
+            assert res.points == tuple(sorted((red.from_reduced(y) % red.period, v) for y, v in reduced))
+
+    def test_a_pair_wrapping_across_the_period_comes_out_ascending(self):
+        res = max_points_global(random_symmetric_pair(np.random.default_rng(3)))
+        red = res.reduction
+        raw = [red.from_reduced(y) for y, _ in find_max_reduced(red.form).points]
+        # the map keeps the order (epsilon = 1), but the second point wraps past the period
+        assert red.epsilon == 1 and raw[0] < raw[1]
+        assert raw[0] % red.period > raw[1] % red.period
+        (x, _), (y, _) = res.points
+        assert x < y and (x, y) == (raw[1] % red.period, raw[0] % red.period)
+
+
 class TestRootFinder:
     @pytest.mark.parametrize(
         "fun",

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from trinomax import (
     wrap_angle,
 )
 from trinomax.spectrum import (
+    _geometry,
     _solve_common_shift,
     _turn_shifts,
     phase_combination,
@@ -43,6 +45,17 @@ def test_spectrum_stats_examples(freqs, phases, d, k, l, D, tau):
     assert canonical_reduction(Trinomial(*freqs, 1, 1, 1, *phases)).tau == pytest.approx(tau, abs=1e-12)
     assert (geo.l * geo.m) % geo.D == 1
     assert 1 <= geo.m <= geo.D - 1
+
+
+@pytest.mark.parametrize(
+    "triple", [(0, 1, 2), (-7, 3, -2), (-2**70, 5, 2**64 + 1), (10**30, -10**30, -3)], ids=str
+)
+def test_geometry_permutation_is_the_key_sort(triple):
+    # every order of the triple, negative values and values past int64 included
+    for f in itertools.permutations(triple):
+        geo = _geometry(f)
+        assert geo.perm == tuple(sorted(range(3), key=f.__getitem__))
+        assert geo.lams == tuple(sorted(f))
 
 
 def test_stats_reject_repeated_frequency():
