@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 from . import __version__
 from .constants import lift_to_measure, multiplier_norm, sidon_constant
@@ -183,7 +183,7 @@ def _report_constant(args, key: str, search, results: dict, rows: list) -> int:
 def _cmd_sidon(args) -> int:
     freqs = tuple(args.frequencies)
     constant, witness = sidon_constant(freqs)
-    results = {"constant": constant, "witness": asdict(witness)}
+    results = {"constant": constant, "witness": witness._asdict()}
     rows = [("sidon constant", _g9(constant))]
     return _report_constant(args, "constant", lambda: brute_sidon(freqs), results, rows)
 
@@ -199,7 +199,7 @@ def _cmd_multiplier(args) -> int:
         "norm": norm,
         "tau": tau,
         "D": geo.D,
-        "witness": asdict(witness),
+        "witness": witness._asdict(),
         "measureLift": {
             "atom0": {"re": lift.atom0.real, "im": lift.atom0.imag, "abs": abs(lift.atom0)},
             "atom1": {"re": lift.atom1.real, "im": lift.atom1.imag, "abs": abs(lift.atom1)},
@@ -222,8 +222,8 @@ def _cmd_sweep(args) -> int:
     trinomial = Trinomial(*args.frequencies, *args.moduli)
     form = canonical_reduction(trinomial).form
     rows = sweep_rows(form.k, form.l, form.r1, form.r2, form.r3, args.n)
-    text = _csv(["tau", "t", "fstar", "ratio", "bound"], (astuple(row) for row in rows))
-    return _emit(args, {"rows": [asdict(row) for row in rows]}, text)
+    text = _csv(["tau", "t", "fstar", "ratio", "bound"], rows)
+    return _emit(args, {"rows": [row._asdict() for row in rows]}, text)
 
 
 def _cmd_hypotrochoid(args) -> int:
@@ -244,7 +244,7 @@ def _cmd_verify(args) -> int:
     rows = run_verification(args.seed, args.count)
     failed = sum(row.failures for row in rows)
     results = {
-        "rows": [asdict(row) for row in rows],
+        "rows": [row._asdict() for row in rows],
         "failures": failed,
     }
     table = [("suite", "checked  failures  worst error")] + [

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .maxmod import max_points_global
 from .spectrum import (
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """An extremal trinomial attaining a sharp constant.
 
     Moduli are proportional to (l, k+l, k) in sorted-frequency order and the
@@ -61,8 +60,7 @@ class Witness:
         return Trinomial(*self.frequencies, *self.moduli, *self.phases)
 
 
-@dataclass(frozen=True)
-class MeasureLift:
+class MeasureLift(NamedTuple):
     """Two-atom measure whose convolution realises a phase multiplier.
 
     atom0 sits at 0 and atom1 at 2*m*pi/(k+l); |atom0| + |atom1| equals the
@@ -83,8 +81,7 @@ class MeasureLift:
         return self.atom0 * fun(x - self.position0) + self.atom1 * fun(x - self.position1)
 
 
-@dataclass(frozen=True)
-class UnconditionalConstants:
+class UnconditionalConstants(NamedTuple):
     """Real and complex unconditional constants of the exponential basis.
 
     ``equal_valuation_pair`` holds the 1-based indices (i, j) of the two

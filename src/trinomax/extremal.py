@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .maxmod import MaxResult, evaluate, max_points_global
 from .spectrum import TWO_PI, SpectrumError, Trinomial, _check_moduli, _check_phases, _frequencies, spectrum_geometry
@@ -51,8 +51,7 @@ class SingularConfiguration(ValueError):
     """The reconstruction system degenerates (a sine factor vanishes)."""
 
 
-@dataclass(frozen=True)
-class UnitBallPoint:
+class UnitBallPoint(NamedTuple):
     """Element of the span, allowing zero coefficients, with its sup norm.
 
     maximum is the max_points_global result the sup norm of a trinomial
@@ -76,14 +75,12 @@ def _live_moduli(moduli) -> list[float]:
     return [r for r in moduli if r > threshold]
 
 
-@dataclass(frozen=True)
-class ExtremalEvidence:
+class ExtremalEvidence(NamedTuple):
     max_point_count: int | None
     zero_multiplicity_sum: int | None
 
 
-@dataclass(frozen=True)
-class ExtremalClass:
+class ExtremalClass(NamedTuple):
     exposed: bool
     extreme: bool
     evidence: ExtremalEvidence

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .spectrum import SpectrumGeometry, Trinomial, _count, spectrum_geometry
 __all__ = ["Curve", "hypotrochoid_sample", "farthest_points"]
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """Parameter-ordered samples over x in (-pi, pi], d periods of the curve (not arc length)."""
 
     samples: tuple[tuple[float, complex], ...]

@@ -19,9 +19,9 @@ with multiplicity four.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ class MaxClassification(str, Enum):
     DEGENERATE4 = "Degenerate4"
 
 
-@dataclass(frozen=True)
-class MaxResult:
+class MaxResult(NamedTuple):
     """Maximum-modulus points of a trinomial, modulo its natural period.
 
     points holds one or two (x, value) pairs; two points occur only when
@@ -371,21 +370,20 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     phase-only localization interval of the branch the solve took.  They are
     stationary to spectrum.STATIONARY_REL_TOL relative (the reduction refuses
     spectra past float resolution for that).  No input is checked again
-    (Trinomial did); the fresh reduced-form result is completed in place.
+    (Trinomial did).
     """
     reduction = canonical_reduction(trinomial)
-    res = find_max_reduced(reduction.form)
+    reduced = find_max_reduced(reduction.form)
     period = reduction.period
-    y, value = res.points[0]
+    y, value = reduced.points[0]
     points = ((reduction.from_reduced(y) % period, value),)
-    if len(res.points) == 2:
-        y, value = res.points[1]
+    if len(reduced.points) == 2:
+        y, value = reduced.points[1]
         points = tuple(sorted(points + ((reduction.from_reduced(y) % period, value),)))
-    if res.s is not None:
-        axis = (2.0 * reduction.v + res.s / (reduction.epsilon * reduction.geometry.d)) % period
-        object.__setattr__(res, "s", axis)
-    object.__setattr__(res, "points", points)
-    object.__setattr__(res, "reduction", reduction)
+    s = reduced.s
+    if s is not None:
+        s = (2.0 * reduction.v + s / (reduction.epsilon * reduction.geometry.d)) % period
+    res = MaxResult(points, reduced.classification, s, reduction)
     _check_localization(res)
     return res
 

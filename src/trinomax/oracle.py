@@ -30,8 +30,8 @@ All searches are deterministic given their grids and seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ CLOSED_FORM_REL_TOL = 1e-10
 CONSTANT_ABS_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     value: float
     argmaxes: tuple[float, ...]
     grid_size: int
@@ -101,8 +100,7 @@ class OracleReport:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class Agreement:
+class Agreement(NamedTuple):
     """An analytic maximum held against the oracle's, by ``agreement``."""
 
     count_match: bool
@@ -237,8 +235,7 @@ def _grid_size(grid_n: int, geo) -> int:
 _A, _B = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
-@dataclass(frozen=True)
-class _PairTable:
+class _PairTable(NamedTuple):
     steps: tuple[float, float, float]  # the integer gaps (lambda_a - lambda_b)/d
     d: int
     grid: np.ndarray  # cos, then sin, of step * y on the grid; shape (6, grid_n)
@@ -444,7 +441,7 @@ def _constant_search(
     phase_grid = np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
     simplex = _simplex_grid(simplex_n)
     fine = _pair_table(geo.lams, geo.d, grid_n)
-    coarse = replace(fine, grid=np.ascontiguousarray(fine.grid[:, ::2]))
+    coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
     # the simplex rows' moduli terms, once: each scan cell forms only its phase terms
     s0, w, _ = _cross_terms(simplex, np.zeros(3))
     scan = np.asarray([ratio(partial(_grid_max, coarse, s0), w, u2) for u2 in phase_grid])
@@ -508,6 +505,8 @@ def random_trinomial(
 ) -> Trinomial:
     """Random instance: distinct frequencies in [-12, 12], log-uniform moduli."""
     _check_moduli(modulus_range)
+    if modulus_range[0] > modulus_range[1]:
+        raise SpectrumError(f"modulus_range must be (low, high) with low <= high, got {modulus_range}")
     while True:
         freqs = rng.integers(-12, 13, size=3)
         if len(set(freqs.tolist())) == 3:
@@ -545,8 +544,7 @@ def random_symmetric_pair(rng: np.random.Generator) -> Trinomial:
         return Trinomial(*freqs, r1, r2, r3, u1, u2, u3)
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     name: str
     checked: int
     failures: int

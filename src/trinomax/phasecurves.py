@@ -12,7 +12,7 @@ carry both sides of the paper's two cosine bounds on the decrease.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .maxmod import _at_phase, _max_values, find_max_reduced
 from .spectrum import (
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One row of a phase sweep: invariant tau, reduced phase t = tau/(k+l),
     maximum modulus, its quotient by |r1 + r2*e^(it) + r3|, and the cosine
     reference cos(tau/(2D)).  ratio and bound carry the paper's inequalities:

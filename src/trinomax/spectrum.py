@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import gcd, inf
 from operator import index
 from typing import NamedTuple
@@ -155,13 +155,17 @@ def wrap_angle(x: float) -> float:
 def modular_inverse(a: int, n: int) -> int:
     """Inverse of ``a`` modulo ``n``, returned in [1, n-1].
 
-    Requires gcd(a, n) = 1 and n >= 2.
+    Requires integers with gcd(a, n) = 1 and n >= 2.
     """
+    try:
+        a, n = index(a), index(n)
+    except TypeError:
+        raise SpectrumError(f"modular_inverse needs two integers, got ({a!r}, {n!r})") from None
     if n < 2:
         raise SpectrumError(f"modulus must be >= 2, got {n}")
     if gcd(a, n) != 1:
         raise SpectrumError(f"{a} is not invertible modulo {n}")
-    return pow(index(a), -1, index(n))
+    return pow(a, -1, n)
 
 
 @dataclass(frozen=True)
@@ -200,15 +204,6 @@ class Trinomial:
     @property
     def phases(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)
-
-    def sorted_by_frequency(self) -> tuple["Trinomial", tuple[int, int, int]]:
-        """Copy with frequencies in increasing order plus the permutation used.
-
-        The permutation maps sorted slot j to the original coefficient index
-        perm[j] (0-based).
-        """
-        geo = _geometry(self.frequencies)
-        return Trinomial(*geo.lams, *geo.sort(self.moduli), *geo.sort(self.phases)), geo.perm
 
 
 @dataclass(frozen=True)
@@ -345,15 +340,14 @@ def _geometry(f: tuple[int, int, int]) -> SpectrumGeometry:
     return SpectrumGeometry(perm, (l1, l2, l3), d, (l2 - l1) // d, (l3 - l2) // d)
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """A trinomial's canonical reduction: the reduced form R and the map back.
 
     tau in [0, pi] is the phase invariant, turns the whole turns (U, W) of
     _turn_shifts on the sorted phases, and (alpha, v) the isometric rotation
     and shift stripped from the phases.  |T(x)| = |R(epsilon*d*(x - v))| for
     every x; swapped records that k*r1 > l*r3 exchanged the outer coefficients.
-    phases, the source's sorted phases, are input, so the repr leaves them out.
+    phases are the source's sorted phases.
     """
 
     form: ReducedForm
@@ -364,7 +358,7 @@ class Reduction:
     v: float
     epsilon: int
     swapped: bool
-    phases: tuple[float, float, float] = field(repr=False)
+    phases: tuple[float, float, float]
 
     @property
     def period(self) -> float:

@@ -1,10 +1,9 @@
-import dataclasses
 import json
 import math
 
 import pytest
 
-from trinomax import cli, maxmod
+from trinomax import Trinomial, canonical_reduction, cli, maxmod, sweep_rows
 from trinomax.cli import main
 from trinomax.maxmod import BracketFailure
 from trinomax.oracle import VerificationRow
@@ -130,7 +129,7 @@ class TestAnalyze:
 
         def off_value(trinomial):
             report = brute_max(trinomial)
-            return dataclasses.replace(report, value=2 * report.value)
+            return report._replace(value=2 * report.value)
 
         monkeypatch.setattr(cli, "brute_max", off_value)
         code, out = run(capsys, "analyze", "-l", "-2", "0", "1", "-r", "4", "1", "1", "--verify", *fmt)
@@ -209,6 +208,7 @@ class TestSidon:
         body = json.loads(out)
         assert body["results"]["constant"] == pytest.approx(math.sqrt(2), rel=1e-15)
         assert body["results"]["witness"]["moduli"] == [1.0, 2.0, 1.0]
+        assert list(body["results"]["witness"]) == ["frequencies", "moduli", "phases", "attained"]
 
     def test_human_output(self, capsys):
         code, out = run(capsys, "sidon", "-l", "-1", "0", "1")
@@ -277,6 +277,14 @@ class TestSweep:
         rows = json.loads(out)["results"]["rows"]
         assert len(rows) == 8
         assert rows[0]["tau"] == 0.0
+        _, csv_out = run(capsys, "sweep", "-l", "-1", "0", "2", "-r", "1", "1", "1", "--n", "8")
+        cells = [line.split(",") for line in csv_out.strip().split("\n")[1:]]
+        form = canonical_reduction(Trinomial(-1, 0, 2, 1, 1, 1)).form
+        expected = sweep_rows(form.k, form.l, form.r1, form.r2, form.r3, 8)
+        for row, line, want in zip(rows, cells, expected, strict=True):
+            assert list(row) == ["tau", "t", "fstar", "ratio", "bound"]
+            fields = [want.tau, want.t, want.fstar, want.ratio, want.bound]
+            assert list(row.values()) == [float(cell) for cell in line] == fields
 
 
 class TestHypotrochoid:
@@ -309,6 +317,8 @@ class TestVerify:
         body = json.loads(out)
         assert body["seed"] == 7
         assert body["results"]["failures"] == 0
+        for row in body["results"]["rows"]:
+            assert list(row) == ["name", "checked", "failures", "worst_error"]
 
     def test_human_table(self, capsys):
         code, out = run(capsys, "verify", "--seed", "7", "--count", "50")

@@ -108,8 +108,7 @@ class TestSidonConstant:
         constant, _ = sidon_constant(freqs)
         # any multiplier with invariant pi realises the constant
         phases = (0.0, math.pi / spectrum_geometry(freqs).D, 0.0)
-        ts, _ = Trinomial(*freqs, 1, 1, 1).sorted_by_frequency()
-        norm, _ = multiplier_norm(ts.frequencies, Multiplier(*phases))
+        norm, _ = multiplier_norm(spectrum_geometry(freqs).lams, Multiplier(*phases))
         assert norm == pytest.approx(constant, rel=1e-14)
 
 

@@ -10,6 +10,7 @@ from trinomax import (
     farthest_points,
     hypotrochoid_sample,
     max_points_global,
+    spectrum_geometry,
 )
 from trinomax.maxmod import AT_ZERO_REL_TOL
 
@@ -106,8 +107,9 @@ class TestFarthestPoints:
 class TestSampleConvergence:
     @pytest.mark.parametrize("tri", [FIG1, FIG1_ROT, FIG2_ROT])
     def test_sample_max_brackets_reported_max(self, tri):
-        ts, _ = tri.sorted_by_frequency()
-        centre = -ts.r2 * cmath.exp(1j * ts.t2)
+        geo = spectrum_geometry(tri.frequencies)
+        r, t = geo.sort(tri.moduli), geo.sort(tri.phases)
+        centre = -r[1] * cmath.exp(1j * t[1])
         reported = max_points_global(tri).value
         errors = []
         for n in (2**9, 2**12):
@@ -115,8 +117,7 @@ class TestSampleConvergence:
             sample_max = max(abs(z - centre) for _, z in curve.samples)
             assert sample_max <= reported * (1 + 1e-12)
             # quadratic droop bound on |T|^2 between samples
-            f = ts.frequencies
-            r = ts.moduli
+            f = geo.lams
             curvature = 2.0 * sum(
                 r[a] * r[b] * (f[a] - f[b]) ** 2
                 for a in range(3)

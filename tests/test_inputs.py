@@ -68,6 +68,9 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: Trinomial(0, 3 * 10**400, 5 * 10**400, 1, 2, 3),
         lambda: sidon_constant((0, 3 * 10**400, 5 * 10**400)),
         lambda: unit_ball_point((-1, 0, 2), (0, 0, 0), (0, 0, 0)),
+        lambda: spectrum.modular_inverse(1.5, 3),
+        lambda: spectrum.modular_inverse(2, "x"),
+        lambda: random_trinomial(np.random.default_rng(0), modulus_range=(1.0, 0.5)),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -101,6 +104,9 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "trinomial-span-past-float-range",
         "sidon-span-past-float-range",
         "unit-ball-all-zero",
+        "modular-inverse-fractional-argument",
+        "modular-inverse-string-modulus",
+        "random-trinomial-inverted-modulus-range",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

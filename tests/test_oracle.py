@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -570,7 +569,7 @@ def test_run_verification_counts_each_failure_in_its_own_row(monkeypatch):
         report = true_brute_max(tri)
         if calls % 3 == 0:
             x = report.argmaxes[0]
-            return replace(report, value=2.0 * report.value, argmaxes=(x, x + 0.5 * report.period))
+            return report._replace(value=2.0 * report.value, argmaxes=(x, x + 0.5 * report.period))
         agreed = agreement(max_points_global(tri), report)
         value_errors.append(agreed.value_error)
         argmax_errors.append(agreed.argmax_error)
