@@ -335,30 +335,6 @@ def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
     return (min(e1, e2), max(e1, e2))
 
 
-def _check_localization(res: MaxResult) -> None:
-    """Raise BracketFailure unless a point of the solved result lies, mod the
-    period, in the phase-only interval of the branch the solve took: e3 at
-    k*r1 = l*r3; for a unique interior point, e3 and e2, or e1 when the
-    reduction swapped (k*r1 > l*r3); at tau = pi, e1 and e2."""
-    e1, e2, e3 = _localization_endpoints(res.reduction.geometry, res.reduction.phases, res.reduction.turns)
-    if res.classification is MaxClassification.AT_ZERO:
-        ends = (e3, e3)
-    elif res.classification is MaxClassification.INTERIOR_UNIQUE:
-        ends = (e3, e1 if res.reduction.swapped else e2)
-    else:
-        ends = (e1, e2)
-    lo, hi = min(ends), max(ends)
-    mid = 0.5 * (lo + hi)
-    period = res.reduction.period
-    for x, _ in res.points:
-        folded = x - period * round((x - mid) / period)
-        if lo - LOCALIZATION_TOL <= folded <= hi + LOCALIZATION_TOL:
-            return
-    raise BracketFailure(
-        f"maximum points {res.points} escape the localization interval [{lo}, {hi}] mod {period}"
-    )
-
-
 def max_points_global(trinomial: Trinomial) -> MaxResult:
     """Maximum-modulus points of a general trinomial, modulo 2*pi/d.
 
@@ -366,26 +342,40 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     maps each point y back to reduction.from_reduced(y) mod the period, a
     symmetric pair in ascending order.  When tau = pi the symmetry axis s
     (with x + y = s for the pair) is reported as well.  The result keeps the
-    reduction it solved through, and its points are checked against the
-    phase-only localization interval of the branch the solve took.  They are
-    stationary to spectrum.STATIONARY_REL_TOL relative (the reduction refuses
-    spectra past float resolution for that).  No input is checked again
-    (Trinomial did).
+    reduction it solved through.  In the same pass, some point must lie, mod
+    the period and to LOCALIZATION_TOL, in the phase-only localization
+    interval of the branch the solve took, or BracketFailure is raised: e3 at
+    k*r1 = l*r3; for a unique interior point, e3 and e2, or e1 when the
+    reduction swapped (k*r1 > l*r3); at tau = pi, e1 and e2 (see
+    _localization_endpoints).  The points are stationary to
+    spectrum.STATIONARY_REL_TOL relative (the reduction refuses spectra past
+    float resolution for that).  No input is checked again (Trinomial did).
     """
     reduction = canonical_reduction(trinomial)
-    reduced = find_max_reduced(reduction.form)
-    period = reduction.period
-    y, value = reduced.points[0]
-    points = ((reduction.from_reduced(y) % period, value),)
-    if len(reduced.points) == 2:
-        y, value = reduced.points[1]
-        points = tuple(sorted(points + ((reduction.from_reduced(y) % period, value),)))
-    s = reduced.s
-    if s is not None:
-        s = (2.0 * reduction.v + s / (reduction.epsilon * reduction.geometry.d)) % period
-    res = MaxResult(points, reduced.classification, s, reduction)
-    _check_localization(res)
-    return res
+    form, geo, _, turns, _, v, epsilon, swapped, phases = reduction
+    found, cls, s, _ = find_max_reduced(form)
+    period, scale = TWO_PI / geo.d, epsilon * geo.d
+    y, value = found[0]
+    points = (((v + y / scale) % period, value),)
+    if len(found) == 2:
+        y, value = found[1]
+        points = tuple(sorted(points + (((v + y / scale) % period, value),)))
+    e1, e2, e3 = _localization_endpoints(geo, phases, turns)
+    if s is not None:  # the axis is present exactly when tau = pi
+        s = (2.0 * v + s / scale) % period
+        a, b = e1, e2
+    elif cls is MaxClassification.AT_ZERO:
+        a = b = e3
+    else:
+        a, b = e3, e1 if swapped else e2
+    lo, hi = (a, b) if a <= b else (b, a)
+    mid = 0.5 * (lo + hi)
+    for x, _ in points:
+        if lo - LOCALIZATION_TOL <= x - period * round((x - mid) / period) <= hi + LOCALIZATION_TOL:
+            return MaxResult(points, cls, s, reduction)
+    raise BracketFailure(
+        f"maximum points {points} escape the localization interval [{lo}, {hi}] mod {period}"
+    )
 
 
 def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[float, ...]]:

@@ -504,15 +504,18 @@ def random_trinomial(
     rng: np.random.Generator, modulus_range: tuple[float, float] = (1e-2, 1e2)
 ) -> Trinomial:
     """Random instance: distinct frequencies in [-12, 12], log-uniform moduli."""
-    _check_moduli(modulus_range)
-    if modulus_range[0] > modulus_range[1]:
+    try:
+        low, high = modulus_range
+    except (TypeError, ValueError):
+        raise SpectrumError(f"modulus_range must be two values (low, high), got {modulus_range}") from None
+    _check_moduli((low, high))
+    if low > high:
         raise SpectrumError(f"modulus_range must be (low, high) with low <= high, got {modulus_range}")
     while True:
         freqs = rng.integers(-12, 13, size=3)
         if len(set(freqs.tolist())) == 3:
             break
-    lo, hi = math.log(modulus_range[0]), math.log(modulus_range[1])
-    moduli = np.exp(rng.uniform(lo, hi, size=3))
+    moduli = np.exp(rng.uniform(math.log(low), math.log(high), size=3))
     phases = rng.uniform(0.0, TWO_PI, size=3)
     return Trinomial(*freqs, *moduli, *phases)
 

@@ -271,12 +271,18 @@ def make_reduced_form(
 
 def _trusted_form(k, l, r1, r2, r3, t) -> tuple[ReducedForm, bool]:
     """make_reduced_form, unchecked, of values that already satisfy ReducedForm's rules.
-    The fields are set by __setattr__: filling __dict__ would slow every later read."""
+    The fields are set by __setattr__, one plain call each: filling __dict__
+    would slow every later read, and a loop over the names costs nearly twice as much."""
     swapped = k * r1 > l * r3
+    if swapped:
+        k, l, r1, r3 = l, k, r3, r1
     form = object.__new__(ReducedForm)
-    fields = (l, k, r3, r2, r1, t) if swapped else (k, l, r1, r2, r3, t)
-    for name, value in zip(ReducedForm.__dataclass_fields__, fields):
-        object.__setattr__(form, name, value)
+    object.__setattr__(form, "k", k)
+    object.__setattr__(form, "l", l)
+    object.__setattr__(form, "r1", r1)
+    object.__setattr__(form, "r2", r2)
+    object.__setattr__(form, "r3", r3)
+    object.__setattr__(form, "t", t)
     return form, swapped
 
 

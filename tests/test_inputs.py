@@ -71,6 +71,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: spectrum.modular_inverse(1.5, 3),
         lambda: spectrum.modular_inverse(2, "x"),
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=(1.0, 0.5)),
+        lambda: random_trinomial(np.random.default_rng(0), modulus_range=(1.0, 2.0, 1e-50)),
+        lambda: random_trinomial(np.random.default_rng(0), modulus_range=(1.0,)),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -107,6 +109,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "modular-inverse-fractional-argument",
         "modular-inverse-string-modulus",
         "random-trinomial-inverted-modulus-range",
+        "random-trinomial-three-value-modulus-range",
+        "random-trinomial-one-value-modulus-range",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

@@ -513,6 +513,18 @@ def branch_forms(rng, count: int = 20) -> list[ReducedForm]:
     return forms
 
 
+def moved_trinomial(form: ReducedForm, rng) -> Trinomial:
+    """A trinomial that reduces to the branch of form: its spectrum dilated by
+    d and offset by c, moved by a seeded rotation alpha and translation v,
+    |T(x)| = |R(d*(x - v))|, with its coefficients in shuffled order."""
+    d, c = int(rng.integers(1, 4)), int(rng.integers(-8, 9))
+    alpha, v = (float(a) for a in rng.uniform(0.0, TWO_PI, 2))
+    freqs = (c - form.k * d, c, c + form.l * d)
+    terms = [(f, r, t + alpha - f * v) for f, r, t in zip(freqs, (form.r1, form.r2, form.r3), (0.0, form.t, 0.0))]
+    terms = [terms[j] for j in rng.permutation(3)]
+    return Trinomial(*(f for f, _, _ in terms), *(r for _, r, _ in terms), *(t for _, _, t in terms))
+
+
 class TestAgainstReferencePaths:
     """The solve's direct paths against the general ones they replace, bit for bit."""
 
@@ -534,16 +546,25 @@ class TestAgainstReferencePaths:
     def test_points_are_the_reduced_points_mapped_back(self):
         rng = np.random.default_rng(30)
         tris = [random_trinomial(rng) for _ in range(150)] + [random_symmetric_pair(rng) for _ in range(50)]
+        tris += [moved_trinomial(form, rng) for form in branch_forms(rng)]
         tris += [
             Trinomial(-1, 0, 1, 1, 12, 2, 0, math.pi / 2, 0),  # boundary
             Trinomial(-1, 0, 1, 1, 8, 2, 0, math.pi / 2, 0),  # knife edge
             Trinomial(5, 3, 9, 1, 2, 1, 0.4, 1.3, -2.1),  # k*r1 = l*r3, d = 2
         ]
+        seen = set()
         for tri in tris:
             res = max_points_global(tri)
             red = res.reduction
-            reduced = find_max_reduced(red.form).points
-            assert res.points == tuple(sorted((red.from_reduced(y) % red.period, v) for y, v in reduced))
+            reduced = find_max_reduced(red.form)
+            seen.add(res.classification)
+            assert res.points == tuple(sorted((red.from_reduced(y) % red.period, v) for y, v in reduced.points))
+            if reduced.s is None:
+                assert res.s is None
+            else:
+                # the axis is the sum x + y of the pair: 2*v + (y1 + y2)/(epsilon*d)
+                assert res.s == (2.0 * red.v + reduced.s / (red.epsilon * red.geometry.d)) % red.period
+        assert seen == set(MaxClassification)
 
     def test_a_pair_wrapping_across_the_period_comes_out_ascending(self):
         res = max_points_global(random_symmetric_pair(np.random.default_rng(3)))
@@ -657,6 +678,39 @@ class TestBracketFailures:
         with pytest.raises(BracketFailure, match="escape the localization interval"):
             max_points_global(Trinomial(-1, 0, 2, 1.0, 1.5, 1.2, 0.3, 1.1, 2.0))
 
+    @pytest.mark.parametrize(
+        "tri, cls, swapped, read",
+        [
+            (Trinomial(-1, 0, 2, 2.0, 1.5, 1.0, 0.3, 1.1, 2.0), MaxClassification.AT_ZERO, False, {2}),
+            (Trinomial(-1, 0, 2, 1.0, 1.5, 1.2, 0.3, 1.1, 2.0), MaxClassification.INTERIOR_UNIQUE, False, {2, 1}),
+            (Trinomial(-1, 0, 2, 3.0, 1.5, 1.0, 0.3, 1.1, 2.0), MaxClassification.INTERIOR_UNIQUE, True, {2, 0}),
+            (Trinomial(-2, 0, 1, 2.0, 1.0, 0.5, 0.0, math.pi / 3, 0.0), MaxClassification.SYMMETRIC_PAIR, True, {0, 1}),
+            (Trinomial(-2, 0, 1, 1.0, 40.0, 8.0, 0.0, math.pi / 3, 0.0), MaxClassification.AT_BOUNDARY, False, {0, 1}),
+        ],
+        ids=["at-zero-e3-e3", "interior-e3-e2", "interior-swapped-e3-e1", "tau-pi-pair-e1-e2", "tau-pi-boundary-e1-e2"],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+    def test_each_branch_checks_its_own_endpoints(self, monkeypatch, tri, cls, swapped, read, sign):
+        # read indexes (e1, e2, e3); every interval here spans at most a quarter
+        # period, so shifting both its ends by half a period moves it off every
+        # point.  e3 lies between e1 and e2, so only the two directions together
+        # catch an interval (e3, e1) or (e3, e2) in place of (e3, e3)
+        res = max_points_global(tri)
+        assert (res.classification, res.reduction.swapped) == (cls, swapped)
+        endpoints, half = maxmod._localization_endpoints, sign * 0.5 * res.reduction.period
+
+        def shift(indices):
+            monkeypatch.setattr(
+                maxmod, "_localization_endpoints",
+                lambda *args: tuple(e + half * (j in indices) for j, e in enumerate(endpoints(*args))),
+            )
+
+        shift(read)
+        with pytest.raises(BracketFailure, match="escape the localization interval"):
+            max_points_global(tri)
+        shift({0, 1, 2} - read)
+        assert max_points_global(tri) == res
+
     def test_tau_just_below_the_pi_margin_is_checked_as_unique(self):
         # tau = pi - 1e-9 to rounding: the solve takes the unique branch, and the
         # check holds its point to that branch's narrower interval
@@ -664,6 +718,29 @@ class TestBracketFailures:
         res = max_points_global(tri)
         assert res.classification is MaxClassification.INTERIOR_UNIQUE
         assert len(res.points) == 1 and res.s is None
+
+
+class TestKnownDefects:
+    """Pinned lines where the solve and the oracle disagree, each a strict
+    expected failure that names the side in error, so that a fix flips it."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the oracle is in error: at tau = pi - 1e-9 it reports a second argmax at 4.6108 under "
+        "TIE_REL_TOL, while an exact probe finds the one maximum at 0.101601727 that the solve reports",
+    )
+    def test_tie_line_just_below_tau_pi(self):
+        tri = Trinomial(-1, 0, 3, 1, 2, 1.3, 0, 0.7853981631474483, 0)
+        assert oracle.agreement(max_points_global(tri), oracle.brute_max(tri)).ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the analytic side is in error: at pi - tau = 2e-12 it reports Degenerate4 at pi/2, "
+        "1.8e-4 from the maximum at 1.5706146161 that an exact probe finds",
+    )
+    def test_knife_edge_just_below_tau_pi(self):
+        res = max_points_global(Trinomial(-1, 0, 1, 1, 8, 2, 0, 1.5707963267938966, 0))
+        assert min(abs(math.remainder(x - 1.5706146161, res.reduction.period)) for x, _ in res.points) <= 1e-6
 
 
 class TestBranchMargins:
