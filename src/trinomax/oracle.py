@@ -21,8 +21,8 @@ piece with the rest of the library, the dilation d of the spectrum
 geometry; its evaluator is not the reduced-form expansion
 ``find_max_reduced`` uses, nor is its Newton loop on the + to - sign change
 of d|T|^2/dy the kernel's, so the comparison stays independent; ``agreement``
-is the one rule that judges it.  ``_golden_max`` refines a bracket without
-that sign change (a flat or double peak) and runs the coordinate descent.
+is the one rule that judges it.  ``_golden_max`` refines a peak without that
+sign change and runs the descent, which stops at a round that moves nothing.
 
 All searches are deterministic given their grids and seeds.
 """
@@ -145,30 +145,27 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 64) -> tuple[float, floa
     """Golden-section search for a maximum of ``fun`` on [lo, hi].
 
     Reuses one interior evaluation per step; returns the best probe, its
-    value and the number of evaluations.  Meant for unimodal brackets.
+    value and the number of evaluations, iters + 2.  Meant for unimodal
+    brackets, where any sub-bracket around the maximum finds it again (the
+    stop rule of ``_constant_search``'s descent relies on this).
     """
     a, b = lo, hi
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
     fc = fun(c)
     fd = fun(d)
-    count = 2
     for _ in range(iters):
         if fc > fd:
             b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
+            c = b - _INV_PHI * (b - a)
             fc = fun(c)
         else:
             a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
+            d = a + _INV_PHI * (b - a)
             fd = fun(d)
-        count += 1
     if fc > fd:
-        return c, fc, count
-    return d, fd, count
+        return c, fc, iters + 2
+    return d, fd, iters + 2
 
 
 def _slope_root(slope, lo: float, hi: float) -> tuple[float | None, int]:
@@ -293,14 +290,9 @@ def _cross_terms(r, t):
     return (r * r).sum(axis=-1), 2.0 * r[..., _A] * r[..., _B], t[..., _A] - t[..., _B]
 
 
-def _grid_weights(w, p) -> np.ndarray:
-    # |T|^2 on the grid is s0 + weights @ table.grid
-    return np.concatenate((w * np.cos(p), -w * np.sin(p)), axis=-1)
-
-
 def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     """``brute_max`` on a prebuilt pair table: ``_cross_terms`` and
-    ``_grid_weights`` in Python floats, which the refinement reads too.  The
+    the grid weights in Python floats, which the refinement reads too.  The
     refinement runs in y = d * x on the period 2*pi, on the table's integer
     steps; the argmaxes are reported as x = y / d."""
     (r1, r2, r3), (t1, t2, t3), (g1, g2, g3) = map(float, moduli), map(float, phases), table.steps
@@ -395,7 +387,8 @@ def _simplex_grid(n: int) -> np.ndarray:
 def _grid_max(table: _PairTable, s0, w, phases) -> np.ndarray:
     """Grid maximum of |T|, unrefined, at one phase triple for each row of ``_cross_terms``' s0 and w."""
     t = np.asarray(phases)
-    weights, rows = _grid_weights(w, t[_A] - t[_B]), max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
+    p, rows = t[_A] - t[_B], max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
+    weights = np.concatenate((w * np.cos(p), -w * np.sin(p)), axis=-1)  # |T|^2 = s0 + weights @ table.grid
     top = [(weights[i:i + rows] @ table.grid).max(axis=1) for i in range(0, len(weights), rows)]
     return np.sqrt(np.concatenate(top) + s0)
 
@@ -417,10 +410,12 @@ def _constant_search(
     multiplier's sorted phases ``shift``, and 1 / top(r, base) for the Sidon
     constant (``shift`` None; the moduli sum to 1).  It is maximised first on
     ``_simplex_grid`` times a full-turn grid of u2, with top ``_grid_max`` on
-    every second point of the one pair table, then by four rounds of
-    coordinate descent on (r1, r2, u2), a golden section per coordinate with
-    halving spans, with top ``_grid_and_refine`` on the whole table.  A grid
-    past MAX_SEARCH_GRID (D > 2**13) raises SpectrumError before any table.
+    every second point of the one pair table, then by coordinate descent on
+    (r1, r2, u2) with top ``_grid_and_refine`` on the whole table: at most four
+    rounds of one golden section per coordinate, spans halving, ending after a
+    round that moves nothing, as the next would search the same lines through
+    the same point on narrower brackets (see ``_golden_max``).  A grid past
+    MAX_SEARCH_GRID (D > 2**13) raises SpectrumError before any table.
     """
     grid_phases = _count(grid_phases, 1, "phase grid must have at least 1 point, got {n}")
     simplex_n = _count(simplex_n, 3, "simplex grid must have at least 3 subdivisions, got {n}")
@@ -465,6 +460,7 @@ def _constant_search(
     spans = [2.0 / simplex_n, 2.0 / simplex_n, 2.0 * TWO_PI / grid_phases]
     best = objective(point)
     for _ in range(4):
+        start = best
         for axis in range(3):
             lo = max(bounds[axis][0], point[axis] - spans[axis])
             hi = min(bounds[axis][1], point[axis] + spans[axis])
@@ -474,6 +470,8 @@ def _constant_search(
             if v > best:
                 best = v
                 point[axis] = x
+        if best == start:
+            break
         spans = [s * 0.5 for s in spans]
     return best
 
@@ -508,7 +506,7 @@ def random_trinomial(
         low, high = modulus_range
     except (TypeError, ValueError):
         raise SpectrumError(f"modulus_range must be two values (low, high), got {modulus_range}") from None
-    _check_moduli((low, high))
+    low, high = _check_moduli((low, high))
     if low > high:
         raise SpectrumError(f"modulus_range must be (low, high) with low <= high, got {modulus_range}")
     while True:

@@ -88,8 +88,12 @@ def _frequencies(frequencies) -> tuple[int, int, int]:
     return f1, f2, f3
 
 
-def _check_moduli(moduli, zeros: bool = False) -> None:
-    """Moduli: positive (with ``zeros``, nonnegative) and finite, the largest in [1/MODULUS_SCALE, MODULUS_SCALE]."""
+def _check_moduli(moduli, zeros: bool = False) -> tuple[float, ...]:
+    """Moduli as floats: finite, positive (``zeros``: nonnegative), the largest in [1/MODULUS_SCALE, MODULUS_SCALE]."""
+    try:
+        moduli = tuple(map(float, moduli))
+    except (TypeError, ValueError):
+        raise SpectrumError(f"moduli must be real numbers, got {moduli}") from None
     for r in moduli:
         if not (0.0 <= r < inf if zeros else 0.0 < r < inf):
             raise SpectrumError(f"moduli must be {'nonnegative' if zeros else 'positive'} and finite, got {r}")
@@ -98,16 +102,21 @@ def _check_moduli(moduli, zeros: bool = False) -> None:
             f"the largest modulus must lie in [{1.0 / MODULUS_SCALE:g}, {MODULUS_SCALE:g}], got "
             f"{max(moduli)}; |T| scales with the moduli, so divide them by a common factor"
         )
+    return moduli
 
 
 def _check_phases(phases, name: str = "phases") -> tuple[float, ...]:
-    """Phases: finite.  Returns them as floats, each one past a full turn
-    reduced to [-pi, pi] by atan2(sin t, cos t): libm reduces sin and cos
-    exactly, while math.remainder(t, TWO_PI) is off by t/(2*pi) times the
-    rounding of TWO_PI.  A phase within one turn is returned unchanged, as
-    reducing it gains no precision."""
+    """Phases: real numbers (anything float takes), finite.  Returns them as
+    floats, each one past a full turn reduced to [-pi, pi] by atan2(sin t,
+    cos t): libm reduces sin and cos exactly, while math.remainder(t, TWO_PI)
+    is off by t/(2*pi) times the rounding of TWO_PI.  A phase within one turn
+    is returned unchanged, as reducing it gains no precision."""
     reduced = []
-    for t in map(float, phases):
+    for t in phases:
+        try:
+            t = float(t)
+        except (TypeError, ValueError):
+            raise SpectrumError(f"{name} must be real numbers, got {t!r}") from None
         if not math.isfinite(t):
             raise SpectrumError(f"{name} must be finite, got {t}")
         reduced.append(math.atan2(math.sin(t), math.cos(t)) if abs(t) > TWO_PI else t)
@@ -188,9 +197,8 @@ class Trinomial:
     t3: float = 0.0
 
     def __post_init__(self) -> None:
-        values = (*_frequencies(self.frequencies), *map(float, self.moduli))
-        _check_moduli(values[3:])
-        for name, value in zip(self.__dataclass_fields__, values + _check_phases(self.phases)):
+        values = (*_frequencies(self.frequencies), *_check_moduli(self.moduli), *_check_phases(self.phases))
+        for name, value in zip(self.__dataclass_fields__, values):
             object.__setattr__(self, name, value)
 
     @property

@@ -8,6 +8,7 @@ import pytest
 
 import trinomax
 from trinomax import (
+    Multiplier,
     ReducedForm,
     SpectrumError,
     Trinomial,
@@ -73,6 +74,12 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=(1.0, 0.5)),
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=(1.0, 2.0, 1e-50)),
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=(1.0,)),
+        lambda: Trinomial(-1, 0, 2, "a", 1, 1),
+        lambda: Trinomial(-1, 0, 2, None, 1, 1),
+        lambda: Trinomial(-1, 0, 2, 1, 1, 1, "a"),
+        lambda: Trinomial(-1, 0, 2, 1, 1, 1, 0.1, None),
+        lambda: Multiplier("a", 0, 0),
+        lambda: random_trinomial(np.random.default_rng(0), modulus_range=("a", "b")),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -111,6 +118,12 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "random-trinomial-inverted-modulus-range",
         "random-trinomial-three-value-modulus-range",
         "random-trinomial-one-value-modulus-range",
+        "trinomial-string-modulus",
+        "trinomial-none-modulus",
+        "trinomial-string-phase",
+        "trinomial-none-phase",
+        "multiplier-string-phase",
+        "random-trinomial-string-modulus-range",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

@@ -392,6 +392,39 @@ class TestConstantSearchBounds:
             assert brute_multiplier_norm(freqs, mult) <= norm * (1.0 + 1e-12)
 
 
+class TestDescentStopRule:
+    """The constant searches' coordinate descent ends after the first round
+    that moves no coordinate.  A round is three golden sections of 48 + 2
+    evaluations, each one ``_grid_and_refine`` call for Sidon and two for a
+    multiplier, after one evaluation at the scan's best point."""
+
+    ROUND = 3 * 50
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        refine = oracle._grid_and_refine
+
+        def counted(*args):
+            calls.append(None)
+            return refine(*args)
+
+        monkeypatch.setattr(oracle, "_grid_and_refine", counted)
+        return calls
+
+    def test_a_round_without_a_move_ends_the_descent(self, calls):
+        value = brute_sidon((-1, 0, 1), grid_phases=128, simplex_n=24)
+        assert value == pytest.approx(math.sqrt(2), abs=1e-3)
+        assert len(calls) <= 1 + 2 * self.ROUND
+
+    def test_a_descent_that_moves_reaches_the_formulas(self, calls):
+        # the optimal u2 of (0, 2, 5) is off the phase grid, so round 1 moves
+        freqs, mult = (0, 2, 5), Multiplier(0.7, 2.1, 5.3)
+        assert brute_sidon(freqs, grid_phases=128, simplex_n=24) == pytest.approx(sidon_constant(freqs)[0], rel=1e-12)
+        assert len(calls) > 1 + self.ROUND
+        assert brute_multiplier_norm(freqs, mult) == pytest.approx(multiplier_norm(freqs, mult)[0], rel=1e-12)
+
+
 class TestPairCosineEvaluator:
     """The oracle's pair table and its |T|^2 against direct phases and the
     plain complex sum."""
