@@ -24,7 +24,6 @@ from .spectrum import (
     SpectrumGeometry,
     Trinomial,
     _check_reduced,
-    _count,
     _top_two_adic_pair,
     modular_inverse,
     spectrum_geometry,
@@ -38,7 +37,6 @@ __all__ = [
     "sidon_constant",
     "lift_to_measure",
     "unconditional_constants",
-    "geometric_progression_bounds",
 ]
 
 
@@ -199,17 +197,3 @@ def unconditional_constants(
         isometric_patterns=tuple(isometric),
         non_isometric_patterns=tuple(non_isometric),
     )
-
-
-def geometric_progression_bounds(q: int) -> tuple[float, float, float]:
-    """Bounds for the Sidon constant of the geometric progression {1, q, q^2, ...}.
-
-    Returns (1 + pi^2/(8*(q+1)^2), sec(pi/(2*(q+1))), 1 + pi^2/(2*q^2 - 2 - pi^2));
-    the middle term is the Sidon constant of the three-point section {1, q, q^2}.
-    Requires integer q >= 3.
-    """
-    q = _count(q, 3, "q must be an integer >= 3, got {n}")
-    lower1 = 1.0 + math.pi**2 / (8.0 * (q + 1) ** 2)
-    lower2 = _norm_at(math.pi, q + 1)
-    upper = 1.0 + math.pi**2 / (2.0 * q * q - 2.0 - math.pi**2)
-    return lower1, lower2, upper

@@ -33,10 +33,8 @@ from .spectrum import (
     Trinomial,
     _check_moduli,
     _trusted_form,
-    _turn_shifts,
     canonical_reduction,
     modular_inverse,
-    spectrum_geometry,
 )
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "MaxResult",
     "evaluate",
     "half_derivative",
-    "localization_interval",
     "find_max_reduced",
     "max_at_zero",
     "max_points_global",
@@ -321,18 +318,6 @@ def _localization_endpoints(
     e2 = (t2 - t3a) / (l3 - l2)
     e3 = (t1a - t3a) / (l3 - l1)
     return e1, e2, e3
-
-
-def localization_interval(trinomial: Trinomial) -> tuple[float, float]:
-    """Interval containing a maximum-modulus point, independent of the moduli.
-
-    The endpoints are the maximum points of the two binomials obtained by
-    dropping an outer coefficient, computed from the phases alone.
-    """
-    geo = spectrum_geometry(trinomial.frequencies)
-    phases = geo.sort(trinomial.phases)
-    e1, e2, _ = _localization_endpoints(geo, phases, _turn_shifts(geo, phases)[1])
-    return (min(e1, e2), max(e1, e2))
 
 
 def max_points_global(trinomial: Trinomial) -> MaxResult:

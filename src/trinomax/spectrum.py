@@ -7,8 +7,8 @@ A trigonometric trinomial
 with three pairwise distinct integer frequencies is governed by a handful of
 discrete invariants: the step d of the spectrum, the coprime gaps (k, l), the
 quotient D = k + l of the diameter by d, and a single phase invariant tau in
-[0, pi].  This module derives those invariants, detects which phase shifts
-act as isometries (rotation + translation), and reduces a general trinomial
+[0, pi].  This module derives those invariants, strips the phase shift that
+acts as an isometry (rotation + translation), and reduces a general trinomial
 to the canonical form
 
     r1*e^(-i k x) + r2*e^(i t) + r3*e^(i l x),   t in [0, pi/(k+l)],  k*r1 <= l*r3
@@ -34,8 +34,7 @@ TWO_PI = 2.0 * math.pi
 # canonical_reduction refuses spectra past that: a diameter l3 - l1 above
 # about 5.6e6 for d = 1, twice that for d = 2 or 3.
 STATIONARY_REL_TOL = 1e-8
-# |signed tau| of a multiplier at or below this counts as an isometry; its
-# translation is then solved to a residual of four times it
+# |signed tau| of a multiplier at or below this counts as an isometry
 ISOMETRY_TAU_TOL = 1e-9
 # slack on the reduced phase range [0, pi/(k+l)], absolute below 0 and
 # relative above the edge: a t computed from tau may round a few ulp past it
@@ -58,7 +57,6 @@ __all__ = [
     "modular_inverse",
     "spectrum_geometry",
     "phase_combination",
-    "is_isometry",
     "canonical_reduction",
     "make_reduced_form",
     "opposition_signs",
@@ -253,10 +251,14 @@ class ReducedForm:
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("r1", "r2", "r3", "t"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _check_reduced(self.k, self.l, self.t)
-        _check_moduli((self.r1, self.r2, self.r3))
+        try:
+            t = float(self.t)
+        except (TypeError, ValueError):
+            raise SpectrumError(f"t must be a real number, got {self.t!r}") from None
+        _check_reduced(self.k, self.l, t)
+        values = (*_check_moduli((self.r1, self.r2, self.r3)), t)
+        for name, value in zip(("r1", "r2", "r3", "t"), values):
+            object.__setattr__(self, name, value)
         slack = 1e-12 * (self.k * self.r1 + self.l * self.r3)
         if self.k * self.r1 > self.l * self.r3 + slack:
             raise SpectrumError(
@@ -400,14 +402,14 @@ def _turn_shifts(geo: SpectrumGeometry, phases: tuple[float, float, float]) -> t
     return wrapped, (u, (shift - u * geo.l) // geo.k)
 
 
-def _solve_common_shift(geo: SpectrumGeometry, phases: tuple[float, float, float], u: int, tol: float) -> float:
+def _solve_common_shift(geo: SpectrumGeometry, phases: tuple[float, float, float], u: int) -> float:
     """Solve phases[j] + lams[j]*v = const (mod 2*pi) for v, lams = geo.lams.
 
     phases are in sorted-frequency order.  A solution exists exactly when the
     weighted phase combination lies in 2*pi*Z.  Taking the U = u whole turns
     of _turn_shifts off t1 makes the combination vanish, so with n = -U mod k
     v = (t1 - t2 + 2*pi*n)/(l2 - l1) solves the first congruence and, up to
-    rounding, the second; its residual there is checked against tol.  The
+    rounding, the second; its residual there is checked against 1e-7.  The
     cost is one modular inverse, O(log gap).  Moving t2 by the signed tau
     over k+l, as canonical_reduction does, leaves U unchanged.
     """
@@ -415,32 +417,9 @@ def _solve_common_shift(geo: SpectrumGeometry, phases: tuple[float, float, float
     t1, t2, t3 = phases
     v = (t1 - t2 + TWO_PI * (-u % geo.k)) / (l2 - l1)
     res = abs(wrap_angle((l3 - l2) * v - (t2 - t3)))
-    if res > tol:
-        raise SpectrumError(
-            f"no common translation exists (residual {res:.3e} > tol {tol:.1e})"
-        )
+    if res > 1e-7:
+        raise SpectrumError(f"no common translation exists (residual {res:.3e} > tol 1.0e-07)")
     return wrap_angle(v)
-
-
-def is_isometry(
-    frequencies: tuple[int, int, int], multiplier: Multiplier
-) -> tuple[bool, tuple[float, float] | None]:
-    """Decide whether a phase multiplier acts as a rotation plus translation.
-
-    That is the case exactly when the phase invariant of the multiplier
-    vanishes, whatever the step d.  Returns (flag, (alpha, v)) where, when
-    the flag is true, applying the multiplier to any function with this
-    spectrum equals e^(i*alpha) times the translate by v:
-    Mf(x) = e^(i*alpha) * f(x - v).
-    """
-    geo = spectrum_geometry(frequencies)
-    phases = geo.sort(multiplier.phases)
-    tau_signed, (u, _) = _turn_shifts(geo, phases)
-    if abs(tau_signed) > ISOMETRY_TAU_TOL:
-        return False, None
-    v = _solve_common_shift(geo, phases, u, 4.0 * ISOMETRY_TAU_TOL)
-    alpha = wrap_angle(phases[1] + geo.lams[1] * v)
-    return True, (alpha, v)
 
 
 def canonical_reduction(trinomial: Trinomial) -> Reduction:
@@ -471,7 +450,7 @@ def canonical_reduction(trinomial: Trinomial) -> Reduction:
     tau_signed, turns = _turn_shifts(geo, phases)
 
     t2_target = tau_signed / big_d
-    v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), turns[0], tol=1e-7)
+    v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), turns[0])
     alpha = wrap_angle(t2 - t2_target + geo.lams[1] * v)
 
     form, swapped = _trusted_form(geo.k, geo.l, r1, r2, r3, min(abs(t2_target), math.pi / big_d))

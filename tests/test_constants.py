@@ -9,8 +9,6 @@ from trinomax import (
     Trinomial,
     canonical_reduction,
     evaluate,
-    geometric_progression_bounds,
-    is_isometry,
     lift_to_measure,
     max_points_global,
     multiplier_norm,
@@ -18,6 +16,7 @@ from trinomax import (
     spectrum_geometry,
     unconditional_constants,
 )
+from trinomax.spectrum import ISOMETRY_TAU_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,7 +41,7 @@ class TestMultiplierNorm:
             freqs = (-2, 1, 3)
             mult = Multiplier(*rng.uniform(0, TWO_PI, 3))
             norm, _ = multiplier_norm(freqs, mult)
-            iso, _ = is_isometry(freqs, mult)
+            iso = abs(spectrum_geometry(freqs).signed_tau(mult.phases)) <= ISOMETRY_TAU_TOL
             assert norm >= 1.0 - 1e-13
             assert (norm <= 1.0 + 1e-9) == iso
 
@@ -185,24 +184,35 @@ class TestUnconditionalConstants:
             assert len(res.isometric_patterns) == 4
 
 
+def geometric_progression_bounds(q: int) -> tuple[float, float, float]:
+    """The paper's bounds for the Sidon constant of {1, q, q^2, ...}, q >= 3:
+    1 + pi^2/(8*(q+1)^2), sec(pi/(2*(q+1))) and 1 + pi^2/(2*q^2 - 2 - pi^2)."""
+    lower1 = 1.0 + math.pi**2 / (8.0 * (q + 1) ** 2)
+    lower2 = 1.0 / math.cos(math.pi / (2 * (q + 1)))
+    upper = 1.0 + math.pi**2 / (2.0 * q * q - 2.0 - math.pi**2)
+    return lower1, lower2, upper
+
+
 class TestGeometricProgressionBounds:
+    # the three-point section {1, q, q^2} is a subset of the progression, so its
+    # constant lies below the progression's upper bound
+
     def test_q_three_values(self):
-        lower1, lower2, upper = geometric_progression_bounds(3)
-        assert lower1 == pytest.approx(1 + math.pi**2 / 128, rel=1e-15)
-        assert lower2 == pytest.approx(1 / math.cos(math.pi / 8), rel=1e-15)
-        assert upper == pytest.approx(1 + math.pi**2 / (16 - math.pi**2), rel=1e-15)
+        constant, witness = sidon_constant((1, 3, 9))
+        assert constant == pytest.approx(1 / math.cos(math.pi / 8), rel=1e-14)
+        assert witness.attained == pytest.approx(constant, rel=1e-9)
+        assert 1 + math.pi**2 / 128 < constant < 1 + math.pi**2 / (16 - math.pi**2)
 
     @pytest.mark.parametrize("q", [3, 4, 5, 9, 20])
     def test_ordering(self, q):
         lower1, lower2, upper = geometric_progression_bounds(q)
-        assert 1.0 < lower1 <= lower2 <= upper
+        constant, _ = sidon_constant((1, q, q * q))
+        assert 1.0 < lower1 <= constant <= upper
+        assert constant == pytest.approx(lower2, rel=1e-14)
 
     @pytest.mark.parametrize("q", [3, 4, 7])
     def test_middle_term_is_the_three_point_constant(self, q):
-        _, lower2, _ = geometric_progression_bounds(q)
+        # {1, q, q^2} is (-1, 0, q) dilated by q - 1 and shifted, so D = q + 1
+        assert spectrum_geometry((1, q, q * q)).D == q + 1
         constant, _ = sidon_constant((1, q, q * q))
-        assert constant == pytest.approx(lower2, rel=1e-14)
-
-    def test_rejects_small_q(self):
-        with pytest.raises(SpectrumError):
-            geometric_progression_bounds(2)
+        assert constant == pytest.approx(geometric_progression_bounds(q)[1], rel=1e-14)

@@ -6,9 +6,7 @@ import pytest
 
 from trinomax import (
     MaxClassification,
-    NoSolution,
     ReducedForm,
-    SingularConfiguration,
     SpectrumError,
     Trinomial,
     brute_max,
@@ -19,7 +17,7 @@ from trinomax import (
     max_points_global,
     random_symmetric_pair,
     random_trinomial,
-    reconstruct_from_two_points,
+    spectrum_geometry,
     unit_ball_point,
 )
 from trinomax import maxmod
@@ -159,86 +157,47 @@ class TestClassification:
             classify_unit_ball_point(point)
 
 
-class TestReconstruction:
-    def test_round_trip_on_known_extremal(self):
+class TestTwoPointMaxima:
+    # the exposed trinomials: the modulus is attained at two points modulo 2*pi/d
+
+    def test_known_extremal_attains_its_maximum_at_both_points(self):
+        # f(x) = 2 cos x + 2i, so |f|^2 = 4 cos^2 x + 4 peaks at 0 and pi
         tri = Trinomial(-1, 0, 1, 1, 2, 1, 0, math.pi / 2, 0)
-        x, y = 0.0, math.pi
-        rebuilt = reconstruct_from_two_points(
-            (-1, 0, 1), x, y, evaluate(tri, x), evaluate(tri, y)
-        )
-        assert rebuilt.moduli == pytest.approx((1.0, 2.0, 1.0), rel=1e-9)
-        for point in (x, y, 0.7, 2.1):
-            assert evaluate(rebuilt, point) == pytest.approx(
-                evaluate(tri, point), rel=1e-9, abs=1e-9
-            )
+        res = max_points_global(tri)
+        assert res.value == pytest.approx(2 * math.sqrt(2), rel=1e-14)
+        (x, _), (y, _) = res.points
+        assert abs(math.remainder(x - y, TWO_PI)) == pytest.approx(math.pi, abs=1e-9)
+        for x in (x, y):
+            assert abs(math.remainder(x, math.pi)) < 1e-9
+            assert abs(evaluate(tri, x)) == pytest.approx(res.value, rel=1e-14)
 
-    def test_round_trip_on_random_symmetric_pairs(self):
-        from trinomax import random_symmetric_pair
-
+    def test_random_symmetric_pairs_attain_one_modulus_twice(self):
         rng = np.random.default_rng(21)
-        done = 0
-        while done < 15:
+        for _ in range(15):
             tri = random_symmetric_pair(rng)
             res = max_points_global(tri)
-            (x, _), (y, _) = res.points
-            try:
-                rebuilt = reconstruct_from_two_points(
-                    tri.frequencies, x, y, evaluate(tri, x), evaluate(tri, y)
-                )
-            except SingularConfiguration:
-                continue
-            done += 1
-            assert sorted(rebuilt.moduli) == pytest.approx(sorted(tri.moduli), rel=1e-8)
-            for point in np.linspace(0, TWO_PI, 9):
-                assert abs(evaluate(rebuilt, float(point))) == pytest.approx(
-                    abs(evaluate(tri, float(point))), rel=1e-8, abs=1e-10
-                )
+            (x, vx), (y, vy) = res.points
+            period = TWO_PI / spectrum_geometry(tri.frequencies).d
+            assert abs(math.remainder(x - y, period)) > 1e-6
+            for point, value in ((x, vx), (y, vy)):
+                assert abs(evaluate(tri, point)) == pytest.approx(res.value, rel=1e-12)
+                assert value == pytest.approx(res.value, rel=1e-12)
+            grid = np.linspace(0.0, period, 2001)
+            assert np.abs(evaluate(tri, grid)).max() <= res.value * (1 + 1e-12)
 
-    def test_inconsistent_values_raise(self):
-        # equal-modulus values at two points that no trinomial with this
-        # spectrum attains as its maximum
-        x, y = 4.325638382299154, 2.4436653767928673
-        rho = 1.8133858061893147
-        vx = rho * cmath.exp(-2.292756278181666j)
-        vy = rho * cmath.exp(1.391652284819048j)
-        with pytest.raises(NoSolution):
-            reconstruct_from_two_points((-1, 0, 1), x, y, vx, vy)
-
-    def test_value_rotation_stays_consistent(self):
-        # rotating one prescribed value is absorbed by the middle phase, so
-        # the data remains realizable; the rebuilt function matches it
-        tri = Trinomial(-1, 0, 1, 1, 2, 1, 0, math.pi / 2, 0)
-        x, y = 0.0, math.pi
-        want_y = evaluate(tri, y) * cmath.exp(0.3j)
-        rebuilt = reconstruct_from_two_points(
-            (-1, 0, 1), x, y, evaluate(tri, x), want_y
-        )
-        assert evaluate(rebuilt, y) == pytest.approx(want_y, rel=1e-9)
-        assert max_points_global(rebuilt).value == pytest.approx(
-            abs(want_y), rel=1e-9
-        )
-
-    def test_singular_configuration(self):
-        # purely imaginary opposite values at 0 and pi zero the sine factors
-        with pytest.raises(SingularConfiguration):
-            reconstruct_from_two_points((-1, 0, 1), 0.0, math.pi, 2j, -2j)
-
-    def test_vanishing_coefficient_is_no_solution(self):
-        # real equal values force the outer coefficients to zero
-        with pytest.raises(NoSolution):
-            reconstruct_from_two_points((-1, 0, 1), 0.0, math.pi, 2.0 + 0j, 2.0 + 0j)
-
-    def test_zero_value_is_no_solution(self):
-        with pytest.raises(NoSolution, match="nonzero"):
-            reconstruct_from_two_points((-1, 0, 1), 0.3, 1.2, 0j, 1 + 0j)
-
-    def test_points_one_period_apart_are_rejected(self):
-        with pytest.raises(SpectrumError, match="differ"):
-            reconstruct_from_two_points((-1, 0, 1), 0.3, 0.3 + TWO_PI, 1 + 0j, 1 + 0j)
-
-    def test_rejects_mismatched_moduli(self):
-        with pytest.raises(NoSolution):
-            reconstruct_from_two_points((-1, 0, 1), 0.0, math.pi, 2.0 + 0j, 1.0j)
+    def test_common_phase_rotation_keeps_the_points(self):
+        # e^(ia) f has the maximum points of f, and its values there turn by a
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            tri = random_symmetric_pair(rng)
+            a = float(rng.uniform(-math.pi, math.pi))
+            turned = Trinomial(*tri.frequencies, *tri.moduli, *(p + a for p in tri.phases))
+            res, res_turned = max_points_global(tri), max_points_global(turned)
+            assert res_turned.value == pytest.approx(res.value, rel=1e-12)
+            for (x, _), (y, _) in zip(res.points, res_turned.points):
+                assert y == pytest.approx(x, abs=1e-9)
+                want = evaluate(tri, x) * cmath.exp(1j * a)
+                assert evaluate(turned, y) == pytest.approx(want, rel=1e-8)
 
 
 @pytest.mark.parametrize("k,r1,r3", [(1, 1.0, 2.0), (2, 0.3, 2.0), (3, 0.1, 2.0)])

@@ -17,7 +17,6 @@ from trinomax import (
     chebotarev_derivative,
     classify_unit_ball_point,
     fstar,
-    geometric_progression_bounds,
     hypotrochoid_sample,
     lift_to_measure,
     max_points_global,
@@ -80,6 +79,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: Trinomial(-1, 0, 2, 1, 1, 1, 0.1, None),
         lambda: Multiplier("a", 0, 0),
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=("a", "b")),
+        lambda: ReducedForm(1, 2, "a", 1, 1, 0.1),
+        lambda: ReducedForm(1, 2, 1, 1, 1, None),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -124,6 +125,8 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "trinomial-none-phase",
         "multiplier-string-phase",
         "random-trinomial-string-modulus-range",
+        "reduced-form-string-modulus",
+        "reduced-form-none-phase",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):
@@ -135,6 +138,13 @@ def test_malformed_input_raises_spectrum_error(call):
 def test_verify_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(SpectrumError, match=f"seed must be a nonnegative integer, got {seed}"):
         run_verification(seed, 3)
+
+
+def test_unit_ball_point_stores_the_checked_floats():
+    # the point keeps the moduli and phases its Trinomial reads, not the raw input
+    assert unit_ball_point((-1, 0, 1), ("1", 1, 1), (0, 0, 0)) == unit_ball_point(
+        (-1, 0, 1), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)
+    )
 
 
 def test_unit_ball_moduli_message_says_finite():
@@ -152,7 +162,6 @@ def test_unit_ball_moduli_range_is_the_trinomial_rule(moduli):
 
 def test_numpy_integers_are_accepted():
     i = np.int64
-    assert geometric_progression_bounds(i(3)) == geometric_progression_bounds(3)
     tri = Trinomial(i(-1), i(0), i(2), 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
     assert tri == TRI
     assert max_points_global(tri) == max_points_global(TRI)

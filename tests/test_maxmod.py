@@ -16,16 +16,24 @@ from trinomax import (
     evaluate,
     find_max_reduced,
     half_derivative,
-    localization_interval,
     make_reduced_form,
     max_points_global,
 )
 from trinomax import maxmod, oracle
 from trinomax.maxmod import BracketFailure
 from trinomax.oracle import random_symmetric_pair, random_trinomial
-from trinomax.spectrum import canonical_reduction
+from trinomax.spectrum import _turn_shifts, canonical_reduction, spectrum_geometry
 
 TWO_PI = 2.0 * math.pi
+
+
+def localization_interval(tri: Trinomial) -> tuple[float, float]:
+    """The interval between the maximum points of the two binomials left by
+    dropping an outer coefficient, as max_points_global checks it."""
+    geo = spectrum_geometry(tri.frequencies)
+    phases = geo.sort(tri.phases)
+    e1, e2, _ = maxmod._localization_endpoints(geo, phases, _turn_shifts(geo, phases)[1])
+    return min(e1, e2), max(e1, e2)
 
 
 def reduced_as_trinomial(form: ReducedForm) -> Trinomial:

@@ -14,13 +14,13 @@ from trinomax import (
     Trinomial,
     canonical_reduction,
     evaluate,
-    is_isometry,
     max_points_global,
     modular_inverse,
     opposition_signs,
     wrap_angle,
 )
 from trinomax.spectrum import (
+    ISOMETRY_TAU_TOL,
     _geometry,
     _solve_common_shift,
     _turn_shifts,
@@ -95,31 +95,55 @@ def test_wrap_angle_range_and_identity():
         assert abs(math.remainder(w - x, TWO_PI)) < 1e-12
 
 
+def reduce_multiplier(freqs, mult):
+    """The canonical reduction of the unit-moduli trinomial whose phases are mult's."""
+    return canonical_reduction(Trinomial(*freqs, 1.0, 1.0, 1.0, *mult.phases))
+
+
 class TestIsometry:
     def test_constant_shift(self):
-        ok, (alpha, v) = is_isometry((-1, 0, 1), Multiplier(0.7, 0.7, 0.7))
-        assert ok
-        assert v == pytest.approx(0.0, abs=1e-12)
-        assert alpha == pytest.approx(0.7, abs=1e-12)
+        red = reduce_multiplier((-1, 0, 1), Multiplier(0.7, 0.7, 0.7))
+        assert red.tau <= ISOMETRY_TAU_TOL
+        assert math.remainder(red.v, TWO_PI) == pytest.approx(0.0, abs=1e-12)
+        assert red.alpha == pytest.approx(0.7, abs=1e-12)
 
     def test_translation(self):
-        ok, _ = is_isometry((-1, 0, 1), Multiplier(-0.4, 0.0, 0.4))
-        assert ok
+        # phases (-lam_j * v) with v = -0.4: a pure translation, no rotation
+        red = reduce_multiplier((-1, 0, 1), Multiplier(-0.4, 0.0, 0.4))
+        assert red.tau <= ISOMETRY_TAU_TOL
+        assert math.remainder(red.v + 0.4, TWO_PI) == pytest.approx(0.0, abs=1e-12)
+        assert red.alpha == pytest.approx(0.0, abs=1e-12)
 
     def test_middle_rotation_is_not(self):
-        ok, pair = is_isometry((-1, 0, 1), Multiplier(0.0, math.pi / 2, 0.0))
-        assert not ok and pair is None
+        red = reduce_multiplier((-1, 0, 1), Multiplier(0.0, math.pi / 2, 0.0))
+        assert red.tau == pytest.approx(math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("freqs", [(-1, 0, 1), (-3, 1, 5), (0, 2, 5), (1, 4, 10)])
+    def test_isometry_exactly_when_tau_vanishes(self, freqs):
+        # alpha - lam_j * v is an isometry on every spectrum; moving the middle
+        # phase alone by 1e-3 moves tau by 1e-3 * D and breaks it
+        rng = np.random.default_rng(sum(freqs) + 50)
+        big_d = spectrum_geometry(freqs).D
+        for _ in range(10):
+            alpha, v = rng.uniform(-math.pi, math.pi, 2)
+            phases = [wrap_angle(alpha - f * v) for f in freqs]
+            assert reduce_multiplier(freqs, Multiplier(*phases)).tau <= ISOMETRY_TAU_TOL
+            phases[1] += 1e-3
+            red = reduce_multiplier(freqs, Multiplier(*phases))
+            assert red.tau == pytest.approx(1e-3 * big_d, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_functional_identity(self, seed):
-        # Mf(x) = e^(i alpha) f(x - v) must hold pointwise
+        # an isometric multiplier reduces to tau = 0, and the rotation and
+        # shift the reduction strips satisfy Mf(x) = e^(i alpha) f(x - v) pointwise
         rng = np.random.default_rng(seed)
         freqs = (-3, 1, 5)
         v_true = rng.uniform(-math.pi, math.pi)
         alpha_true = rng.uniform(-math.pi, math.pi)
         mult = Multiplier(*(wrap_angle(alpha_true - f * v_true) for f in freqs))
-        ok, (alpha, v) = is_isometry(freqs, mult)
-        assert ok
+        red = canonical_reduction(Trinomial(*freqs, 1.0, 1.0, 1.0, *mult.phases))
+        assert red.tau <= ISOMETRY_TAU_TOL
+        alpha, v = red.alpha, red.v
         tri = Trinomial(*freqs, *rng.uniform(0.5, 2.0, 3), *rng.uniform(0, TWO_PI, 3))
         shifted = mult.apply(tri)
         for x in rng.uniform(-math.pi, math.pi, 8):
@@ -323,7 +347,7 @@ class TestClosedFormCommonShift:
     def assert_same_translation(self, geo, phases, u=None):
         if u is None:
             u = _turn_shifts(geo, phases)[1][0]
-        v = _solve_common_shift(geo, phases, u, 1e-7)
+        v = _solve_common_shift(geo, phases, u)
         v_ref = enumerated_common_shift(geo.lams, phases, 1e-7)
         assert abs(math.remainder(v - v_ref, TWO_PI / geo.d)) <= 1e-12
 
@@ -357,7 +381,7 @@ class TestClosedFormCommonShift:
                 continue
             cases += 1
             with pytest.raises(SpectrumError):
-                _solve_common_shift(geo, phases, _turn_shifts(geo, phases)[1][0], 1e-7)
+                _solve_common_shift(geo, phases, _turn_shifts(geo, phases)[1][0])
             with pytest.raises(SpectrumError):
                 enumerated_common_shift(geo.lams, phases, 1e-7)
 
