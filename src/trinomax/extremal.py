@@ -77,10 +77,9 @@ def unit_ball_point(
     """Build a point of the span and compute its sup norm, keeping the
     maximum of a trinomial for the classification."""
     frequencies = _frequencies(frequencies)
+    moduli, phases = _check_moduli(moduli, zeros=True), _check_phases(phases)
     if len(moduli) != 3 or len(phases) != 3:
         raise SpectrumError(f"need three moduli and three phases, got {moduli} and {phases}")
-    moduli = _check_moduli(moduli, zeros=True)
-    phases = _check_phases(phases)
     live = _live_moduli(moduli)
     maximum = None
     if len(live) == 3:

@@ -4,8 +4,9 @@ Grid maximisation of |T|, each grid peak near the maximum refined on the
 derivative of |T|^2 (a one-point band is its own peak, one refined peak the
 maximum), and one constant search for the empirical Sidon constant and
 multiplier norms: both are a supremum over the unit ball of a ratio of
-maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan and
-one coordinate descent.  Every stage works in y = d*x on the period 2*pi and
+maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan,
+exact only on the phases whose cap from a sub-grid bound pass reaches the best
+cell, and one coordinate descent.  Every stage works in y = d*x on the period 2*pi and
 evaluates |T|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + m_ab y) from
 the raw coefficients and the integer steps m_ab = (lambda_a - lambda_b)/d, so
 no gap is squared (2 r_a r_b gap^2 overflows past gaps of 1e154): on a grid
@@ -384,13 +385,46 @@ def _simplex_grid(n: int) -> np.ndarray:
     return np.asarray(pts)
 
 
+def _grid_weights(w, phases) -> np.ndarray:
+    """The weights of |T|^2 = s0 + weights @ grid at one phase triple, a row per row of ``_cross_terms``' w."""
+    t = np.asarray(phases)
+    p = t[_A] - t[_B]
+    return np.concatenate((w * np.cos(p), -w * np.sin(p)), axis=-1)
+
+
 def _grid_max(table: _PairTable, s0, w, phases) -> np.ndarray:
     """Grid maximum of |T|, unrefined, at one phase triple for each row of ``_cross_terms``' s0 and w."""
-    t = np.asarray(phases)
-    p, rows = t[_A] - t[_B], max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
-    weights = np.concatenate((w * np.cos(p), -w * np.sin(p)), axis=-1)  # |T|^2 = s0 + weights @ table.grid
+    weights, rows = _grid_weights(w, phases), max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
     top = [(weights[i:i + rows] @ table.grid).max(axis=1) for i in range(0, len(weights), rows)]
     return np.sqrt(np.concatenate(top) + s0)
+
+
+# the bound pass's relative rounding margin: 512 u (u = 2**-53) against the 100 u ``_scan_bounds`` derives
+_BOUND_REL = 2.0**-44
+
+
+def _scan_bounds(coarse: _PairTable, D: int, s0, w):
+    """Lower and upper bounds on ``_grid_max(coarse, s0, w, phases)``, two functions of the phases,
+    from every stride-th point, stride the largest power of two leaving 16 * D; None at stride 1.
+
+    The sub-grid maximum of |T|^2 is at most the coarse one, which is at most the sub-grid one plus
+    sum w * step^2 * h^2 / 8 (h the sub-grid spacing): |(|T|^2)''| <= sum w * step^2.  Rounding: at a
+    shared point the passes differ only by the 6-term product's order and the added s0, each within
+    7 u (sum r)^2 <= 21 u max |T|^2 (over more than D points |T|^2 has mean s0 >= (sum r)^2 / 3): 24 u on |T|.
+    The upper bound also meets the grid entries' error against exact cos and sin, under 16 u: 100 u."""
+    stride = 1 << max(0, (coarse.grid.shape[1] // (16 * D)).bit_length() - 1)
+    if stride == 1:
+        return None
+    # transposed, the product reduces over its outer axis, 3 times faster on 32 points; ``_grid_max``
+    # keeps (6, N), as BLAS rounds a transposed product's last rows differently, by an ulp
+    sub = np.ascontiguousarray(coarse.grid[:, ::stride].T)
+    droop = w @ np.square(coarse.steps) * (TWO_PI / len(sub)) ** 2 / 8.0
+
+    def bound(phases, upper: bool) -> np.ndarray:
+        sq = (sub @ _grid_weights(w, phases).T).max(axis=0) + s0
+        return np.sqrt(sq + droop) * (1.0 + _BOUND_REL) if upper else np.sqrt(sq) * (1.0 - _BOUND_REL)
+
+    return partial(bound, upper=False), partial(bound, upper=True)
 
 
 # smallest modulus the constant searches keep on the unit simplex
@@ -410,7 +444,11 @@ def _constant_search(
     multiplier's sorted phases ``shift``, and 1 / top(r, base) for the Sidon
     constant (``shift`` None; the moduli sum to 1).  It is maximised first on
     ``_simplex_grid`` times a full-turn grid of u2, with top ``_grid_max`` on
-    every second point of the one pair table, then by coordinate descent on
+    every second point of the one pair table: a bound pass caps each phase's
+    cells by ``_scan_bounds``' lower bound on the denominator and upper bound on
+    the numerator, and the phases, largest cap first, are scanned exactly until
+    a cap falls below the best cell, ties going to the lowest phase, then the
+    lowest row, as in a full scan.  Then by coordinate descent on
     (r1, r2, u2) with top ``_grid_and_refine`` on the whole table: at most four
     rounds of one golden section per coordinate, spans halving, ending after a
     round that moves nothing, as the next would search the same lines through
@@ -420,12 +458,12 @@ def _constant_search(
     grid_phases = _count(grid_phases, 1, "phase grid must have at least 1 point, got {n}")
     simplex_n = _count(simplex_n, 3, "simplex grid must have at least 3 subdivisions, got {n}")
 
-    def ratio(top, moduli, u2):
-        base = top(moduli, (0.0, u2, 0.0))
+    def ratio(den, num, u2):
+        base = den((0.0, u2, 0.0))
         if shift is None:
             return 1.0 / base
         u1, v2, u3 = shift
-        return top(moduli, (u1, u2 + v2, u3)) / base
+        return num((u1, u2 + v2, u3)) / base
 
     grid_n = _grid_size(grid_n, geo)
     if grid_n > MAX_SEARCH_GRID:
@@ -439,13 +477,21 @@ def _constant_search(
     coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
     # the simplex rows' moduli terms, once: each scan cell forms only its phase terms
     s0, w, _ = _cross_terms(simplex, np.zeros(3))
-    scan = np.asarray([ratio(partial(_grid_max, coarse, s0), w, u2) for u2 in phase_grid])
-    p_idx, m_idx = np.unravel_index(np.argmax(scan), scan.shape)
+    # each phase's cap on its cells' ratios, from the bound pass (none at stride 1)
+    scan_bounds, caps = _scan_bounds(coarse, geo.D, s0, w), np.full(grid_phases, np.inf)
+    if scan_bounds is not None:
+        caps = np.array([ratio(*scan_bounds, u2).max() for u2 in phase_grid])
+    exact = partial(_grid_max, coarse, s0, w)
+    top, p_idx, m_idx = -math.inf, 0, 0
+    for p in np.argsort(-caps, kind="stable").tolist():
+        if caps[p] < top:
+            break
+        cells = ratio(exact, exact, phase_grid[p])
+        m = int(cells.argmax())
+        if (cells[m], -p) > (top, -p_idx):  # np.argmax's tie rule: lowest phase, then lowest row
+            top, p_idx, m_idx = cells[m], p, m
     r1, r2, _ = simplex[m_idx]
     point = [float(r1), float(r2), float(phase_grid[p_idx])]
-
-    def refined_max(moduli, phases) -> float:
-        return _grid_and_refine(fine, moduli, phases).value
 
     def objective(params: list[float]) -> float:
         a, b, u2 = params
@@ -453,7 +499,8 @@ def _constant_search(
         # keep r3 on the simplex along the descent path
         if rest <= _SIMPLEX_EPS:
             return 0.0
-        return ratio(refined_max, (a, b, rest), u2)
+        refined = lambda t: _grid_and_refine(fine, (a, b, rest), t).value
+        return ratio(refined, refined, u2)
 
     eps = _SIMPLEX_EPS
     bounds = [(eps, 1.0 - 2 * eps), (eps, 1.0 - 2 * eps), (-math.inf, math.inf)]

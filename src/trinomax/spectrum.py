@@ -90,15 +90,16 @@ def _check_moduli(moduli, zeros: bool = False) -> tuple[float, ...]:
     """Moduli as floats: finite, positive (``zeros``: nonnegative), the largest in [1/MODULUS_SCALE, MODULUS_SCALE]."""
     try:
         moduli = tuple(map(float, moduli))
+        largest = max(moduli)
     except (TypeError, ValueError):
         raise SpectrumError(f"moduli must be real numbers, got {moduli}") from None
     for r in moduli:
         if not (0.0 <= r < inf if zeros else 0.0 < r < inf):
             raise SpectrumError(f"moduli must be {'nonnegative' if zeros else 'positive'} and finite, got {r}")
-    if not 1.0 / MODULUS_SCALE <= max(moduli) <= MODULUS_SCALE:
+    if not 1.0 / MODULUS_SCALE <= largest <= MODULUS_SCALE:
         raise SpectrumError(
             f"the largest modulus must lie in [{1.0 / MODULUS_SCALE:g}, {MODULUS_SCALE:g}], got "
-            f"{max(moduli)}; |T| scales with the moduli, so divide them by a common factor"
+            f"{largest}; |T| scales with the moduli, so divide them by a common factor"
         )
     return moduli
 
@@ -109,6 +110,10 @@ def _check_phases(phases, name: str = "phases") -> tuple[float, ...]:
     cos t): libm reduces sin and cos exactly, while math.remainder(t, TWO_PI)
     is off by t/(2*pi) times the rounding of TWO_PI.  A phase within one turn
     is returned unchanged, as reducing it gains no precision."""
+    try:
+        phases = tuple(phases)
+    except TypeError:
+        raise SpectrumError(f"{name} must be real numbers, got {phases!r}") from None
     reduced = []
     for t in phases:
         try:

@@ -147,6 +147,29 @@ def test_unit_ball_point_stores_the_checked_floats():
     )
 
 
+@pytest.mark.parametrize(
+    "moduli,phases,message",
+    [
+        (5, (0, 0, 0), "moduli must be real numbers"),
+        ((), (0, 0, 0), "moduli must be real numbers"),
+        (iter([1, 1]), (0, 0, 0), "need three moduli"),
+        ((1, 1, 1), 7, "phases must be real numbers"),
+        ((1, 1, 1), iter([0, 0]), "need three moduli"),
+    ],
+    ids=["scalar-moduli", "empty-moduli", "short-moduli-iterator", "scalar-phases", "short-phases-iterator"],
+)
+def test_unit_ball_point_checks_the_values_before_counting_them(moduli, phases, message):
+    # the length test reads the checked tuples, so input without a length raises SpectrumError, not TypeError
+    with pytest.raises(SpectrumError, match=message):
+        unit_ball_point((-1, 0, 1), moduli, phases)
+
+
+def test_unit_ball_point_takes_iterators_of_three():
+    assert unit_ball_point((-1, 0, 1), iter([1, 2, 1]), iter([0, 1, 0])) == unit_ball_point(
+        (-1, 0, 1), (1.0, 2.0, 1.0), (0.0, 1.0, 0.0)
+    )
+
+
 def test_unit_ball_moduli_message_says_finite():
     with pytest.raises(SpectrumError, match="finite"):
         unit_ball_point((-1, 0, 1), (1, NAN, 1), (0, 0, 0))

@@ -425,6 +425,111 @@ class TestDescentStopRule:
         assert brute_multiplier_norm(freqs, mult) == pytest.approx(multiplier_norm(freqs, mult)[0], rel=1e-12)
 
 
+class TestScanBoundPass:
+    """The constant searches' coarse scan runs its exact pass only on the
+    phases whose cap from the sub-grid bound pass reaches the best cell so far,
+    and finds the cell a full scan finds, bit for bit."""
+
+    MULT = Multiplier(0.7, 2.1, 5.3)
+    # brute_sidon(freqs, 128, 24) and brute_multiplier_norm(freqs, MULT) as computed by a
+    # full coarse scan, before the bound pass: (-1, 0, 1), (-2, 0, 4) and (1, 2, 5) have a
+    # sub-grid (stride 16, 8, 8), (0, 2, 5) a descent that moves, (0, 1, 24) no sub-grid
+    PINNED = [
+        ((-1, 0, 1), 1.4142135623730951, 1.3354126364639074),
+        ((-2, 0, 4), 1.1547005383792517, 1.036240113857828),
+        ((1, 2, 5), 1.082392200292394, 1.0438396326827402),
+        ((0, 2, 5), 1.0514622242382672, 1.0468045521710634),
+        ((0, 1, 24), 1.001663284348601, 1.0018266554243735),
+    ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # each search's _grid_and_refine calls (the first is the descent's start) and its exact-pass _grid_max calls
+        calls = {"start": [], "exact": 0}
+        refine, grid_max = oracle._grid_and_refine, oracle._grid_max
+
+        def first_refine(table, moduli, phases):
+            calls["start"].append((tuple(moduli), tuple(phases)))
+            return refine(table, moduli, phases)
+
+        def counted_grid_max(*args):
+            calls["exact"] += 1
+            return grid_max(*args)
+
+        monkeypatch.setattr(oracle, "_grid_and_refine", first_refine)
+        monkeypatch.setattr(oracle, "_grid_max", counted_grid_max)
+        return calls
+
+    @staticmethod
+    def full_scan_start(freqs, shift, grid_phases, simplex_n):
+        # the full scan, with no bound pass: every (phase, simplex row) cell, then np.argmax
+        geo = spectrum_geometry(freqs)
+        fine = _pair_table(geo.lams, geo.d, oracle._grid_size(1024, geo))
+        coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
+        simplex, phase_grid = oracle._simplex_grid(simplex_n), np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
+        s0, w, _ = _cross_terms(simplex, np.zeros(3))
+        scan = []
+        for u2 in phase_grid:
+            base = _grid_max(coarse, s0, w, (0.0, u2, 0.0))
+            if shift is None:
+                scan.append(1.0 / base)
+            else:
+                scan.append(_grid_max(coarse, s0, w, (shift[0], u2 + shift[1], shift[2])) / base)
+        p, m = np.unravel_index(np.argmax(np.asarray(scan)), (grid_phases, len(simplex)))
+        a, b, _ = simplex[m]
+        return (a, b, 1.0 - a - b), (0.0, phase_grid[p], 0.0)
+
+    @pytest.mark.parametrize("freqs,sidon,norm", PINNED)
+    def test_the_constants_are_pinned_and_the_descent_starts_at_the_full_scan_argmax(self, calls, freqs, sidon, norm):
+        assert brute_sidon(freqs, grid_phases=128, simplex_n=24) == sidon
+        assert calls["start"][0] == self.full_scan_start(freqs, None, 128, 24)
+        sidon_cells, calls["start"], calls["exact"] = calls["exact"], [], 0
+        assert brute_multiplier_norm(freqs, self.MULT) == norm
+        assert calls["start"][0] == self.full_scan_start(freqs, spectrum_geometry(freqs).sort(self.MULT.phases), 96, 20)
+        if freqs == (0, 1, 24):  # no sub-grid: every phase gets the exact pass
+            assert (sidon_cells, calls["exact"]) == (128, 2 * 96)
+        else:  # at most 4 of 128 Sidon phases and 4 of 96 multiplier phases
+            assert sidon_cells <= 4 and calls["exact"] <= 2 * 4
+
+    @pytest.mark.parametrize("freqs", [(-1, 0, 1), (1, 2, 5)])
+    def test_a_scan_of_ties_starts_where_np_argmax_does(self, calls, freqs):
+        # the identity multiplier's every cell is exactly 1: every phase gets the exact
+        # pass, and the start is phase 0, row 0, whatever order the caps give
+        identity = Multiplier(0.0, 0.0, 0.0)
+        assert brute_multiplier_norm(freqs, identity) == 1.0
+        assert calls["exact"] == 2 * 96
+        assert calls["start"][0] == self.full_scan_start(freqs, (0.0, 0.0, 0.0), 96, 20)
+        moduli, phases = calls["start"][0]
+        assert (moduli[:2], phases) == ((0.05, 0.05), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("dilation", [1, 3])
+    @pytest.mark.parametrize("grid_n", [1024, 4096])
+    def test_the_bounds_hold_each_coarse_cell(self, dilation, grid_n):
+        # lower <= exact <= upper for the base and the shifted phases alike, on every D
+        # with a sub-grid at the 1024 floor (strides 16 at D = 2 down to 2 at D = 9..16)
+        rng = np.random.default_rng(41)
+        moduli = rng.dirichlet(np.ones(3), size=60)
+        s0, w, _ = _cross_terms(moduli, np.zeros(3))
+        for D in range(2, 17):
+            for lams in ((0, 1, D), (-1 - D // 3, 0, D - 1 - D // 3)):
+                lams = tuple(dilation * lam for lam in lams)
+                geo = spectrum_geometry(lams)
+                fine = _pair_table(geo.lams, geo.d, grid_n)
+                coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
+                lower, upper = oracle._scan_bounds(coarse, geo.D, s0, w)
+                for t in rng.uniform(0.0, TWO_PI, (6, 3)):
+                    exact = _grid_max(coarse, s0, w, t)
+                    assert np.all(lower(t) <= exact) and np.all(exact <= upper(t))
+
+    def test_the_bound_pass_stops_where_the_sub_grid_would_be_too_sparse(self):
+        # 16 * D sub-grid points at least: at the 1024 floor D = 16 keeps stride 2, D = 17 has none
+        s0, w, _ = _cross_terms(np.full((1, 3), 1.0 / 3.0), np.zeros(3))
+        for D, has_bounds in ((16, True), (17, False)):
+            fine = _pair_table((0, 1, D), 1, 1024)
+            coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
+            assert (oracle._scan_bounds(coarse, D, s0, w) is not None) == has_bounds
+
+
 class TestPairCosineEvaluator:
     """The oracle's pair table and its |T|^2 against direct phases and the
     plain complex sum."""
