@@ -5,8 +5,9 @@ derivative of |T|^2 (a one-point band is its own peak, one refined peak the
 maximum), and one constant search for the empirical Sidon constant and
 multiplier norms: both are a supremum over the unit ball of a ratio of
 maximum moduli, 1/max|T| and max|MT|/max|T|, maximised by one coarse scan,
-exact only on the phases whose cap from a sub-grid bound pass reaches the best
-cell, and one coordinate descent.  Every stage works in y = d*x on the period 2*pi and
+exact only on the phases whose cap from a sub-grid bound pass (all phases
+folded into the sub-grid at once) reaches the best cell, and one coordinate
+descent on the largest refined value.  Every stage works in y = d*x on the period 2*pi and
 evaluates |T|^2 = sum r^2 + sum_{a<b} 2 r_a r_b cos(t_a - t_b + m_ab y) from
 the raw coefficients and the integer steps m_ab = (lambda_a - lambda_b)/d, so
 no gap is squared (2 r_a r_b gap^2 overflows past gaps of 1e154): on a grid
@@ -291,11 +292,10 @@ def _cross_terms(r, t):
     return (r * r).sum(axis=-1), 2.0 * r[..., _A] * r[..., _B], t[..., _A] - t[..., _B]
 
 
-def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
-    """``brute_max`` on a prebuilt pair table: ``_cross_terms`` and
-    the grid weights in Python floats, which the refinement reads too.  The
-    refinement runs in y = d * x on the period 2*pi, on the table's integer
-    steps; the argmaxes are reported as x = y / d."""
+def _refined_peaks(table: _PairTable, moduli, phases) -> tuple[list[tuple[float, float]], int]:
+    """``brute_max``'s grid pass on a prebuilt pair table, the refined (y, |T|) of each peak in its band
+    and the evaluation count: ``_cross_terms`` and the grid weights in Python floats, which the
+    refinement reads too, in y = d * x on the period 2*pi, on the table's integer steps."""
     (r1, r2, r3), (t1, t2, t3), (g1, g2, g3) = map(float, moduli), map(float, phases), table.steps
     s0 = r1 * r1 + r2 * r2 + r3 * r3
     w1, w2, w3 = 2.0 * r1 * r2, 2.0 * r1 * r3, 2.0 * r2 * r3
@@ -315,13 +315,16 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     curvature = wgg1 + wgg2 + wgg3
     droop_sq = curvature * h * h / 6.0
     threshold = min(vmax_sq * (1.0 - 1e-7) ** 2, vmax_sq - droop_sq)
-    # a band as wide as the whole period can hold several local maxima, so
-    # each grid peak in it gets its own bracket (neighbours taken cyclically);
-    # a band of one index holds the grid argmax alone, the only peak
+    # a band as wide as the whole period can hold several local maxima, so each grid peak in it gets its
+    # own bracket (neighbours taken cyclically); a band of one index holds the grid argmax alone, the only
+    # peak.  Scalar reads filter up to 8 points, array operations (as on a flat modulus) past that
     peaks = (sq >= threshold).nonzero()[0]
-    if len(peaks) > 1:
+    if len(peaks) > 8:
         top = sq[peaks]
-        peaks = peaks[(top >= sq[peaks - 1]) & (top >= sq[(peaks + 1) & (grid_n - 1)])]
+        peaks = peaks[(top >= sq[peaks - 1]) & (top >= sq[(peaks + 1) & (grid_n - 1)])].tolist()
+    else:
+        at = sq.item
+        peaks = [i for i in peaks.tolist() if at(i) >= at(i - 1) and at(i) >= at((i + 1) & (grid_n - 1))]
 
     def modulus_sq(y: float) -> tuple[float, float]:
         # |T|^2 and d^2|T|^2/dy^2, from the same three cosines
@@ -345,7 +348,7 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
         )
 
     refined: list[tuple[float, float]] = []
-    for i in peaks.tolist():
+    for i in peaks:
         lo, hi = (i - 1) * h, (i + 1) * h
         y, n = _slope_root(slope, lo, hi)
         if y is None:
@@ -361,10 +364,16 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
                     y, (v, _), m = y4, modulus_sq(y4), m + 1
         refined.append((y % TWO_PI, math.sqrt(v)))
         evaluations += n + m
+    return refined, evaluations
 
+
+def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
+    """``brute_max`` on a prebuilt pair table: ``_refined_peaks``' best value, and its refined points within
+    TIE_REL_TOL relative of it, clustered with radius 1e-4 of the period, reported as x = y / d."""
+    refined, evaluations = _refined_peaks(table, moduli, phases)
     if len(refined) == 1:  # the best peak, and its only tie
         (y, best), = refined
-        return OracleReport(best, (y / table.d,), grid_n, TWO_PI / table.d, evaluations)
+        return OracleReport(best, (y / table.d,), table.grid.shape[1], TWO_PI / table.d, evaluations)
     best = max(v for _, v in refined)
     keep = sorted((y, v) for y, v in refined if v >= best * (1.0 - TIE_REL_TOL))
     radius = 1e-4 * TWO_PI
@@ -372,7 +381,7 @@ def _grid_and_refine(table: _PairTable, moduli, phases) -> OracleReport:
     for y, _ in keep:
         if all(_circular_distance(y, z, TWO_PI) > radius for z in argmaxes):
             argmaxes.append(y)
-    return OracleReport(best, tuple(y / table.d for y in argmaxes), grid_n, TWO_PI / table.d, evaluations)
+    return OracleReport(best, tuple(y / table.d for y in argmaxes), table.grid.shape[1], TWO_PI / table.d, evaluations)
 
 
 def _simplex_grid(n: int) -> np.ndarray:
@@ -385,44 +394,50 @@ def _simplex_grid(n: int) -> np.ndarray:
     return np.asarray(pts)
 
 
-def _grid_weights(w, phases) -> np.ndarray:
-    """The weights of |T|^2 = s0 + weights @ grid at one phase triple, a row per row of ``_cross_terms``' w."""
-    t = np.asarray(phases)
-    p = t[_A] - t[_B]
-    return np.concatenate((w * np.cos(p), -w * np.sin(p)), axis=-1)
-
-
 def _grid_max(table: _PairTable, s0, w, phases) -> np.ndarray:
-    """Grid maximum of |T|, unrefined, at one phase triple for each row of ``_cross_terms``' s0 and w."""
-    weights, rows = _grid_weights(w, phases), max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
+    """Grid maximum of |T|, unrefined, at one phase triple for each row of ``_cross_terms``' s0 and w.
+    The product stays (rows, 6) @ (6, N): BLAS rounds a transposed product's last rows differently."""
+    t, rows = np.asarray(phases), max(1, 2**22 // table.grid.shape[1])  # 32 MiB of |T|^2 at a time
+    weights = np.concatenate((w * np.cos(t[_A] - t[_B]), -w * np.sin(t[_A] - t[_B])), axis=-1)
     top = [(weights[i:i + rows] @ table.grid).max(axis=1) for i in range(0, len(weights), rows)]
     return np.sqrt(np.concatenate(top) + s0)
 
 
 # the bound pass's relative rounding margin: 512 u (u = 2**-53) against the 100 u ``_scan_bounds`` derives
 _BOUND_REL = 2.0**-44
+_BOUND_OUTPUTS = 2**15  # the most outputs of one bound-pass product (256 KiB): whole phases, or rows of w
 
 
 def _scan_bounds(coarse: _PairTable, D: int, s0, w):
-    """Lower and upper bounds on ``_grid_max(coarse, s0, w, phases)``, two functions of the phases,
-    from every stride-th point, stride the largest power of two leaving 16 * D; None at stride 1.
+    """Lower and upper bounds on ``_grid_max(coarse, s0, w, phases)``, two functions of the phases (a row
+    per phase; arrays of P phases give P rows), from every stride-th point, stride the largest power of
+    two leaving 16 * D; None at stride 1.
 
     The sub-grid maximum of |T|^2 is at most the coarse one, which is at most the sub-grid one plus
-    sum w * step^2 * h^2 / 8 (h the sub-grid spacing): |(|T|^2)''| <= sum w * step^2.  Rounding: at a
-    shared point the passes differ only by the 6-term product's order and the added s0, each within
-    7 u (sum r)^2 <= 21 u max |T|^2 (over more than D points |T|^2 has mean s0 >= (sum r)^2 / 3): 24 u on |T|.
-    The upper bound also meets the grid entries' error against exact cos and sin, under 16 u: 100 u."""
+    sum w * step^2 * h^2 / 8 (h the sub-grid spacing): |(|T|^2)''| <= sum w * step^2.  Each phase gap p_j
+    folds into the sub-grid's cos and sin rows of step j, a_j = cos p_j C_j - sin p_j S_j, so |T|^2 - s0 =
+    a @ w^T, with K = 3.  Rounding: at a shared point the exact pass (rounded weights, 6-term product) and
+    the fold (3 u on each |a_j| <= 1, 3-term product) are each within 10 u (sum r)^2 of the exact sum on
+    the table's entries, cos p, sin p and the added s0 included; 20 u (sum r)^2 <= 60 u max |T|^2 (|T|^2
+    has mean s0 >= (sum r)^2 / 3 over more than D points) is 31 u on |T|, and the upper bound also meets
+    the entries' error against exact cos and sin, under 16 u: under 100 u."""
     stride = 1 << max(0, (coarse.grid.shape[1] // (16 * D)).bit_length() - 1)
     if stride == 1:
         return None
-    # transposed, the product reduces over its outer axis, 3 times faster on 32 points; ``_grid_max``
-    # keeps (6, N), as BLAS rounds a transposed product's last rows differently, by an ulp
-    sub = np.ascontiguousarray(coarse.grid[:, ::stride].T)
-    droop = w @ np.square(coarse.steps) * (TWO_PI / len(sub)) ** 2 / 8.0
+    cos_sub, sin_sub = (np.ascontiguousarray(half[:, ::stride].T) for half in np.split(coarse.grid, 2))
+    droop = w @ np.square(coarse.steps) * (TWO_PI / len(cos_sub)) ** 2 / 8.0
+    rows = min(len(w), _BOUND_OUTPUTS // len(cos_sub))  # at least 2: at most 2**14 sub-grid points
+    per = max(1, _BOUND_OUTPUTS // (len(cos_sub) * rows))
 
     def bound(phases, upper: bool) -> np.ndarray:
-        sq = (sub @ _grid_weights(w, phases).T).max(axis=0) + s0
-        return np.sqrt(sq + droop) * (1.0 + _BOUND_REL) if upper else np.sqrt(sq) * (1.0 - _BOUND_REL)
+        t = np.stack(np.broadcast_arrays(*phases), axis=-1)
+        cos_p, sin_p = (f(t[..., _A] - t[..., _B]).reshape(-1, 1, 3) for f in (np.cos, np.sin))
+        sq = np.empty((len(cos_p), len(w)))
+        for i in range(0, len(sq), per):
+            a = cos_p[i:i + per] * cos_sub - sin_p[i:i + per] * sin_sub
+            for j in range(0, len(w), rows):
+                sq[i:i + per, j:j + rows] = (a @ w[j:j + rows].T).max(axis=1)
+        return np.sqrt(sq + s0 + droop) * (1.0 + _BOUND_REL) if upper else np.sqrt(sq + s0) * (1.0 - _BOUND_REL)
 
     return partial(bound, upper=False), partial(bound, upper=True)
 
@@ -444,12 +459,12 @@ def _constant_search(
     multiplier's sorted phases ``shift``, and 1 / top(r, base) for the Sidon
     constant (``shift`` None; the moduli sum to 1).  It is maximised first on
     ``_simplex_grid`` times a full-turn grid of u2, with top ``_grid_max`` on
-    every second point of the one pair table: a bound pass caps each phase's
-    cells by ``_scan_bounds``' lower bound on the denominator and upper bound on
-    the numerator, and the phases, largest cap first, are scanned exactly until
-    a cap falls below the best cell, ties going to the lowest phase, then the
-    lowest row, as in a full scan.  Then by coordinate descent on
-    (r1, r2, u2) with top ``_grid_and_refine`` on the whole table: at most four
+    every second point of the one pair table: a bound pass on all phases at once
+    caps each phase's cells by ``_scan_bounds``' lower bound on the denominator and
+    upper bound on the numerator, and the phases, largest cap first, are scanned
+    exactly until a cap falls below the best cell, ties going to the lowest phase,
+    then the lowest row, as in a full scan.  Then by coordinate descent on (r1, r2, u2)
+    with top the largest ``_refined_peaks`` value on the whole table: at most four
     rounds of one golden section per coordinate, spans halving, ending after a
     round that moves nothing, as the next would search the same lines through
     the same point on narrower brackets (see ``_golden_max``).  A grid past
@@ -480,7 +495,7 @@ def _constant_search(
     # each phase's cap on its cells' ratios, from the bound pass (none at stride 1)
     scan_bounds, caps = _scan_bounds(coarse, geo.D, s0, w), np.full(grid_phases, np.inf)
     if scan_bounds is not None:
-        caps = np.array([ratio(*scan_bounds, u2).max() for u2 in phase_grid])
+        caps = ratio(*scan_bounds, phase_grid).max(axis=1)
     exact = partial(_grid_max, coarse, s0, w)
     top, p_idx, m_idx = -math.inf, 0, 0
     for p in np.argsort(-caps, kind="stable").tolist():
@@ -499,7 +514,7 @@ def _constant_search(
         # keep r3 on the simplex along the descent path
         if rest <= _SIMPLEX_EPS:
             return 0.0
-        refined = lambda t: _grid_and_refine(fine, (a, b, rest), t).value
+        refined = lambda t: max(v for _, v in _refined_peaks(fine, (a, b, rest), t)[0])
         return ratio(refined, refined, u2)
 
     eps = _SIMPLEX_EPS

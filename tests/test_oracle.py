@@ -395,7 +395,7 @@ class TestConstantSearchBounds:
 class TestDescentStopRule:
     """The constant searches' coordinate descent ends after the first round
     that moves no coordinate.  A round is three golden sections of 48 + 2
-    evaluations, each one ``_grid_and_refine`` call for Sidon and two for a
+    evaluations, each one ``_refined_peaks`` call for Sidon and two for a
     multiplier, after one evaluation at the scan's best point."""
 
     ROUND = 3 * 50
@@ -403,13 +403,13 @@ class TestDescentStopRule:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        refine = oracle._grid_and_refine
+        refine = oracle._refined_peaks
 
         def counted(*args):
             calls.append(None)
             return refine(*args)
 
-        monkeypatch.setattr(oracle, "_grid_and_refine", counted)
+        monkeypatch.setattr(oracle, "_refined_peaks", counted)
         return calls
 
     def test_a_round_without_a_move_ends_the_descent(self, calls):
@@ -423,6 +423,86 @@ class TestDescentStopRule:
         assert brute_sidon(freqs, grid_phases=128, simplex_n=24) == pytest.approx(sidon_constant(freqs)[0], rel=1e-12)
         assert len(calls) > 1 + self.ROUND
         assert brute_multiplier_norm(freqs, mult) == pytest.approx(multiplier_norm(freqs, mult)[0], rel=1e-12)
+
+
+def aligned_at(cells: float) -> Trinomial:
+    # every term in phase at x0 = cells grid steps of 1024: |T| peaks there, at 2.1
+    x0 = cells * TWO_PI / 1024
+    return Trinomial(0, 1, 3, 1.0, 0.7, 0.4, *(-lam * x0 for lam in (0, 1, 3)))
+
+
+class TestValueOnlyDescent:
+    """The descent reads the largest refined value of ``_refined_peaks``, which must be
+    ``brute_max``'s value bit for bit on every band size and filter path; ``brute_max``'s reports
+    (value, argmaxes, evaluations) are pinned as they were before the split."""
+
+    CASES = pytest.mark.parametrize("tri,band,pinned", [
+        # a band of one point, the grid argmax
+        (Trinomial(-1, 0, 2, 1, 2, 3, 0.1, 0.2, 0.3), 1, (5.9994339801686545, (6.222808192680188,), 1030)),
+        # 2 to 7 points, filtered by scalar reads: one peak over two points, three peaks, two peaks
+        # over two points each, and 7 points holding indices 1022 and 1023
+        (Trinomial(8, -10, -8, 16.036, 2.131, 0.024, 2.721, 3.01, 1.004), 2,
+         (18.190827482634578, (1.0633182783110497,), 1030)),
+        (Trinomial(-2, -11, 8, 0.028, 4.744, 10.323, 5.912, 2.45, 2.447), 3,
+         (15.094658650039026, (0.33086676653872354,), 1043)),
+        (Trinomial(6, 1, -10, 0.278, 0.012, 98.561, 0.859, 2.13, 1.891), 4,
+         (98.8508439060991, (3.9911959665960905,), 1038)),
+        (Trinomial(-8, 11, -1, 4.429, 38.219, 0.05, 4.182, 4.372, 4.542), 7,
+         (42.69795879852084, (2.6355375397625034,), 1059)),
+        # the peak at index N - 1 and at index 0, each the other's cyclic neighbour, and the two equal
+        (aligned_at(1023.45), 2, (2.0999999999999996, (6.279810549446238,), 1030)),
+        (aligned_at(1023.55), 2, (2.0999999999999996, (6.280424141761391,), 1033)),
+        (aligned_at(1023.5), 2, (2.0999999999999996, (6.280117345603815,), 1038)),
+        # equal neighbours sq[402] == sq[401] inside the grid
+        (aligned_at(401.5), 2, (2.0999999999999996, (2.46357314534434,), 1036)),
+        # past 8 points, filtered by array: 9 one-point peaks, the quartic knife-edge peak, the flat modulus
+        (Trinomial(-6, 12, -7, 82.716, 19.233, 0.045, 3.382, 1.649, 4.694), 9,
+         (101.99336288624781, (1.143481887268141,), 1075)),
+        (Trinomial(-1, 0, 1, 1, 8, 2, 0, math.pi / 2, 0), 39, (9.0, (1.5707963267948968,), 1052)),
+        (Trinomial(-3, 0, 5, 1, 1e-8, 1e-8, 0.1, 0.2, 0.3), 1024, (1.0000000199972603, (6.257157971917594,), 1077)),
+    ])
+
+    @staticmethod
+    def table_and_grid(tri):
+        # the pair table brute_max builds, and |T|^2 on its grid by _refined_peaks' own arithmetic
+        table = _pair_table(tri.frequencies, spectrum_geometry(tri.frequencies).d, 1024)
+        (r1, r2, r3), (t1, t2, t3) = tri.moduli, tri.phases
+        w, p = (2.0 * r1 * r2, 2.0 * r1 * r3, 2.0 * r2 * r3), (t1 - t2, t1 - t3, t2 - t3)
+        sq = np.array([a * math.cos(b) for a, b in zip(w, p)] + [-a * math.sin(b) for a, b in zip(w, p)]) @ table.grid
+        sq += r1 * r1 + r2 * r2 + r3 * r3
+        top, h = float(sq.max()), TWO_PI / len(sq)
+        curvature = sum(a * g * g for a, g in zip(w, table.steps))
+        return table, sq, np.flatnonzero(sq >= min(top * (1.0 - 1e-7) ** 2, top - curvature * h * h / 6.0))
+
+    @CASES
+    def test_the_descent_value_is_brute_max_s(self, tri, band, pinned):
+        table, _, points = self.table_and_grid(tri)
+        assert len(points) == band
+        refined, _ = oracle._refined_peaks(table, tri.moduli, tri.phases)
+        report = brute_max(tri)
+        assert max(v for _, v in refined) == report.value
+        assert (report.value, report.argmaxes, report.evaluations) == pinned
+
+    @CASES
+    def test_the_golden_section_fallback_keeps_them_equal(self, monkeypatch, tri, band, pinned):
+        monkeypatch.setattr(oracle, "_slope_root", lambda slope, lo, hi: (None, 2))
+        table, _, _ = self.table_and_grid(tri)
+        refined, _ = oracle._refined_peaks(table, tri.moduli, tri.phases)
+        report = brute_max(tri)
+        assert max(v for _, v in refined) == report.value
+        assert report.evaluations > pinned[2]
+
+    def test_the_cases_are_as_named(self):
+        _, sq, points = self.table_and_grid(aligned_at(1023.45))
+        assert points.tolist() == [0, 1023] and sq[1023] > sq[0]
+        _, sq, points = self.table_and_grid(aligned_at(1023.55))
+        assert points.tolist() == [0, 1023] and sq[0] > sq[1023]
+        _, sq, points = self.table_and_grid(aligned_at(1023.5))
+        assert points.tolist() == [0, 1023] and sq[0] == sq[1023]
+        _, sq, points = self.table_and_grid(aligned_at(401.5))
+        assert points.tolist() == [401, 402] and sq[401] == sq[402]
+        _, _, points = self.table_and_grid(Trinomial(-8, 11, -1, 4.429, 38.219, 0.05, 4.182, 4.372, 4.542))
+        assert points.tolist()[-2:] == [1022, 1023]
 
 
 class TestScanBoundPass:
@@ -444,9 +524,9 @@ class TestScanBoundPass:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # each search's _grid_and_refine calls (the first is the descent's start) and its exact-pass _grid_max calls
+        # each search's _refined_peaks calls (the first is the descent's start) and its exact-pass _grid_max calls
         calls = {"start": [], "exact": 0}
-        refine, grid_max = oracle._grid_and_refine, oracle._grid_max
+        refine, grid_max = oracle._refined_peaks, oracle._grid_max
 
         def first_refine(table, moduli, phases):
             calls["start"].append((tuple(moduli), tuple(phases)))
@@ -456,7 +536,7 @@ class TestScanBoundPass:
             calls["exact"] += 1
             return grid_max(*args)
 
-        monkeypatch.setattr(oracle, "_grid_and_refine", first_refine)
+        monkeypatch.setattr(oracle, "_refined_peaks", first_refine)
         monkeypatch.setattr(oracle, "_grid_max", counted_grid_max)
         return calls
 
@@ -520,6 +600,29 @@ class TestScanBoundPass:
                 for t in rng.uniform(0.0, TWO_PI, (6, 3)):
                     exact = _grid_max(coarse, s0, w, t)
                     assert np.all(lower(t) <= exact) and np.all(exact <= upper(t))
+
+    @pytest.mark.parametrize("freqs,rows,points,chunks", [((-1, 0, 1), 60, 32, (17, 9)), ((0, 1, 16), 253, 256, (128, 125))])
+    def test_a_whole_phase_grid_is_bounded_in_one_call(self, freqs, rows, points, chunks):
+        # chunks: the whole phases a product takes and the last product's (D = 2), or, where one phase
+        # exceeds a product, the rows of w a product takes and the last product's (D = 16)
+        outputs = oracle._BOUND_OUTPUTS
+        size = outputs // (points * rows) if points * rows <= outputs else outputs // points
+        assert (size, (128 if points * rows <= outputs else rows) % size) == chunks
+        rng = np.random.default_rng(43)
+        s0, w, _ = _cross_terms(rng.dirichlet(np.ones(3), size=rows), np.zeros(3))
+        geo = spectrum_geometry(freqs)
+        fine = _pair_table(geo.lams, geo.d, 1024)
+        coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
+        # the stride rule: 512 coarse points over the stride leave at least 16 * D, fewer than 32 * D
+        assert 16 * geo.D <= points < 32 * geo.D
+        lower, upper = oracle._scan_bounds(coarse, geo.D, s0, w)
+        u2 = np.linspace(0.0, TWO_PI, 128, endpoint=False)
+        for t1, t2, t3 in ((0.0, u2, 0.0), (0.7, u2 + 2.1, 5.3)):
+            low, up = lower((t1, t2, t3)), upper((t1, t2, t3))
+            assert low.shape == up.shape == (128, rows)
+            for p in range(128):
+                exact = _grid_max(coarse, s0, w, (t1, t2[p], t3))
+                assert np.all(low[p] <= exact) and np.all(exact <= up[p])
 
     def test_the_bound_pass_stops_where_the_sub_grid_would_be_too_sparse(self):
         # 16 * D sub-grid points at least: at the 1024 floor D = 16 keeps stride 2, D = 17 has none
