@@ -75,6 +75,15 @@ class MaxClassification(str, Enum):
     DEGENERATE4 = "Degenerate4"
 
 
+# the members every solve reads, bound once: each lookup through the enum class
+# costs about 0.1 us, a module global a tenth of that
+_INTERIOR_UNIQUE = MaxClassification.INTERIOR_UNIQUE
+_AT_ZERO = MaxClassification.AT_ZERO
+_AT_BOUNDARY = MaxClassification.AT_BOUNDARY
+_SYMMETRIC_PAIR = MaxClassification.SYMMETRIC_PAIR
+_DEGENERATE4 = MaxClassification.DEGENERATE4
+
+
 class MaxResult(NamedTuple):
     """Maximum-modulus points of a trinomial, modulo its natural period.
 
@@ -98,7 +107,7 @@ class MaxResult(NamedTuple):
 
     @property
     def multiplicity(self) -> int:
-        return 4 if self.classification is MaxClassification.DEGENERATE4 else 2
+        return 4 if self.classification is _DEGENERATE4 else 2
 
 
 def evaluate(trinomial: Trinomial, x):
@@ -140,9 +149,8 @@ def half_derivative(form: ReducedForm, x: float, order: int = 1) -> float:
     return out
 
 
-def _derivative_scale(form: ReducedForm) -> float:
-    k, l = form.k, form.l
-    return k * form.r1 * form.r2 + (k + l) * form.r1 * form.r3 + l * form.r2 * form.r3
+def _derivative_scale(k: int, l: int, r1: float, r2: float, r3: float) -> float:
+    return k * r1 * r2 + (k + l) * r1 * r3 + l * r2 * r3
 
 
 def _slope_and_curvature(form: ReducedForm, t: float, x: float) -> tuple[float, float]:
@@ -211,9 +219,8 @@ def max_at_zero(k: int, r1: float, l: int, r3: float) -> bool:
     return abs(k * r1 - l * r3) <= AT_ZERO_REL_TOL * max(k * r1, l * r3)
 
 
-def _modulus(form: ReducedForm, t: float, x: float) -> float:
-    """sqrt(2 * half_derivative(form, x, 0)) with form.t = t, bit for bit: |R(x)| at phase t."""
-    k, l, r1, r2, r3 = form.k, form.l, form.r1, form.r2, form.r3
+def _modulus(k: int, l: int, r1: float, r2: float, r3: float, t: float, x: float) -> float:
+    """|R(x)| = sqrt(2 * half_derivative(form, x, 0)), bit for bit, of the form (k, l, r1, r2, r3, t)."""
     half = r1 * r2 * math.cos(t + k * x) + r1 * r3 * math.cos((k + l) * x) + r2 * r3 * math.cos(t - l * x)
     return math.sqrt(2.0 * (half + 0.5 * (r1 * r1 + r2 * r2 + r3 * r3)))
 
@@ -238,8 +245,7 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     tolerance DEGENERATE_REL_TOL).  The maximum sits at 0 when max_at_zero
     holds.  Values come from _modulus: sqrt(2 * half_derivative(form, x, 0)), bit for bit.
     """
-    k, l = form.k, form.l
-    r1, r2, r3, t = form.r1, form.r2, form.r3, form.t
+    k, l, r1, r2, r3, t = form.k, form.l, form.r1, form.r2, form.r3, form.t
     big_d = k + l
     symmetric = abs(t * big_d - math.pi) <= TAU_PI_TOL
     at_zero = max_at_zero(k, r1, l, r3)
@@ -252,27 +258,27 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
             edge, edge_scale = _knife_edge(form)
             knife = abs(edge) <= DEGENERATE_REL_TOL * edge_scale
             if knife or edge < 0.0:
-                cls = MaxClassification.DEGENERATE4 if knife else MaxClassification.AT_BOUNDARY
-                return MaxResult(((t % TWO_PI, r2 + r3 - r1),), cls, 2.0 * t)
+                return MaxResult(((t % TWO_PI, r2 + r3 - r1),), _DEGENERATE4 if knife else _AT_BOUNDARY, 2.0 * t)
             # the derivative vanishes identically at t, so the bracket stops
             # short of it; a maximum closer to t than that is taken as t - 1e-7 * t
             hi = t - 1e-7 * t
         x_star = _root_plus_to_minus(
-            partial(_slope_and_curvature, form, t), 0.0, hi, _derivative_scale(form)
+            partial(_slope_and_curvature, form, t), 0.0, hi, _derivative_scale(k, l, r1, r2, r3)
         )
-    value = _modulus(form, t, x_star)
+    value = _modulus(k, l, r1, r2, r3, t, x_star)
     if symmetric:
         axis = TWO_PI * modular_inverse(l, big_d) / big_d
         partner = (axis - x_star) % TWO_PI
-        value2 = _modulus(form, t, partner)
+        value2 = _modulus(k, l, r1, r2, r3, t, partner)
         if abs(value2 - value) > 1e-8 * value:
             raise BracketFailure(
                 f"symmetric pair values diverge: {value} vs {value2} at tau within {TAU_PI_TOL} of pi"
             )
         points = tuple(sorted(((x_star % TWO_PI, value), (partner, value2))))
-        return MaxResult(points, MaxClassification.SYMMETRIC_PAIR, axis)
-    cls = MaxClassification.AT_ZERO if at_zero else MaxClassification.INTERIOR_UNIQUE
-    return MaxResult(((x_star % TWO_PI, value),), cls, None)
+        return MaxResult(points, _SYMMETRIC_PAIR, axis)
+    cls = _AT_ZERO if at_zero else _INTERIOR_UNIQUE
+    # tuple.__new__ skips the Python-level __new__ that a NamedTuple call runs (see spectrum._geometry)
+    return tuple.__new__(MaxResult, (((x_star % TWO_PI, value),), cls, None, None))
 
 
 def _at_phase(form: ReducedForm, t: float) -> ReducedForm:
@@ -285,16 +291,17 @@ def _max_values(form: ReducedForm, phases: list[float]) -> list[float]:
     phases, bit for bit; a row with a unique interior maximum (not max_at_zero,
     t > 1e-15, tau further than TAU_PI_TOL from pi) runs the kernel and
     _modulus directly, without building its own form."""
-    l, big_d = form.l, form.k + form.l
-    at_zero = max_at_zero(form.k, form.r1, l, form.r3)
-    scale = _derivative_scale(form)
+    k, l, r1, r2, r3 = form.k, form.l, form.r1, form.r2, form.r3
+    big_d = k + l
+    at_zero = max_at_zero(k, r1, l, r3)
+    scale = _derivative_scale(k, l, r1, r2, r3)
     values = []
     for t in phases:
         if at_zero or t <= 1e-15 or abs(t * big_d - math.pi) <= TAU_PI_TOL:
             values.append(find_max_reduced(_at_phase(form, t)).value)
             continue
         x = _root_plus_to_minus(partial(_slope_and_curvature, form, t), 0.0, t / l, scale)
-        values.append(_modulus(form, t, x))
+        values.append(_modulus(k, l, r1, r2, r3, t, x))
     return values
 
 
@@ -305,9 +312,9 @@ def _localization_endpoints(
 
     Returns the points e1 (first coefficient kept with the middle one), e2
     (middle with last) and e3 (first with last), computed from the sorted
-    phases alone after shifting t1, t3 by the whole turns (U, W) of
-    _turn_shifts, so that the phase combination lands in (-pi, pi] and the
-    endpoints stay within a few turns of the origin.
+    phases alone after shifting t1, t3 by the reduction's whole turns (U, W),
+    so that the phase combination lands in (-pi, pi] and the endpoints stay
+    within a few turns of the origin.
     """
     l1, l2, l3 = geo.lams
     t1, t2, t3 = phases
@@ -349,7 +356,7 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     if s is not None:  # the axis is present exactly when tau = pi
         s = (2.0 * v + s / scale) % period
         a, b = e1, e2
-    elif cls is MaxClassification.AT_ZERO:
+    elif cls is _AT_ZERO:
         a = b = e3
     else:
         a, b = e3, e1 if swapped else e2
@@ -357,7 +364,7 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     mid = 0.5 * (lo + hi)
     for x, _ in points:
         if lo - LOCALIZATION_TOL <= x - period * round((x - mid) / period) <= hi + LOCALIZATION_TOL:
-            return MaxResult(points, cls, s, reduction)
+            return tuple.__new__(MaxResult, (points, cls, s, reduction))
     raise BracketFailure(
         f"maximum points {points} escape the localization interval [{lo}, {hi}] mod {period}"
     )
@@ -373,7 +380,8 @@ def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[flo
     _check_moduli((r1, r2, r3))
     if abs(1.0 / r1 - 1.0 / r3) < 4.0 / r2:
         value = (r1 + r3) * math.sqrt(1.0 + r2 * r2 / (4.0 * r1 * r3))
-        s = r2 * (r3 - r1) / (4.0 * r1 * r3)
+        # |s| < 1 in exact arithmetic, but rounds to 1 + ulp on the case boundary
+        s = max(-1.0, min(1.0, r2 * (r3 - r1) / (4.0 * r1 * r3)))
         x0 = math.asin(s)
         points = tuple(sorted({x0 % TWO_PI, (math.pi - x0) % TWO_PI}))
         return value, points
@@ -389,18 +397,14 @@ def closed_form_k2_l1(r1: float, r2: float, r3: float) -> float:
         r1^2 + (2/3)*r2^2 + r3^2 + r1*r2
         + 2*r1*r3*[ (a^2 + b + 1)^(3/2) - a^3 ],   a = r2/(3*r3), b = r2/(3*r1);
 
-    otherwise the maximum is -r1 + r2 + r3.
+    otherwise the maximum is -r1 + r2 + r3.  With u = a^2, c = b + 1 the bracket is
+    computed as c*(3*u^2 + 3*u*c + c^2) / ((u + c)^(3/2) + a^3), which cannot cancel.
     """
     _check_moduli((r1, r2, r3))
     if 1.0 / r1 - 4.0 / r3 < 9.0 / r2:
         a = r2 / (3.0 * r3)
-        b = r2 / (3.0 * r1)
-        squared = (
-            r1 * r1
-            + (2.0 / 3.0) * r2 * r2
-            + r3 * r3
-            + r1 * r2
-            + 2.0 * r1 * r3 * ((a * a + b + 1.0) ** 1.5 - a**3)
-        )
+        u, c = a * a, r2 / (3.0 * r1) + 1.0
+        bracket = c * (3.0 * u * u + 3.0 * u * c + c * c) / ((u + c) ** 1.5 + a**3)
+        squared = r1 * r1 + (2.0 / 3.0) * r2 * r2 + r3 * r3 + r1 * r2 + 2.0 * r1 * r3 * bracket
         return math.sqrt(squared)
     return -r1 + r2 + r3

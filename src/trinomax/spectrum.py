@@ -45,6 +45,7 @@ REDUCED_T_SLACK = 1e-12
 MODULUS_SCALE = 1e100
 # the widest frequency span max - min, the float range: d and the period 2*pi/d are floats
 _MAX_SPAN = int(sys.float_info.max)
+_setattr = object.__setattr__
 
 __all__ = [
     "SpectrumError",
@@ -286,18 +287,18 @@ def make_reduced_form(
 
 def _trusted_form(k, l, r1, r2, r3, t) -> tuple[ReducedForm, bool]:
     """make_reduced_form, unchecked, of values that already satisfy ReducedForm's rules.
-    The fields are set by __setattr__, one plain call each: filling __dict__
-    would slow every later read, and a loop over the names costs nearly twice as much."""
+    The fields are set by object.__setattr__, bound once to _setattr, one plain call each:
+    filling __dict__ would slow every later read, and a loop over the names costs nearly twice as much."""
     swapped = k * r1 > l * r3
     if swapped:
         k, l, r1, r3 = l, k, r3, r1
     form = object.__new__(ReducedForm)
-    object.__setattr__(form, "k", k)
-    object.__setattr__(form, "l", l)
-    object.__setattr__(form, "r1", r1)
-    object.__setattr__(form, "r2", r2)
-    object.__setattr__(form, "r3", r3)
-    object.__setattr__(form, "t", t)
+    _setattr(form, "k", k)
+    _setattr(form, "l", l)
+    _setattr(form, "r1", r1)
+    _setattr(form, "r2", r2)
+    _setattr(form, "r3", r3)
+    _setattr(form, "t", t)
     return form, swapped
 
 
@@ -358,16 +359,17 @@ def _geometry(f: tuple[int, int, int]) -> SpectrumGeometry:
     l1, l2, l3 = sorted(f)
     perm = (f.index(l1), f.index(l2), f.index(l3))
     d = gcd(l2 - l1, l3 - l2)
-    return SpectrumGeometry(perm, (l1, l2, l3), d, (l2 - l1) // d, (l3 - l2) // d)
+    # tuple.__new__ builds the same record without the Python-level __new__ of a NamedTuple call
+    return tuple.__new__(SpectrumGeometry, (perm, (l1, l2, l3), d, (l2 - l1) // d, (l3 - l2) // d))
 
 
 class Reduction(NamedTuple):
     """A trinomial's canonical reduction: the reduced form R and the map back.
 
-    tau in [0, pi] is the phase invariant, turns the whole turns (U, W) of
-    _turn_shifts on the sorted phases, and (alpha, v) the isometric rotation
-    and shift stripped from the phases.  |T(x)| = |R(epsilon*d*(x - v))| for
-    every x; swapped records that k*r1 > l*r3 exchanged the outer coefficients.
+    tau in [0, pi] is the phase invariant, turns the whole turns (U, W) that
+    canonical_reduction takes off the sorted phases t1, t3, and (alpha, v) the
+    isometric rotation and shift stripped from the phases.  |T(x)| = |R(epsilon*d*(x - v))|
+    for every x; swapped records that k*r1 > l*r3 exchanged the outer coefficients.
     phases are the source's sorted phases.
     """
 
@@ -391,28 +393,12 @@ class Reduction(NamedTuple):
         return self.v + y / (self.epsilon * self.geometry.d)
 
 
-def _turn_shifts(geo: SpectrumGeometry, phases: tuple[float, float, float]) -> tuple[float, tuple[int, int]]:
-    """The wrapped phase combination and the whole turns (U, W) to take off
-    the sorted phases t1 and t3.
-
-    0 <= U < k and U*l + W*k is the number of turns that brings the phase
-    combination into (-pi, pi], so t1 - 2*pi*U, t2, t3 - 2*pi*W carry the
-    wrapped combination, the signed tau.  Integer arithmetic throughout: U is
-    the shift times the inverse of l modulo k, W follows exactly.
-    """
-    comb = phase_combination(geo.k, geo.l, *phases)
-    wrapped = wrap_angle(comb)
-    shift = round((wrapped - comb) / TWO_PI)
-    u = shift * pow(geo.l, -1, geo.k) % geo.k
-    return wrapped, (u, (shift - u * geo.l) // geo.k)
-
-
 def _solve_common_shift(geo: SpectrumGeometry, phases: tuple[float, float, float], u: int) -> float:
     """Solve phases[j] + lams[j]*v = const (mod 2*pi) for v, lams = geo.lams.
 
     phases are in sorted-frequency order.  A solution exists exactly when the
-    weighted phase combination lies in 2*pi*Z.  Taking the U = u whole turns
-    of _turn_shifts off t1 makes the combination vanish, so with n = -U mod k
+    weighted phase combination lies in 2*pi*Z.  Taking canonical_reduction's
+    U = u whole turns off t1 makes the combination vanish, so with n = -U mod k,
     v = (t1 - t2 + 2*pi*n)/(l2 - l1) solves the first congruence and, up to
     rounding, the second; its residual there is checked against 1e-7.  The
     cost is one modular inverse, O(log gap).  Moving t2 by the signed tau
@@ -434,33 +420,43 @@ def canonical_reduction(trinomial: Trinomial) -> Reduction:
     phase shift so the phases become (0, tau_signed/(k+l), 0); conjugate if
     the remaining phase is negative; rescale x by d; swap the outer
     coefficients if k*r1 > l*r3.  The maximum modulus is preserved at every
-    step and |T(x)| = |R(epsilon*d*(x - v))| for all x.  Raises SpectrumError
-    for frequencies past float resolution (see STATIONARY_REL_TOL).  Nothing
-    else is checked: Trinomial did, and the form's rules hold by construction.
+    step and |T(x)| = |R(epsilon*d*(x - v))| for all x.
+
+    The signed tau is the phase combination of the sorted phases wrapped into
+    (-pi, pi], which adds shift whole turns.  The combination weighs t1 by -l
+    and t3 by -k, so t1 - 2*pi*U, t2, t3 - 2*pi*W carry the signed tau when
+    U*l + W*k = shift.  In integers: U = shift * (l^-1 mod k) mod k, so
+    0 <= U < k and k divides shift - U*l, and W = (shift - U*l) // k exactly.
+
+    Raises SpectrumError for frequencies past float resolution (see
+    STATIONARY_REL_TOL).  Nothing else is checked: Trinomial did, and the
+    form's rules hold by construction.
     """
-    geo = _geometry(trinomial.frequencies)
-    diameter = geo.lams[2] - geo.lams[0]
-    resolution = 2.0 * diameter * math.ulp(TWO_PI / geo.d)
+    geo = _geometry((trinomial.lambda1, trinomial.lambda2, trinomial.lambda3))
+    (p0, p1, p2), (l1, l2, l3), d, k, l = geo
+    resolution = 2.0 * (l3 - l1) * math.ulp(TWO_PI / d)
     if resolution > STATIONARY_REL_TOL:
         raise SpectrumError(
-            f"frequency diameter {diameter} is past float resolution: a point in "
-            f"[0, 2*pi/{geo.d}) fixes the phase gaps only to {resolution:.1e} relative, "
+            f"frequency diameter {l3 - l1} is past float resolution: a point in "
+            f"[0, 2*pi/{d}) fixes the phase gaps only to {resolution:.1e} relative, "
             f"above {STATIONARY_REL_TOL:.0e}"
         )
-    big_d = geo.k + geo.l
-    p0, p1, p2 = geo.perm
-    ph, r = trinomial.phases, trinomial.moduli
+    big_d = k + l
+    ph, r = (trinomial.t1, trinomial.t2, trinomial.t3), (trinomial.r1, trinomial.r2, trinomial.r3)
     phases = t1, t2, t3 = ph[p0], ph[p1], ph[p2]
-    r1, r2, r3 = r[p0], r[p1], r[p2]
-    tau_signed, turns = _turn_shifts(geo, phases)
+    comb = phase_combination(k, l, t1, t2, t3)
+    tau_signed = wrap_angle(comb)
+    shift = round((tau_signed - comb) / TWO_PI)
+    u = shift * pow(l, -1, k) % k
 
     t2_target = tau_signed / big_d
-    v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), turns[0])
-    alpha = wrap_angle(t2 - t2_target + geo.lams[1] * v)
+    v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), u)
+    alpha = wrap_angle(t2 - t2_target + l2 * v)
 
-    form, swapped = _trusted_form(geo.k, geo.l, r1, r2, r3, min(abs(t2_target), math.pi / big_d))
+    form, swapped = _trusted_form(k, l, r[p0], r[p1], r[p2], min(abs(t2_target), math.pi / big_d))
     epsilon = -1 if (t2_target < 0.0) != swapped else 1
-    return Reduction(form, geo, abs(tau_signed), turns, alpha, v, epsilon, swapped, phases)
+    turns = (u, (shift - u * l) // k)
+    return tuple.__new__(Reduction, (form, geo, abs(tau_signed), turns, alpha, v, epsilon, swapped, phases))
 
 
 def _two_adic_valuation(n: int) -> int:

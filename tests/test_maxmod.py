@@ -22,7 +22,7 @@ from trinomax import (
 from trinomax import maxmod, oracle
 from trinomax.maxmod import BracketFailure
 from trinomax.oracle import random_symmetric_pair, random_trinomial
-from trinomax.spectrum import _turn_shifts, canonical_reduction, spectrum_geometry
+from trinomax.spectrum import canonical_reduction
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,9 +30,8 @@ TWO_PI = 2.0 * math.pi
 def localization_interval(tri: Trinomial) -> tuple[float, float]:
     """The interval between the maximum points of the two binomials left by
     dropping an outer coefficient, as max_points_global checks it."""
-    geo = spectrum_geometry(tri.frequencies)
-    phases = geo.sort(tri.phases)
-    e1, e2, _ = maxmod._localization_endpoints(geo, phases, _turn_shifts(geo, phases)[1])
+    red = canonical_reduction(tri)
+    e1, e2, _ = maxmod._localization_endpoints(red.geometry, red.phases, red.turns)
     return min(e1, e2), max(e1, e2)
 
 
@@ -380,6 +379,37 @@ class TestClosedForms:
             form2, _ = make_reduced_form(2, 1, *r, math.pi / 3)
             assert v2 == pytest.approx(find_max_reduced(form2).value, rel=1e-10)
 
+    def test_k2_wide_moduli_do_not_cancel(self):
+        # r2 >> r3 once made (a^2 + b + 1)^(3/2) - a^3 cancel: this case took
+        # the square root of a negative number
+        r = (1271.9368036205565, 34814.6646321026, 1.6898146193313474e-05)
+        ref = find_max_reduced(make_reduced_form(2, 1, *r, math.pi / 3)[0]).value
+        assert closed_form_k2_l1(*r) == pytest.approx(ref, rel=oracle.CLOSED_FORM_REL_TOL)
+
+    def test_k1_case_boundary_keeps_asin_in_its_domain(self):
+        # r2 = 4/|1/r1 - 1/r3| up to rounding: sin(x) rounded to 1 + ulp
+        r = (15.346832418962649, 150.54650400119482, 25.913339660776487)
+        value, points = closed_form_k1_l1(*r)
+        assert points == (math.pi / 2,)
+        assert find_max_reduced(make_reduced_form(1, 1, *r, math.pi / 2)[0]).value == 161.11301124300866
+        assert value == pytest.approx(161.11301124300866, rel=oracle.CLOSED_FORM_REL_TOL)
+
+    def test_interior_cases_over_wide_moduli(self):
+        # moduli log-uniform in [1e-6, 1e6], each closed form on its interior case
+        rng = np.random.default_rng(68)
+        checked = [0, 0]
+        for _ in range(1000):
+            r1, r2, r3 = (float(m) for m in np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 3)))
+            if abs(1.0 / r1 - 1.0 / r3) < 4.0 / r2:
+                ref = find_max_reduced(make_reduced_form(1, 1, r1, r2, r3, math.pi / 2)[0]).value
+                assert closed_form_k1_l1(r1, r2, r3)[0] == pytest.approx(ref, rel=oracle.CLOSED_FORM_REL_TOL)
+                checked[0] += 1
+            if 1.0 / r1 - 4.0 / r3 < 9.0 / r2:
+                ref = find_max_reduced(make_reduced_form(2, 1, r1, r2, r3, math.pi / 3)[0]).value
+                assert closed_form_k2_l1(r1, r2, r3) == pytest.approx(ref, rel=oracle.CLOSED_FORM_REL_TOL)
+                checked[1] += 1
+        assert min(checked) >= 300
+
 
 def test_degenerate_quadruple_derivatives():
     # on the knife edge the second derivative of |T|^2 vanishes at the max
@@ -477,10 +507,11 @@ class TestLargeGaps:
         with pytest.raises(SpectrumError, match="past float resolution"):
             max_points_global(Trinomial(0, 1, 5_700_000, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3))
 
-    @pytest.mark.parametrize("big", [10**3, 10**6, 10**9])
+    @pytest.mark.parametrize("big", [10**3, 10**6, 5 * 10**6])
     @pytest.mark.parametrize("on_top", [False, True])
     def test_localization_interval_stays_near_origin(self, big, on_top):
-        # whole turns are taken off the phases exactly, never as big float shifts
+        # whole turns are taken off the phases exactly, never as big float shifts,
+        # up to the widest gap the reduction accepts (a diameter of about 5.6e6)
         rng = np.random.default_rng(big + on_top)
         for _ in range(20):
             lo, hi = localization_interval(wide_gap_trinomial(rng, big, on_top))

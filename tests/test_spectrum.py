@@ -23,7 +23,6 @@ from trinomax.spectrum import (
     ISOMETRY_TAU_TOL,
     _geometry,
     _solve_common_shift,
-    _turn_shifts,
     phase_combination,
     spectrum_geometry,
 )
@@ -332,21 +331,37 @@ def enumerated_common_shift(freqs, phases, tol):
     return wrap_angle(best_v)
 
 
-def wide_spectrum(rng):
-    """Sorted spectrum with step d in {1, 2, 3, 5} and gaps up to 300."""
+def wide_spectrum(rng, max_gap=300):
+    """Sorted spectrum with step d in {1, 2, 3, 5} and gaps up to max_gap."""
     d = int(rng.choice([1, 2, 3, 5]))
     while True:
-        k, l = (int(g) for g in rng.integers(1, 300 // d + 1, size=2))
+        k, l = (int(g) for g in rng.integers(1, max_gap // d + 1, size=2))
         if math.gcd(k, l) == 1:
             break
     low = int(rng.integers(-50, 51))
     return spectrum_geometry((low, low + d * k, low + d * (k + l)))
 
 
+def sorted_reduction(geo, phases):
+    """canonical_reduction of unit moduli on the sorted spectrum geo.lams."""
+    return canonical_reduction(Trinomial(*geo.lams, 1, 1, 1, *phases))
+
+
+def reference_turn_shifts(geo, phases):
+    """The turns that canonical_reduction computes inline, as a standalone
+    reference: the wrapped phase combination of the sorted phases and the
+    whole turns (U, W) to take off t1 and t3."""
+    comb = phase_combination(geo.k, geo.l, *phases)
+    wrapped = wrap_angle(comb)
+    shift = round((wrapped - comb) / TWO_PI)
+    u = shift * pow(geo.l, -1, geo.k) % geo.k
+    return wrapped, (u, (shift - u * geo.l) // geo.k)
+
+
 class TestClosedFormCommonShift:
     def assert_same_translation(self, geo, phases, u=None):
         if u is None:
-            u = _turn_shifts(geo, phases)[1][0]
+            u = sorted_reduction(geo, phases).turns[0]
         v = _solve_common_shift(geo, phases, u)
         v_ref = enumerated_common_shift(geo.lams, phases, 1e-7)
         assert abs(math.remainder(v - v_ref, TWO_PI / geo.d)) <= 1e-12
@@ -365,10 +380,10 @@ class TestClosedFormCommonShift:
         for _ in range(200):
             geo = wide_spectrum(rng)
             t1, t2, t3 = rng.uniform(0, TWO_PI, 3)
-            tau_signed, (u, _) = _turn_shifts(geo, (t1, t2, t3))
-            stripped = (t1, t2 - tau_signed / geo.D, t3)
+            u = sorted_reduction(geo, (t1, t2, t3)).turns[0]
+            stripped = (t1, t2 - geo.signed_tau((t1, t2, t3)) / geo.D, t3)
             # the whole turns of the phases before the strip serve after it
-            assert _turn_shifts(geo, stripped)[1][0] == u
+            assert sorted_reduction(geo, stripped).turns[0] == u
             self.assert_same_translation(geo, stripped, u)
 
     def test_unsolvable_raise_in_both(self):
@@ -381,7 +396,7 @@ class TestClosedFormCommonShift:
                 continue
             cases += 1
             with pytest.raises(SpectrumError):
-                _solve_common_shift(geo, phases, _turn_shifts(geo, phases)[1][0])
+                _solve_common_shift(geo, phases, sorted_reduction(geo, phases).turns[0])
             with pytest.raises(SpectrumError):
                 enumerated_common_shift(geo.lams, phases, 1e-7)
 
@@ -390,13 +405,32 @@ class TestClosedFormCommonShift:
         for _ in range(500):
             geo = wide_spectrum(rng)
             k, l = geo.k, geo.l
-            t1, t2, t3 = rng.uniform(-50.0, 50.0, 3)
+            # phases past a full turn reach the reduction reduced, as Trinomial stores them
+            red = sorted_reduction(geo, rng.uniform(-50.0, 50.0, 3))
+            t1, t2, t3 = red.phases
             comb = phase_combination(k, l, t1, t2, t3)
             shift = round((wrap_angle(comb) - comb) / TWO_PI)
-            wrapped, (u, w) = _turn_shifts(geo, (t1, t2, t3))
-            assert wrapped == wrap_angle(comb)
+            u, w = red.turns
+            assert red.tau == abs(wrap_angle(comb))
             assert isinstance(u, int) and isinstance(w, int)
             assert 0 <= u < k
             assert u * l + w * k == shift
             shifted = phase_combination(k, l, t1 - TWO_PI * u, t2, t3 - TWO_PI * w)
             assert abs(shifted - wrap_angle(comb)) <= 1e-9
+
+    def test_reduction_matches_the_reference_turns(self):
+        # turns, tau, v and alpha bit for bit against the reference turns and
+        # the same strip, over phases up to 1e12 and gaps up to 1e6
+        rng = np.random.default_rng(45)
+        for _ in range(500):
+            geo = wide_spectrum(rng, 10 ** int(rng.integers(1, 7)))
+            signs, exponents = rng.choice([-1.0, 1.0], 3), rng.uniform(-1.0, 12.0, 3)
+            red = sorted_reduction(geo, signs * 10.0**exponents)
+            tau_signed, turns = reference_turn_shifts(geo, red.phases)
+            t1, t2, t3 = red.phases
+            t2_target = tau_signed / geo.D
+            v = _solve_common_shift(geo, (t1, t2 - t2_target, t3), turns[0])
+            assert red.turns == turns
+            assert red.tau == abs(tau_signed)
+            assert red.v == v
+            assert red.alpha == wrap_angle(t2 - t2_target + geo.lams[1] * v)
