@@ -9,7 +9,11 @@ is
 and under the normalisation k*r1 <= l*r3 its derivative changes sign exactly
 once on [0, t/l], from + to -.  That guaranteed bracket makes bracket-keeping
 Newton (rtsafe) safe: it converges quadratically, and falls back to
-bisection wherever a Newton step would leave the bracket.  The absolute
+bisection wherever a Newton step would leave the bracket.  One kernel,
+_root_plus_to_minus, runs it for every solve and sweep row: it takes the
+form's scalars and evaluates the slope and its derivative itself, from
+three sines and three cosines a point (sin t and cos t alone at x = 0).
+At t <= 1e-15 the maximum is the correctly rounded r1 + r2 + r3.  The absolute
 maximum is attained once modulo 2*pi/d unless tau = pi, in which case the
 modulus has an axis of symmetry and the maximum is attained either at a
 symmetric pair of points or, on a knife-edge coefficient set, at one point
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +32,7 @@ from .spectrum import (
     TWO_PI,
     ReducedForm,
     Reduction,
+    SpectrumError,
     SpectrumGeometry,
     Trinomial,
     _check_moduli,
@@ -58,6 +62,9 @@ DEGENERATE_REL_TOL = 1e-10
 # relative |k*r1 - l*r3| at or below this counts as k*r1 = l*r3 (maximum at 0,
 # hypocycloid outer curve); a nearer tie moves the maximum off 0 in proportion
 AT_ZERO_REL_TOL = 1e-12
+# largest ratio of two moduli the closed forms take: for a largest modulus
+# anywhere in [1e-100, 1e100], every intermediate of both is a normal float
+CLOSED_FORM_RATIO = 1e50
 # slack on the localization interval: a maximum point further outside it
 # than this is a BracketFailure, not rounding of the endpoints
 LOCALIZATION_TOL = 1e-7
@@ -153,44 +160,41 @@ def _derivative_scale(k: int, l: int, r1: float, r2: float, r3: float) -> float:
     return k * r1 * r2 + (k + l) * r1 * r3 + l * r2 * r3
 
 
-def _slope_and_curvature(form: ReducedForm, t: float, x: float) -> tuple[float, float]:
-    """half_derivative orders 1 and 2 of form at phase t, bit for bit, from one
-    set of sines and cosines."""
-    k, kl, l = form.k, form.k + form.l, form.l
-    a, b, c = form.r1 * form.r2, form.r1 * form.r3, form.r2 * form.r3
-    u, v, w = t + k * x, kl * x, t - l * x
-    su, sv, sw = math.sin(u), math.sin(v), math.sin(w)
-    cu, cv, cw = math.cos(u), math.cos(v), math.cos(w)
-    return (
-        -(a * (k * su) + b * (kl * sv) - c * (l * sw)),
-        -(a * (k * k * cu) + b * (kl * kl * cv) + c * (l * l * cw)),
-    )
+def _root_plus_to_minus(k: int, l: int, r1: float, r2: float, r3: float, t: float, hi: float, scale: float) -> float:
+    """Root in [0, hi] of the slope g = half_derivative(form, x, 1) of the form
+    (k, l, r1, r2, r3, t), which changes sign once there, from + to -.
 
-
-def _root_plus_to_minus(fun, lo: float, hi: float, scale: float) -> float:
-    """Root in [lo, hi] of a g that changes sign once there, from + to -.
-
-    fun(x) returns (g, g'); scale bounds the terms g sums and sets the
-    endpoint guard (1e-10*scale) and the rounding noise (8 ulp of it).
-    Bracket-keeping Newton (rtsafe, Numerical Recipes 9.4) from the endpoint
-    with the shorter step: each evaluation narrows [lo, hi] by the sign of
-    g, and a Newton step that leaves the bracket or exceeds half the step
-    before last gives way to bisection.  Ends at g >= 0 on hi, at a Newton
-    step within 2 ulp of the bracket (tested first, so a step resolved on
-    the bracket edge ends it), or at a refused step with g' < 0 and |g|
-    within the noise, where bisecting would only follow the noise.
+    g and g' (order 2) are evaluated inline, bit for bit, from one set of sines and
+    cosines, which at x = 0 are sin t and cos t.  scale bounds the terms g sums and sets
+    the endpoint guard (1e-10*scale) and the rounding noise (8 ulp of it).
+    Bracket-keeping Newton (rtsafe, Numerical Recipes 9.4) from the endpoint with the
+    shorter step: each evaluation narrows [lo, hi] by the sign of g, and a Newton step
+    that leaves the bracket or exceeds half the step before last gives way to bisection.
+    Ends at g >= 0 on hi, at a Newton step within 2 ulp of the bracket (tested first, so
+    a step resolved on the bracket edge ends it), or at a refused step with g' < 0 and
+    |g| within the noise, where bisecting would only follow the noise.
     """
-    glo, dlo = fun(lo)
-    ghi, dhi = fun(hi)
+    sin, cos, kl = math.sin, math.cos, k + l
+    a, b, c = r1 * r2, r1 * r3, r2 * r3
+    # the integer factors as floats: int * float converts the int the same way, only slower
+    kk, kkl, ll = float(k * k), float(kl * kl), float(l * l)
+    k, l, kl = float(k), float(l), float(kl)
+    # x = 0: u = w = t and v = 0, whose terms keep their products, so an infinite b still gives nan
+    lo, su, cu = 0.0, sin(t), cos(t)
+    glo = -(a * (k * su) + b * (kl * 0.0) - c * (l * su))
+    dlo = -(a * (kk * cu) + b * (kkl * 1.0) + c * (ll * cu))
+    u, v, w = t + k * hi, kl * hi, t - l * hi
+    ghi = -(a * (k * sin(u)) + b * (kl * sin(v)) - c * (l * sin(w)))
+    dhi = -(a * (kk * cos(u)) + b * (kkl * cos(v)) + c * (ll * cos(w)))
     if glo < -1e-10 * scale or ghi > 1e-10 * scale:
         raise BracketFailure(
             f"endpoint derivative signs violate the bracket: f({lo})={glo}, f({hi})={ghi}"
         )
     if ghi >= 0.0:
         return hi
-    tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+    tol = 2.0 * math.ulp(hi)
     x, g, dg = (lo, glo, dlo) if abs(glo * dhi) <= abs(ghi * dlo) else (hi, ghi, dhi)
-    step = hi - lo
+    step = hi
     for _ in range(200):
         newton = g / dg if dg else math.inf
         if abs(newton) <= tol:
@@ -205,7 +209,9 @@ def _root_plus_to_minus(fun, lo: float, hi: float, scale: float) -> float:
             x = lo + step
             if x == lo or x == hi:
                 break
-        g, dg = fun(x)
+        u, v, w = t + k * x, kl * x, t - l * x
+        g = -(a * (k * sin(u)) + b * (kl * sin(v)) - c * (l * sin(w)))
+        dg = -(a * (kk * cos(u)) + b * (kkl * cos(v)) + c * (ll * cos(w)))
         if g > 0.0:
             lo = x
         else:
@@ -243,7 +249,9 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     boundary point t with the maximum value r2 + r3 - r1, with multiplicity
     4 on the knife edge k^2*r1*r2 + (k+1)^2*r1*r3 = r2*r3 (relative
     tolerance DEGENERATE_REL_TOL).  The maximum sits at 0 when max_at_zero
-    holds.  Values come from _modulus: sqrt(2 * half_derivative(form, x, 0)), bit for bit.
+    holds.  Values come from _modulus: sqrt(2 * half_derivative(form, x, 0)), bit for bit,
+    except at t <= 1e-15, where the value is math.fsum((r1, r2, r3)): the
+    expansion's sum can round 1 ulp above that triangle-inequality bound.
     """
     k, l, r1, r2, r3, t = form.k, form.l, form.r1, form.r2, form.r3, form.t
     big_d = k + l
@@ -262,10 +270,9 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
             # the derivative vanishes identically at t, so the bracket stops
             # short of it; a maximum closer to t than that is taken as t - 1e-7 * t
             hi = t - 1e-7 * t
-        x_star = _root_plus_to_minus(
-            partial(_slope_and_curvature, form, t), 0.0, hi, _derivative_scale(k, l, r1, r2, r3)
-        )
-    value = _modulus(k, l, r1, r2, r3, t, x_star)
+        x_star = _root_plus_to_minus(k, l, r1, r2, r3, t, hi, _derivative_scale(k, l, r1, r2, r3))
+    # at t <= 1e-15 the maximum is r1 + r2 + r3 to 1e-30 relative: return their correctly rounded sum
+    value = math.fsum((r1, r2, r3)) if t <= 1e-15 else _modulus(k, l, r1, r2, r3, t, x_star)
     if symmetric:
         axis = TWO_PI * modular_inverse(l, big_d) / big_d
         partner = (axis - x_star) % TWO_PI
@@ -300,7 +307,7 @@ def _max_values(form: ReducedForm, phases: list[float]) -> list[float]:
         if at_zero or t <= 1e-15 or abs(t * big_d - math.pi) <= TAU_PI_TOL:
             values.append(find_max_reduced(_at_phase(form, t)).value)
             continue
-        x = _root_plus_to_minus(partial(_slope_and_curvature, form, t), 0.0, t / l, scale)
+        x = _root_plus_to_minus(k, l, r1, r2, r3, t, t / l, scale)
         values.append(_modulus(k, l, r1, r2, r3, t, x))
     return values
 
@@ -370,14 +377,23 @@ def max_points_global(trinomial: Trinomial) -> MaxResult:
     )
 
 
+def _check_closed_form_moduli(r1: float, r2: float, r3: float) -> None:
+    moduli = _check_moduli((r1, r2, r3))
+    if max(moduli) > CLOSED_FORM_RATIO * min(moduli):
+        raise SpectrumError(
+            f"the closed forms take moduli within a ratio of {CLOSED_FORM_RATIO:g}, got {moduli}"
+        )
+
+
 def closed_form_k1_l1(r1: float, r2: float, r3: float) -> tuple[float, tuple[float, ...]]:
     """Maximum of |r1*e^(-ix) + i*r2 + r3*e^(ix)| in closed form (k = l = 1, t = pi/2).
 
     Equals (r1+r3)*sqrt(1 + r2^2/(4*r1*r3)) attained where
     sin(x) = r2*(r3-r1)/(4*r1*r3) when |1/r1 - 1/r3| < 4/r2, and
-    r2 + |r3 - r1| attained at a single point otherwise.
+    r2 + |r3 - r1| attained at a single point otherwise.  The moduli must lie
+    within a ratio of CLOSED_FORM_RATIO of each other (SpectrumError).
     """
-    _check_moduli((r1, r2, r3))
+    _check_closed_form_moduli(r1, r2, r3)
     if abs(1.0 / r1 - 1.0 / r3) < 4.0 / r2:
         value = (r1 + r3) * math.sqrt(1.0 + r2 * r2 / (4.0 * r1 * r3))
         # |s| < 1 in exact arithmetic, but rounds to 1 + ulp on the case boundary
@@ -399,8 +415,9 @@ def closed_form_k2_l1(r1: float, r2: float, r3: float) -> float:
 
     otherwise the maximum is -r1 + r2 + r3.  With u = a^2, c = b + 1 the bracket is
     computed as c*(3*u^2 + 3*u*c + c^2) / ((u + c)^(3/2) + a^3), which cannot cancel.
+    The moduli must lie within a ratio of CLOSED_FORM_RATIO of each other (SpectrumError).
     """
-    _check_moduli((r1, r2, r3))
+    _check_closed_form_moduli(r1, r2, r3)
     if 1.0 / r1 - 4.0 / r3 < 9.0 / r2:
         a = r2 / (3.0 * r3)
         u, c = a * a, r2 / (3.0 * r1) + 1.0

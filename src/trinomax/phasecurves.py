@@ -102,25 +102,25 @@ def chebotarev_derivative(
     return max(slopes) if side == "+" else min(slopes)
 
 
-def _modulus_at_zero(r1: float, r2: float, r3: float, t: float) -> float:
-    """|r1 + r2*e^(it) + r3|, the modulus of the reduced form at x = 0."""
-    return math.hypot(r1 + r3 + r2 * math.cos(t), r2 * math.sin(t))
-
-
 def sweep_rows(
     k: int, l: int, r1: float, r2: float, r3: float, n: int = 64
 ) -> list[SweepRow]:
     """Sweep tau over n uniform values in [0, pi]: row i at tau = pi*i/(n-1), the
     last at exactly pi.  Each fstar is bit for bit fstar(k, l, r1, r2, r3, t):
     the family's form is built once, a row with a unique interior maximum runs
-    the scalar rtsafe kernel on it, and the rest (t <= 1e-15, tau within
-    TAU_PI_TOL of pi, every row when k*r1 = l*r3) go through find_max_reduced."""
+    the rtsafe kernel on the form's scalars, which evaluates the slope itself,
+    and the rest (t <= 1e-15, tau within TAU_PI_TOL of pi, every row when
+    k*r1 = l*r3) go through find_max_reduced."""
     form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
     n = _count(n, 2, "sweep needs at least 2 rows, got {n}")
     big_d = k + l
     taus = [math.pi * i / (n - 1) for i in range(n - 1)] + [math.pi]
     ts = [tau / big_d for tau in taus]
+    # ratio over |r1 + r2*e^(it) + r3|, the modulus at x = 0; tuple.__new__ skips NamedTuple's __new__
     return [
-        SweepRow(tau, t, v, v / _modulus_at_zero(r1, r2, r3, t), math.cos(tau / (2.0 * big_d)))
+        tuple.__new__(
+            SweepRow,
+            (tau, t, v, v / math.hypot(r1 + r3 + r2 * math.cos(t), r2 * math.sin(t)), math.cos(tau / (2.0 * big_d))),
+        )
         for tau, t, v in zip(taus, ts, _max_values(form, ts))
     ]

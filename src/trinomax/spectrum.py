@@ -45,7 +45,6 @@ REDUCED_T_SLACK = 1e-12
 MODULUS_SCALE = 1e100
 # the widest frequency span max - min, the float range: d and the period 2*pi/d are floats
 _MAX_SPAN = int(sys.float_info.max)
-_setattr = object.__setattr__
 
 __all__ = [
     "SpectrumError",
@@ -287,18 +286,16 @@ def make_reduced_form(
 
 def _trusted_form(k, l, r1, r2, r3, t) -> tuple[ReducedForm, bool]:
     """make_reduced_form, unchecked, of values that already satisfy ReducedForm's rules.
-    The fields are set by object.__setattr__, bound once to _setattr, one plain call each:
-    filling __dict__ would slow every later read, and a loop over the names costs nearly twice as much."""
+    One form.__dict__.update(...) fills the fields.  On Python 3.11 it builds a form in
+    0.6 us against 0.85 us for six object.__setattr__ calls, and max_points_global over
+    the seed-1 solve-mixed pool ran faster with it in 29-30 of 41 interleaved rounds
+    (median 1-2 % lower), bit for bit.  Reading the six fields back costs 50-58 ns
+    against 35-47 ns, and the form carries its own dict (336 against 137 bytes)."""
     swapped = k * r1 > l * r3
     if swapped:
         k, l, r1, r3 = l, k, r3, r1
     form = object.__new__(ReducedForm)
-    _setattr(form, "k", k)
-    _setattr(form, "l", l)
-    _setattr(form, "r1", r1)
-    _setattr(form, "r2", r2)
-    _setattr(form, "r3", r3)
-    _setattr(form, "t", t)
+    form.__dict__.update(k=k, l=l, r1=r1, r2=r2, r3=r3, t=t)
     return form, swapped
 
 

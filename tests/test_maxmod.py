@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ class TestFindMaxReduced:
         form = ReducedForm(2, 3, 0.4, 1.1, 0.9, 0.0)
         res = find_max_reduced(form)
         assert res.points == ((0.0, pytest.approx(2.4)),)
+
+    def test_zero_phase_is_the_correctly_rounded_sum(self):
+        # moduli log-uniform in [1e-4, 1e4]: the expansion's square root read
+        # 1 ulp above math.fsum(r), the triangle-inequality bound, on about
+        # one tau = 0 row in ten; a correctly rounded sum may still lie above
+        # the exact one, by half an ulp at most
+        assert max_points_global(Trinomial(-1, 0, 2, 1e-4, 1, 1e4, 0, 0, 0)).value == 10001.0001
+        rng = np.random.default_rng(5)
+        for i in range(20000):
+            k, l = COPRIME[i % len(COPRIME)]
+            r = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 3)).tolist()
+            value = find_max_reduced(make_reduced_form(k, l, *r, 0.0)[0]).value
+            assert value == math.fsum(r)
+            assert abs(Fraction(value) - sum(map(Fraction, r))) <= Fraction(math.ulp(value)) / 2
 
     def test_interior_symmetric_pair_l1(self):
         # l = 1, t = pi/(k+1), weights comfortably inside the interior branch
@@ -410,6 +425,33 @@ class TestClosedForms:
                 checked[1] += 1
         assert min(checked) >= 300
 
+    @pytest.mark.parametrize(
+        "closed_form, r",
+        [
+            (closed_form_k1_l1, (1e-200, 1e50, 1e-200)),
+            (closed_form_k2_l1, (1e-200, 1e50, 1e-200)),
+            (closed_form_k2_l1, (1.0, 1e100, 1e-250)),
+        ],
+        ids=["k1-zero-division", "k2-overflow", "k2-nan"],
+    )
+    def test_moduli_ratios_past_the_range_raise(self, closed_form, r):
+        # these once gave a bare ZeroDivisionError (4*r1*r3 underflowed to 0),
+        # a bare OverflowError (from a**3) and nan (inf/inf)
+        with pytest.raises(SpectrumError, match=r"closed forms take moduli within a ratio of 1e\+50"):
+            closed_form(*r)
+
+    def test_moduli_ratios_up_to_the_range_agree(self):
+        # ratios up to CLOSED_FORM_RATIO, with the largest modulus anywhere in [1e-100, 1e100]
+        rng = np.random.default_rng(70)
+        for _ in range(300):
+            top = float(np.exp(rng.uniform(math.log(1e-100), math.log(1e100))))
+            r = [top * float(np.exp(-rng.uniform(0.0, math.log(maxmod.CLOSED_FORM_RATIO)))) for _ in range(3)]
+            r[int(rng.integers(3))] = top
+            ref1 = find_max_reduced(make_reduced_form(1, 1, *r, math.pi / 2)[0]).value
+            assert closed_form_k1_l1(*r)[0] == pytest.approx(ref1, rel=oracle.CLOSED_FORM_REL_TOL)
+            ref2 = find_max_reduced(make_reduced_form(2, 1, *r, math.pi / 3)[0]).value
+            assert closed_form_k2_l1(*r) == pytest.approx(ref2, rel=oracle.CLOSED_FORM_REL_TOL)
+
 
 def test_degenerate_quadruple_derivatives():
     # on the knife edge the second derivative of |T|^2 vanishes at the max
@@ -578,6 +620,12 @@ class TestAgainstReferencePaths:
                 assert value == form.r2 + form.r3 - form.r1
                 assert value == pytest.approx(math.sqrt(2.0 * half_derivative(form, x, 0)), rel=1e-12)
                 continue
+            if form.t <= 1e-15:
+                # tau = 0: the correctly rounded r1 + r2 + r3, within 1 ulp of the expansion
+                ((x, value),) = res.points
+                assert value == math.fsum((form.r1, form.r2, form.r3))
+                assert abs(value - math.sqrt(2.0 * half_derivative(form, x, 0))) <= math.ulp(value)
+                continue
             for x, value in res.points:
                 assert value == math.sqrt(2.0 * half_derivative(form, x, 0))
         assert seen == set(MaxClassification)
@@ -616,50 +664,101 @@ class TestAgainstReferencePaths:
         assert x < y and (x, y) == (raw[1] % red.period, raw[0] % red.period)
 
 
+def kernel(k, l, r1, r2, r3, t, hi):
+    """The rtsafe kernel on the form (k, l, r1, r2, r3, t) over [0, hi], at the scale its callers pass."""
+    return maxmod._root_plus_to_minus(k, l, r1, r2, r3, t, hi, maxmod._derivative_scale(k, l, r1, r2, r3))
+
+
+def count_evaluations(monkeypatch) -> list[int]:
+    """Count the kernel's slope evaluations through math.sin, which it reads
+    when called: once at x = 0 (sin t), three times at every other x."""
+    calls, sin = [0], math.sin
+
+    def counted(z):
+        calls[0] += 1
+        return sin(z)
+
+    monkeypatch.setattr(math, "sin", counted)
+    return calls
+
+
+def evaluations(sin_calls: int) -> int:
+    assert sin_calls % 3 == 1, sin_calls
+    return (sin_calls + 2) // 3
+
+
+def binomial_kernel(monkeypatch, fun):
+    """The kernel on the binomial e^(-ix) + 1 (k = l = 1, r1 = r2 = 1, r3 = 0,
+    t = 0), whose slope it evaluates as -sin x and curvature as -cos x: with
+    sin = -g and cos = -g' patched in, it sees fun(x) = (g, g') bit for bit.
+    Returns the kernel over [0, hi] at a given scale."""
+    monkeypatch.setattr(math, "sin", lambda x: -fun(x)[0])
+    monkeypatch.setattr(math, "cos", lambda x: -fun(x)[1])
+    return lambda hi, scale: maxmod._root_plus_to_minus(1, 1, 1.0, 1.0, 0.0, 0.0, hi, scale)
+
+
 class TestRootFinder:
+    """Each exit of the kernel.  Real forms reach all but the bisection floor;
+    that one, and the synthetic slopes whose pins the noise exit and the
+    convergence keep, run on binomial_kernel."""
+
     @pytest.mark.parametrize(
-        "fun",
-        [lambda x: (-0.5 - x, -1.0), lambda x: (1.5 - x, -1.0)],
+        "form",
+        [(1, 2, 3.0, 1.0, 1.0, 0.5), (1, 1, 1.0, 1.0, 2.0, 0.9 * math.pi)],
         ids=["negative-at-left-end", "positive-at-right-end"],
     )
-    def test_endpoint_signs_are_guarded(self, fun):
+    def test_endpoint_signs_are_guarded(self, form):
+        # k*r1 > l*r3 turns g(0) = sin(t)*r2*(l*r3 - k*r1) negative; t past
+        # pi/(k+l) puts the root before t/l, so g(t/l) > 0
         with pytest.raises(BracketFailure, match="endpoint derivative signs violate the bracket"):
-            maxmod._root_plus_to_minus(fun, 0.0, 1.0, 1.0)
+            kernel(*form, form[-1] / form[1])
 
-    def test_nonnegative_right_end_is_the_root(self):
-        assert maxmod._root_plus_to_minus(lambda x: (1.0 - x, -1.0), 0.0, 1.0, 1.0) == 1.0
+    def test_nonnegative_right_end_is_the_root(self, monkeypatch):
+        # t 1e-13 past pi/2 puts the root just past t: g(t) is about
+        # 2e-13*(r1*r2 + 2*r1*r3), >= 0 and inside the guard
+        t = math.pi / 2.0 + 1e-13
+        calls = count_evaluations(monkeypatch)
+        assert kernel(1, 1, 1.0, 1.0, 2.0, t, t) == t
+        assert evaluations(calls[0]) == 2
 
-    def test_step_slope_ends_at_the_bisection_floor(self):
+    def test_step_slope_ends_at_the_bisection_floor(self, monkeypatch):
         # g' = 0 refuses every Newton step, so only bisection narrows the
-        # bracket; the division by it warns nowhere (RuntimeWarning is an error)
-        root = maxmod._root_plus_to_minus(
-            lambda x: (1.0 if x < 1.0 / 3.0 else -1.0, 0.0), 0.0, 1.0, 1.0
-        )
-        assert root == 0.33333333333333326
+        # bracket; the division by it is never made
+        solve = binomial_kernel(monkeypatch, lambda x: (1.0 if x < 1.0 / 3.0 else -1.0, 0.0))
+        calls = count_evaluations(monkeypatch)
+        assert solve(1.0, 1.0) == 0.33333333333333326
+        assert evaluations(calls[0]) <= 60
 
-    def test_flat_slope_ends_at_the_noise_exit(self):
+    def test_flat_slope_ends_at_the_noise_exit(self, monkeypatch):
         # a g of 1e-16, within 8 ulp of the scale, whose Newton step halves too
         # slowly after one step: the kernel stops instead of bisecting the noise
-        root = maxmod._root_plus_to_minus(
-            lambda x: (1e-16 if x < 0.5 else -1e-16, -1e-3), 0.0, 1.0, 1.0
-        )
-        assert root == 1e-16 / 1e-3
+        solve = binomial_kernel(monkeypatch, lambda x: (1e-16 if x < 0.5 else -1e-16, -1e-3))
+        assert solve(1.0, 1.0) == 1e-16 / 1e-3
 
-    def test_converges_to_float_resolution(self):
-        root = maxmod._root_plus_to_minus(
-            lambda x: (2.0 - math.exp(x), -math.exp(x)), 0.0, 2.0, 2.0
-        )
-        assert abs(root - math.log(2.0)) <= 2.0 * math.ulp(2.0)
+    def test_near_quartic_maximum_ends_at_the_noise_exit(self):
+        # r2 1e-4 below the knife edge 18 of (k, r1, r3) = (2, 1, 8) at tau = pi:
+        # the maximum is nearly quartic, so each Newton step is about 2/3 of
+        # the one before, more than the half the kernel takes, while |g| is
+        # already within 8 ulp of the scale: the kernel stops there instead
+        # of bisecting the noise
+        t = math.pi / 3.0
+        assert kernel(2, 1, 1.0, 17.9982, 8.0, t, t - 1e-7 * t) == 1.0398119076109233
+
+    def test_converges_to_float_resolution(self, monkeypatch):
+        solve = binomial_kernel(monkeypatch, lambda x: (2.0 - math.exp(x), -math.exp(x)))
+        assert abs(solve(2.0, 2.0) - math.log(2.0)) <= 2.0 * math.ulp(2.0)
+
+    def test_real_form_converges_to_float_resolution(self, monkeypatch):
+        # k = l = 1 at t = pi/2: the maximum sits where sin x = r2*(r3 - r1)/(4*r1*r3) = 1/6;
+        # without the exit at a Newton step within 2 ulp the kernel takes one more evaluation
+        t = math.pi / 2.0
+        hi = t - 1e-7 * t
+        calls = count_evaluations(monkeypatch)
+        root = kernel(1, 1, 1.0, 2.0, 1.5, t, hi)
+        assert evaluations(calls[0]) <= 8
+        assert abs(root - math.asin(1.0 / 6.0)) <= 2.0 * math.ulp(hi)
 
     def test_few_evaluations_and_stationary_points(self, monkeypatch):
-        calls = []
-        helper = maxmod._slope_and_curvature
-
-        def counted(form, t, x):
-            calls.append(x)
-            return helper(form, t, x)
-
-        monkeypatch.setattr(maxmod, "_slope_and_curvature", counted)
         rng = np.random.default_rng(66)
         forms = (
             [canonical_reduction(random_trinomial(rng)).form for _ in range(400)]
@@ -670,12 +769,13 @@ class TestRootFinder:
             + [canonical_reduction(random_symmetric_pair(rng)).form for _ in range(200)]
             + [near_knife_edge_form(rng) for _ in range(200)]
         )
+        calls = count_evaluations(monkeypatch)
         counts = []
         for form in forms:
-            calls.clear()
+            calls[0] = 0
             res = find_max_reduced(form)
-            if calls:
-                counts.append(len(calls))
+            if calls[0]:
+                counts.append(evaluations(calls[0]))
             tri = reduced_as_trinomial(form)
             k, l = form.k, form.l
             scale = 2.0 * (
