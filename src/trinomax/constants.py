@@ -17,10 +17,8 @@ from typing import NamedTuple
 
 from .maxmod import max_points_global
 from .spectrum import (
-    ISOMETRY_TAU_TOL,
     TWO_PI,
     Multiplier,
-    SpectrumError,
     SpectrumGeometry,
     Trinomial,
     _check_reduced,
@@ -85,7 +83,7 @@ class UnconditionalConstants(NamedTuple):
     ``equal_valuation_pair`` holds the 1-based indices (i, j) of the two
     frequencies whose differences to the third carry the same power of two;
     sign patterns agreeing on that pair are isometries, the four others all
-    realise the real constant.
+    realise the real constant (the parity rule of _top_two_adic_pair).
     """
 
     real_constant: float
@@ -158,42 +156,22 @@ def lift_to_measure(k: int, l: int, t: float) -> MeasureLift:
     return MeasureLift(atom0=atom0, atom1=atom1, position0=0.0, position1=position1)
 
 
-def unconditional_constants(
-    frequencies: tuple[int, int, int]
-) -> UnconditionalConstants:
+def unconditional_constants(frequencies: tuple[int, int, int]) -> UnconditionalConstants:
     """Real and complex unconditional constants of the basis; they coincide.
 
-    Enumerates the eight sign multipliers (phases in {0, pi}): the four
-    whose signs agree on the equal-valuation pair are isometries, the other
-    four each have phase invariant pi and realise the common constant
-    sec(pi/(2D)).
+    The eight sign multipliers (phases in {0, pi}) split by the parity rule
+    of _top_two_adic_pair, exact at any D: the four agreeing on the
+    equal-valuation pair are isometries, the other four have phase
+    invariant pi and realise the common constant sec(pi/(2D)).
     """
     geo = spectrum_geometry(frequencies)
-    complex_constant = _norm_at(math.pi, geo.D)  # the Sidon constant
-    equal_pair = tuple(i + 1 for i in _top_two_adic_pair(geo))
-
-    isometric: list[tuple[int, int, int]] = []
-    non_isometric: list[tuple[int, int, int]] = []
-    real_constant = 1.0
-    for bits in range(8):
-        signs = tuple(1 if bits & (1 << j) == 0 else -1 for j in range(3))
-        phases = tuple(0.0 if s > 0 else math.pi for s in signs)
-        tau = abs(geo.signed_tau(phases))
-        real_constant = max(real_constant, _norm_at(tau, geo.D))
-        if tau <= ISOMETRY_TAU_TOL:
-            isometric.append(signs)
-        else:
-            non_isometric.append(signs)
-    assert len(isometric) == 4 and len(non_isometric) == 4
-    if abs(real_constant - complex_constant) > 1e-12 * complex_constant:
-        raise SpectrumError(
-            f"real and complex unconditional constants diverge: "
-            f"{real_constant} vs {complex_constant}"
-        )
+    constant = _norm_at(math.pi, geo.D)  # the Sidon constant
+    i, j = _top_two_adic_pair(geo)
+    patterns = [tuple(1 if bits & (1 << n) == 0 else -1 for n in range(3)) for bits in range(8)]
     return UnconditionalConstants(
-        real_constant=real_constant,
-        complex_constant=complex_constant,
-        equal_valuation_pair=equal_pair,
-        isometric_patterns=tuple(isometric),
-        non_isometric_patterns=tuple(non_isometric),
+        real_constant=constant,
+        complex_constant=constant,
+        equal_valuation_pair=(i + 1, j + 1),
+        isometric_patterns=tuple(s for s in patterns if s[i] == s[j]),
+        non_isometric_patterns=tuple(s for s in patterns if s[i] != s[j]),
     )

@@ -285,11 +285,11 @@ def _pair_table(lams, d: int, grid_n: int) -> _PairTable:
     return _PairTable(tuple(map(float, steps)), d, np.array((c1, c2, c3, s1, s2, s3)))
 
 
-def _cross_terms(r, t):
-    """|T(x)|^2 = s0 + sum over pairs of w * cos(p + gap * x), from moduli r
-    and phases t along the last axis: returns s0, w and p."""
-    r, t = np.asarray(r), np.asarray(t)
-    return (r * r).sum(axis=-1), 2.0 * r[..., _A] * r[..., _B], t[..., _A] - t[..., _B]
+def _cross_terms(r):
+    """|T(x)|^2 = s0 + sum over pairs (a, b) of w * cos(t[a] - t[b] + gap * x) at
+    any phases t: returns s0 and w, from moduli r along the last axis."""
+    r = np.asarray(r)
+    return (r * r).sum(axis=-1), 2.0 * r[..., _A] * r[..., _B]
 
 
 def _refined_peaks(table: _PairTable, moduli, phases) -> tuple[list[tuple[float, float]], int]:
@@ -491,7 +491,7 @@ def _constant_search(
     fine = _pair_table(geo.lams, geo.d, grid_n)
     coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
     # the simplex rows' moduli terms, once: each scan cell forms only its phase terms
-    s0, w, _ = _cross_terms(simplex, np.zeros(3))
+    s0, w = _cross_terms(simplex)
     # each phase's cap on its cells' ratios, from the bound pass (none at stride 1)
     scan_bounds, caps = _scan_bounds(coarse, geo.D, s0, w), np.full(grid_phases, np.inf)
     if scan_bounds is not None:

@@ -34,8 +34,6 @@ TWO_PI = 2.0 * math.pi
 # canonical_reduction refuses spectra past that: a diameter l3 - l1 above
 # about 5.6e6 for d = 1, twice that for d = 2 or 3.
 STATIONARY_REL_TOL = 1e-8
-# |signed tau| of a multiplier at or below this counts as an isometry
-ISOMETRY_TAU_TOL = 1e-9
 # slack on the reduced phase range [0, pi/(k+l)], absolute below 0 and
 # relative above the edge: a t computed from tau may round a few ulp past it
 REDUCED_T_SLACK = 1e-12
@@ -456,35 +454,27 @@ def canonical_reduction(trinomial: Trinomial) -> Reduction:
     return tuple.__new__(Reduction, (form, geo, abs(tau_signed), turns, alpha, v, epsilon, swapped, phases))
 
 
-def _two_adic_valuation(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
 def _top_two_adic_pair(geo: SpectrumGeometry) -> tuple[int, int]:
-    """Index pair (i, j), i < j, of the frequencies in their given order whose
-    difference carries the strictly largest power of two.
+    """Index pair (i, j), i < j, of the frequencies in their given order that
+    sit across the even gap; that gap carries the strictly largest power of two.
 
-    Such a pair always exists: of the three gaps of distinct integers, two
-    share the smallest 2-adic valuation and the third exceeds it.
+    Sign multipliers are the phases pi*b, b in {0, 1}.  In sorted-frequency
+    order their phase invariant is pi times the parity of
+    -l*b1 + (k+l)*b2 - k*b3.  As k and l are coprime, exactly one of k, l,
+    k+l is even, and the parity is b1 + b2, b2 + b3 or b1 + b3 respectively:
+    the isometric sign patterns are exactly the four that agree on the sorted
+    pair across the even gap, and the four others have invariant pi.
     """
-    f, pairs = geo.lams, ((0, 1), (0, 2), (1, 2))
-    vals = [_two_adic_valuation(f[i] - f[j]) for i, j in pairs]
-    top = max(range(3), key=vals.__getitem__)
-    assert vals.count(vals[top]) == 1, "no strictly maximal 2-adic gap"
-    return tuple(sorted(geo.perm[i] for i in pairs[top]))
+    pair = (0, 1) if geo.k % 2 == 0 else (1, 2) if geo.l % 2 == 0 else (0, 2)
+    return tuple(sorted(geo.perm[i] for i in pair))
 
 
-def opposition_signs(
-    lambda1: int, lambda2: int, lambda3: int
-) -> tuple[int, int, int]:
+def opposition_signs(lambda1: int, lambda2: int, lambda3: int) -> tuple[int, int, int]:
     """Sign pattern (+-1, +-1, +-1) whose phase invariant is exactly pi.
 
-    The pair of indices whose frequency difference carries the strictly
-    largest power of two receives opposite signs.
+    The pair across the even gap (see _top_two_adic_pair) receives opposite
+    signs; exact in integers at any diameter.
     """
-    geo = spectrum_geometry((lambda1, lambda2, lambda3))
     signs = [1, 1, 1]
-    signs[_top_two_adic_pair(geo)[1]] = -1
-    phases = tuple(0.0 if s > 0 else math.pi for s in signs)
-    assert abs(abs(geo.signed_tau(phases)) - math.pi) < 1e-9
+    signs[_top_two_adic_pair(spectrum_geometry((lambda1, lambda2, lambda3)))[1]] = -1
     return tuple(signs)

@@ -30,6 +30,7 @@ from trinomax import (
     make_reduced_form,
     max_points_global,
     multiplier_norm,
+    opposition_signs,
     random_symmetric_pair,
     random_trinomial,
     sidon_constant,
@@ -37,6 +38,7 @@ from trinomax import (
 )
 from trinomax.cli import main
 from trinomax.maxmod import MaxClassification
+from trinomax.oracle import CONSTANT_ABS_TOL
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -280,6 +282,8 @@ def test_criterion_10_closed_forms(capsys):
 
 
 def test_criterion_11_unconditional_constants(capsys):
+    # each sign pattern's multiplier norm: 1 on the four isometric patterns,
+    # the Sidon constant (the real unconditional constant) on the four others
     rng = np.random.default_rng(1111)
     done = 0
     while done < 20:
@@ -290,12 +294,22 @@ def test_criterion_11_unconditional_constants(capsys):
         freqs = tuple(int(f) for f in freqs)
         res = unconditional_constants(freqs)
         constant, _ = sidon_constant(freqs)
-        assert abs(res.real_constant - constant) <= 1e-12 * constant
-        assert len(res.isometric_patterns) == 4
-        assert len(res.non_isometric_patterns) == 4
+        assert len(res.isometric_patterns) == 4 and len(res.non_isometric_patterns) == 4
+        for patterns, expected in ((res.isometric_patterns, 1.0), (res.non_isometric_patterns, constant)):
+            for signs in patterns:
+                norm, witness = multiplier_norm(freqs, Multiplier(*(0.0 if s > 0 else math.pi for s in signs)))
+                assert abs(norm - expected) <= 1e-12 * expected
+                assert abs(witness.attained - norm) <= 1e-9 * norm
+    # the oracle on the opposition pattern's multiplier
+    worst = 0.0
+    for freqs in ((-1, 0, 1), (0, 1, 3), (-2, 0, 4)):
+        signs = opposition_signs(*freqs)
+        empirical = brute_multiplier_norm(freqs, Multiplier(*(0.0 if s > 0 else math.pi for s in signs)))
+        worst = max(worst, abs(empirical - sidon_constant(freqs)[0]))
+    assert worst <= CONSTANT_ABS_TOL
     with capsys.disabled():
-        report(11, "20 spectra: sign-pattern maximum equals the Sidon constant, "
-                   "4 isometric patterns each")
+        report(11, "20 spectra: 4 sign patterns of norm 1, 4 at the Sidon constant; "
+                   f"oracle on 3 opposition patterns err {worst:.1e}")
 
 
 def test_criterion_12_farthest_point_geometry(capsys):

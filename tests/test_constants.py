@@ -1,8 +1,14 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trinomax
 from trinomax import (
     Multiplier,
     SpectrumError,
@@ -12,13 +18,16 @@ from trinomax import (
     lift_to_measure,
     max_points_global,
     multiplier_norm,
+    opposition_signs,
     sidon_constant,
     spectrum_geometry,
     unconditional_constants,
 )
-from trinomax.spectrum import ISOMETRY_TAU_TOL
+from trinomax.constants import UnconditionalConstants, _norm_at
 
 TWO_PI = 2.0 * math.pi
+# |signed tau| at or below this counts as an isometry
+ISOMETRY_TAU_TOL = 1e-9
 
 
 class TestMultiplierNorm:
@@ -182,6 +191,86 @@ class TestUnconditionalConstants:
             constant, _ = sidon_constant(freqs)
             assert res.real_constant == pytest.approx(constant, rel=1e-12)
             assert len(res.isometric_patterns) == 4
+
+
+def float_unconditional_constants(frequencies) -> UnconditionalConstants:
+    """The float derivation the parity rule replaced, kept as a reference: the
+    eight sign patterns' |signed tau| against ISOMETRY_TAU_TOL, the real constant
+    as the largest norm over them, and the pair by its 2-adic valuations."""
+    geo = spectrum_geometry(frequencies)
+    isometric, non_isometric, real_constant = [], [], 1.0
+    for bits in range(8):
+        signs = tuple(1 if bits & (1 << j) == 0 else -1 for j in range(3))
+        tau = abs(geo.signed_tau(tuple(0.0 if s > 0 else math.pi for s in signs)))
+        real_constant = max(real_constant, _norm_at(tau, geo.D))
+        (isometric if tau <= ISOMETRY_TAU_TOL else non_isometric).append(signs)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    gaps = [geo.lams[j] - geo.lams[i] for i, j in pairs]
+    top = pairs[max(range(3), key=lambda n: gaps[n] & -gaps[n])]  # gap & -gap: its largest power of two
+    return UnconditionalConstants(
+        real_constant=real_constant,
+        complex_constant=_norm_at(math.pi, geo.D),
+        equal_valuation_pair=tuple(sorted(geo.perm[i] + 1 for i in top)),
+        isometric_patterns=tuple(isometric),
+        non_isometric_patterns=tuple(non_isometric),
+    )
+
+
+def parity_reference(frequencies, signs) -> int:
+    """1 if the sign pattern's phase invariant is pi, 0 if it is an isometry, in
+    Python ints: the parity of -l*b1 + (k+l)*b2 - k*b3 on the sorted frequencies,
+    with b = 1 where the sign is -1."""
+    (f1, b1), (f2, b2), (f3, b3) = sorted(zip(frequencies, (int(s < 0) for s in signs)))
+    d = math.gcd(f2 - f1, f3 - f2)
+    k, l = (f2 - f1) // d, (f3 - f2) // d
+    return (-l * b1 + (k + l) * b2 - k * b3) % 2
+
+
+# diameters where the float tau of a sign pattern lies more than ISOMETRY_TAU_TOL from 0 or pi
+LARGE_SPECTRA = [
+    (0, 1, 5_340_355),
+    (0, 1, 10**9),
+    (0, 3 * 10**8, 5 * 10**8 + 1),
+    (0, 3 * 10**16, 2**60 + 1),
+    (0, 3 * 10**300, 5 * 10**300 + 1),
+]
+
+
+class TestSignPatternParity:
+    def test_matches_the_float_derivation(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            span = int(10 ** rng.uniform(1.0, 5.0))
+            freqs = (0, rng.randint(1, span - 1), span)
+            freqs = tuple(rng.sample(freqs, 3))
+            assert unconditional_constants(freqs) == float_unconditional_constants(freqs), freqs
+
+    @pytest.mark.parametrize("freqs", LARGE_SPECTRA)
+    def test_patterns_exact_at_any_diameter(self, freqs):
+        res = unconditional_constants(freqs)
+        assert len(res.isometric_patterns) == 4 and len(res.non_isometric_patterns) == 4
+        assert [parity_reference(freqs, s) for s in res.isometric_patterns] == [0] * 4
+        assert [parity_reference(freqs, s) for s in res.non_isometric_patterns] == [1] * 4
+
+    @pytest.mark.parametrize("freqs", LARGE_SPECTRA)
+    def test_opposition_exact_at_any_diameter(self, freqs):
+        assert parity_reference(freqs, opposition_signs(*freqs)) == 1
+
+    def test_the_same_under_python_O(self):
+        # python -O strips assert statements; the rule must not lean on one
+        code = (
+            "import ast, sys; from trinomax import opposition_signs, unconditional_constants\n"
+            "for f in ast.literal_eval(sys.argv[1]): print(unconditional_constants(f), opposition_signs(*f))"
+        )
+        src = str(Path(trinomax.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code, repr(LARGE_SPECTRA)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines() == [
+            f"{unconditional_constants(f)} {opposition_signs(*f)}" for f in LARGE_SPECTRA
+        ]
 
 
 def geometric_progression_bounds(q: int) -> tuple[float, float, float]:

@@ -1,6 +1,8 @@
 """No dead code in the package: every module-level import is used (or
 re-exported through ``__all__``), every module-level private name is read
-somewhere in the package, and deleted public names stay deleted."""
+somewhere in the package, and deleted public names stay deleted.  No
+assert statement either: python -O strips them, so a check that matters
+raises a typed error."""
 
 import ast
 from pathlib import Path
@@ -14,7 +16,7 @@ DELETED = {
     "constants": ("geometric_progression_bounds",),
     "extremal": ("NoSolution", "SingularConfiguration", "reconstruct_from_two_points"),
     "maxmod": ("localization_interval",),
-    "spectrum": ("is_isometry",),
+    "spectrum": ("is_isometry", "ISOMETRY_TAU_TOL"),
 }
 
 
@@ -78,3 +80,13 @@ def test_no_dead_imports_private_names_or_deleted_names():
         for name in names:
             assert not hasattr(trinomax, name), name
             assert not hasattr(module, name), f"{stem}.{name}"
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements vanish under python -O: {found}"

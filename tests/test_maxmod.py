@@ -43,10 +43,10 @@ def reduced_as_trinomial(form: ReducedForm) -> Trinomial:
 def modulus_squared_slope(tri: Trinomial, x: float) -> float:
     """d|T|^2/dx = -sum w*gap*sin(p + gap*x) over the oracle's pair terms,
     with the exact integer gaps."""
-    _, w, p = oracle._cross_terms(tri.moduli, tri.phases)
-    f = tri.frequencies
-    gaps = [f[a] - f[b] for a, b in zip(oracle._A.tolist(), oracle._B.tolist())]
-    return -sum(wi * gap * math.sin(pk + gap * x) for wi, gap, pk in zip(w.tolist(), gaps, p.tolist()))
+    _, w = oracle._cross_terms(tri.moduli)
+    f, t, pairs = tri.frequencies, tri.phases, list(zip(oracle._A.tolist(), oracle._B.tolist()))
+    gaps, p = [f[a] - f[b] for a, b in pairs], [t[a] - t[b] for a, b in pairs]
+    return -sum(wi * gap * math.sin(pk + gap * x) for wi, gap, pk in zip(w.tolist(), gaps, p))
 
 
 class TestEvaluate:

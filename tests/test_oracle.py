@@ -547,7 +547,7 @@ class TestScanBoundPass:
         fine = _pair_table(geo.lams, geo.d, oracle._grid_size(1024, geo))
         coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
         simplex, phase_grid = oracle._simplex_grid(simplex_n), np.linspace(0.0, TWO_PI, grid_phases, endpoint=False)
-        s0, w, _ = _cross_terms(simplex, np.zeros(3))
+        s0, w = _cross_terms(simplex)
         scan = []
         for u2 in phase_grid:
             base = _grid_max(coarse, s0, w, (0.0, u2, 0.0))
@@ -589,7 +589,7 @@ class TestScanBoundPass:
         # with a sub-grid at the 1024 floor (strides 16 at D = 2 down to 2 at D = 9..16)
         rng = np.random.default_rng(41)
         moduli = rng.dirichlet(np.ones(3), size=60)
-        s0, w, _ = _cross_terms(moduli, np.zeros(3))
+        s0, w = _cross_terms(moduli)
         for D in range(2, 17):
             for lams in ((0, 1, D), (-1 - D // 3, 0, D - 1 - D // 3)):
                 lams = tuple(dilation * lam for lam in lams)
@@ -609,7 +609,7 @@ class TestScanBoundPass:
         size = outputs // (points * rows) if points * rows <= outputs else outputs // points
         assert (size, (128 if points * rows <= outputs else rows) % size) == chunks
         rng = np.random.default_rng(43)
-        s0, w, _ = _cross_terms(rng.dirichlet(np.ones(3), size=rows), np.zeros(3))
+        s0, w = _cross_terms(rng.dirichlet(np.ones(3), size=rows))
         geo = spectrum_geometry(freqs)
         fine = _pair_table(geo.lams, geo.d, 1024)
         coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
@@ -626,7 +626,7 @@ class TestScanBoundPass:
 
     def test_the_bound_pass_stops_where_the_sub_grid_would_be_too_sparse(self):
         # 16 * D sub-grid points at least: at the 1024 floor D = 16 keeps stride 2, D = 17 has none
-        s0, w, _ = _cross_terms(np.full((1, 3), 1.0 / 3.0), np.zeros(3))
+        s0, w = _cross_terms(np.full((1, 3), 1.0 / 3.0))
         for D, has_bounds in ((16, True), (17, False)):
             fine = _pair_table((0, 1, D), 1, 1024)
             coarse = fine._replace(grid=np.ascontiguousarray(fine.grid[:, ::2]))
@@ -646,7 +646,7 @@ class TestPairCosineEvaluator:
         moduli = rng.dirichlet(np.ones(3), size=4)
         grid_n = 512
         table = _pair_table(geo.lams, geo.d, grid_n)
-        s0, w, _ = _cross_terms(moduli, np.zeros(3))
+        s0, w = _cross_terms(moduli)
         got = []
         for u2 in phase_grid:
             cell = _grid_max(table, s0, w, (0.0, u2, 0.0))
@@ -669,7 +669,7 @@ class TestPairCosineEvaluator:
         # 2**16 grid points: _grid_max takes 64 moduli rows at a time, so 150 rows make 3 chunks
         table = _pair_table((0, 3, 7000), 1, 2**16)
         moduli = np.random.default_rng(8).dirichlet(np.ones(3), size=150)
-        s0, w, _ = _cross_terms(moduli, np.zeros(3))
+        s0, w = _cross_terms(moduli)
         got = _grid_max(table, s0, w, (0.0, 1.3, 0.0))
         want = [_grid_max(table, s0[i:i + 1], w[i:i + 1], (0.0, 1.3, 0.0))[0] for i in range(len(moduli))]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
@@ -684,7 +684,7 @@ class TestPairCosineEvaluator:
         h = TWO_PI / 1024
         rng = np.random.default_rng(17)
         for r, t in zip(np.exp(rng.uniform(-3.0, 3.0, (20, 3))), rng.uniform(0.0, TWO_PI, (20, 3))):
-            s0, w, _ = _cross_terms(r[None, :], t)
+            s0, w = _cross_terms(r[None, :])
             grid = _grid_max(table, s0, w, t)[0]
             droop = float(w[0] @ np.square(table.steps)) * h * h / 8.0
             value = _grid_and_refine(table, r, t).value

@@ -20,7 +20,6 @@ from trinomax import (
     wrap_angle,
 )
 from trinomax.spectrum import (
-    ISOMETRY_TAU_TOL,
     _geometry,
     _solve_common_shift,
     phase_combination,
@@ -28,6 +27,8 @@ from trinomax.spectrum import (
 )
 
 TWO_PI = 2.0 * math.pi
+# |signed tau| at or below this counts as tau = 0
+ISOMETRY_TAU_TOL = 1e-9
 
 
 @pytest.mark.parametrize(
