@@ -110,7 +110,8 @@ def multiplier_norm(
     Equals cos((pi - tau)/(2D)) / cos(pi/(2D)) where tau is the phase
     invariant of the multiplier; 1 exactly when the multiplier is an
     isometry.  The witness attains the norm: max|M W| / max|W| is returned
-    in ``attained``.
+    in ``attained``.  The witness is solved by max_points_global, so past its
+    float resolution (a diameter above about 5.6e6 for d = 1) this raises SpectrumError.
     """
     geo = spectrum_geometry(frequencies)
     norm = _norm_at(abs(geo.signed_tau(multiplier.phases)), geo.D)
@@ -128,7 +129,10 @@ def sidon_constant(frequencies: tuple[int, int, int]) -> tuple[float, Witness]:
     is the value confirmed by the brute-force oracle (in particular on
     dilated spectra where d > 1).  Smallest C with
     r1 + r2 + r3 <= C * max|T| over all phase choices; coincides with the
-    multiplier norm at tau = pi.
+    multiplier norm at tau = pi.  The witness is checked with
+    max_points_global, so past its float resolution (a diameter above about
+    5.6e6 for d = 1) this raises SpectrumError rather than report an unchecked
+    constant; unconditional_constants answers at any D.
     """
     geo = spectrum_geometry(frequencies)
     constant = _norm_at(math.pi, geo.D)
@@ -146,7 +150,7 @@ def lift_to_measure(k: int, l: int, t: float) -> MeasureLift:
     with m the inverse of l modulo k+l; its total variation equals the
     multiplier norm cos(pi/(2(k+l)) - t/2) / cos(pi/(2(k+l))).
     """
-    _check_reduced(k, l, t)
+    t = _check_reduced(k, l, t)
     big_d = k + l
     edge = math.pi / big_d
     s = math.sin(edge)

@@ -36,6 +36,7 @@ from .spectrum import (
     SpectrumGeometry,
     Trinomial,
     _check_moduli,
+    _count,
     _trusted_form,
     canonical_reduction,
     modular_inverse,
@@ -140,10 +141,11 @@ def _cos_deriv(arg: float, rate: float, order: int) -> float:
 
 
 def half_derivative(form: ReducedForm, x: float, order: int = 1) -> float:
-    """(1/2) * d^order/dx^order of the squared modulus of the reduced form.
-
-    The one evaluator of the expansion above: order 0 is |R(x)|^2 / 2.
+    """(1/2) * d^order/dx^order of the squared modulus of the reduced form, for
+    an integer order >= 0; order 0 is |R(x)|^2 / 2.  The kernel and _modulus
+    evaluate orders 0 to 2 inline and are tested against this reference.
     """
+    order = _count(order, 0, "derivative order must be a nonnegative integer, got {n}")
     k, l = form.k, form.l
     r1, r2, r3, t = form.r1, form.r2, form.r3, form.t
     out = (
@@ -288,16 +290,11 @@ def find_max_reduced(form: ReducedForm) -> MaxResult:
     return tuple.__new__(MaxResult, (((x_star % TWO_PI, value),), cls, None, None))
 
 
-def _at_phase(form: ReducedForm, t: float) -> ReducedForm:
-    """replace(form, t=t), unchecked, for a float t in [0, pi/(k+l)]: the form's other rules already hold."""
-    return _trusted_form(form.k, form.l, form.r1, form.r2, form.r3, t)[0]
-
-
 def _max_values(form: ReducedForm, phases: list[float]) -> list[float]:
-    """find_max_reduced(_at_phase(form, t)).value for each t in [0, pi/(k+l)] of
-    phases, bit for bit; a row with a unique interior maximum (not max_at_zero,
-    t > 1e-15, tau further than TAU_PI_TOL from pi) runs the kernel and
-    _modulus directly, without building its own form."""
+    """find_max_reduced(replace(form, t=t)).value for each float t in [0, pi/(k+l)]
+    of phases, bit for bit; a row with a unique interior maximum (not max_at_zero,
+    t > 1e-15, tau further than TAU_PI_TOL from pi) runs the kernel and _modulus
+    directly, and the others solve a form built unchecked from the form's scalars."""
     k, l, r1, r2, r3 = form.k, form.l, form.r1, form.r2, form.r3
     big_d = k + l
     at_zero = max_at_zero(k, r1, l, r3)
@@ -305,7 +302,7 @@ def _max_values(form: ReducedForm, phases: list[float]) -> list[float]:
     values = []
     for t in phases:
         if at_zero or t <= 1e-15 or abs(t * big_d - math.pi) <= TAU_PI_TOL:
-            values.append(find_max_reduced(_at_phase(form, t)).value)
+            values.append(find_max_reduced(_trusted_form(k, l, r1, r2, r3, t)[0]).value)
             continue
         x = _root_plus_to_minus(k, l, r1, r2, r3, t, t / l, scale)
         values.append(_modulus(k, l, r1, r2, r3, t, x))

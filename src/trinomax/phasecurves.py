@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .maxmod import _at_phase, _max_values, find_max_reduced
+from .maxmod import _max_values, find_max_reduced
 from .spectrum import (
-    REDUCED_T_SLACK,
     TWO_PI,
     SpectrumError,
+    _check_phases,
     _count,
+    _trusted_form,
     make_reduced_form,
 )
 
@@ -47,9 +48,7 @@ class SweepRow(NamedTuple):
 
 
 def _fold_phase(t: float, big_d: int) -> float:
-    # evenness + 2*pi/(k+l) periodicity fold a finite t into [0, pi/(k+l)]
-    if not math.isfinite(t):
-        raise SpectrumError(f"t must be finite, got {t}")
+    # evenness + 2*pi/(k+l) periodicity fold a finite float t into [0, pi/(k+l)]
     period = TWO_PI / big_d
     tm = t % period
     if tm > period / 2.0:
@@ -60,11 +59,13 @@ def _fold_phase(t: float, big_d: int) -> float:
 def fstar(k: int, l: int, r1: float, r2: float, r3: float, t: float) -> float:
     """Maximum modulus of the reduced family at phase t.
 
-    t is folded into [0, pi/(k+l)] by evenness and periodicity, so the
-    function is defined for every real t.
+    t is any real number, read by the phases rule (past a full turn it is
+    reduced exactly, as a Trinomial phase is) and folded into [0, pi/(k+l)]
+    by evenness and periodicity; the value comes from the sweep's path.
     """
     form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
-    return find_max_reduced(_at_phase(form, _fold_phase(t, k + l))).value
+    (t,) = _check_phases((t,), "t")
+    return _max_values(form, [_fold_phase(t, k + l)])[0]
 
 
 def chebotarev_derivative(
@@ -84,21 +85,14 @@ def chebotarev_derivative(
     """
     if side not in ("+", "-"):
         raise SpectrumError(f"side must be '+' or '-', got {side!r}")
-    form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
-    edge = math.pi / (k + l)
-    if not 0.0 < t <= edge * (1.0 + REDUCED_T_SLACK):
-        raise SpectrumError(f"t must lie in (0, pi/(k+l)], got {t}")
-    form = _at_phase(form, float(min(t, edge)))
-    res = find_max_reduced(form)
-    slopes = [
-        -2.0
-        * form.r2
-        * (
-            form.r1 * math.sin(form.t + form.k * x)
-            + form.r3 * math.sin(form.t - form.l * x)
-        )
-        for x, _ in res.points
-    ]
+    form, _ = make_reduced_form(k, l, r1, r2, r3, t)
+    if not form.t > 0.0:
+        raise SpectrumError(f"t must lie in (0, pi/(k+l)], got {form.t}")
+    k, l, r1, r2, r3 = form.k, form.l, form.r1, form.r2, form.r3
+    # the rule lets t pass pi/(k+l) by REDUCED_T_SLACK: solve at the edge itself
+    t = min(form.t, math.pi / (k + l))
+    res = find_max_reduced(_trusted_form(k, l, r1, r2, r3, t)[0])
+    slopes = [-2.0 * r2 * (r1 * math.sin(t + k * x) + r3 * math.sin(t - l * x)) for x, _ in res.points]
     return max(slopes) if side == "+" else min(slopes)
 
 
@@ -106,11 +100,11 @@ def sweep_rows(
     k: int, l: int, r1: float, r2: float, r3: float, n: int = 64
 ) -> list[SweepRow]:
     """Sweep tau over n uniform values in [0, pi]: row i at tau = pi*i/(n-1), the
-    last at exactly pi.  Each fstar is bit for bit fstar(k, l, r1, r2, r3, t):
-    the family's form is built once, a row with a unique interior maximum runs
-    the rtsafe kernel on the form's scalars, which evaluates the slope itself,
-    and the rest (t <= 1e-15, tau within TAU_PI_TOL of pi, every row when
-    k*r1 = l*r3) go through find_max_reduced."""
+    last at exactly pi.  fstar and the sweep share one values path, so each row's
+    fstar is fstar(k, l, r1, r2, r3, t): the family's form is built once, a row
+    with a unique interior maximum runs the rtsafe kernel on the form's scalars,
+    which evaluates the slope itself, and the rest (t <= 1e-15, tau within
+    TAU_PI_TOL of pi, every row when k*r1 = l*r3) go through find_max_reduced."""
     form, _ = make_reduced_form(k, l, r1, r2, r3, 0.0)
     n = _count(n, 2, "sweep needs at least 2 rows, got {n}")
     big_d = k + l

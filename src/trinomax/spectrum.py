@@ -134,13 +134,18 @@ def _check_gaps(k, l) -> None:
         raise SpectrumError(f"(k, l) must be positive coprime, got ({k}, {l})")
 
 
-def _check_reduced(k, l, t: float) -> None:
-    """Reduced parameters: the gaps rule, and t in [0, pi/(k+l)] up to
-    REDUCED_T_SLACK."""
+def _check_reduced(k, l, t) -> float:
+    """Reduced parameters: the gaps rule, and t a real number (anything float
+    takes) in [0, pi/(k+l)] up to REDUCED_T_SLACK.  Returns t as a float."""
     _check_gaps(k, l)
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise SpectrumError(f"t must be a real number, got {t!r}") from None
     edge = math.pi / (k + l)
     if not -REDUCED_T_SLACK <= t <= edge * (1.0 + REDUCED_T_SLACK):
         raise SpectrumError(f"t must lie in [0, pi/(k+l)] = [0, {edge}], got {t}")
+    return t
 
 
 def _count(n, least: int, message: str) -> int:
@@ -254,11 +259,7 @@ class ReducedForm:
     t: float
 
     def __post_init__(self) -> None:
-        try:
-            t = float(self.t)
-        except (TypeError, ValueError):
-            raise SpectrumError(f"t must be a real number, got {self.t!r}") from None
-        _check_reduced(self.k, self.l, t)
+        t = _check_reduced(self.k, self.l, self.t)
         values = (*_check_moduli((self.r1, self.r2, self.r3)), t)
         for name, value in zip(("r1", "r2", "r3", "t"), values):
             object.__setattr__(self, name, value)

@@ -120,6 +120,17 @@ class TestSidonConstant:
         assert norm == pytest.approx(constant, rel=1e-14)
 
 
+def test_witnessed_constants_stop_at_the_solve_resolution():
+    # a constant whose witness max_points_global cannot check is not reported;
+    # unconditional_constants has no witness and answers at any D
+    freqs = (0, 1, 10**9)
+    with pytest.raises(SpectrumError, match="past float resolution"):
+        sidon_constant(freqs)
+    with pytest.raises(SpectrumError, match="past float resolution"):
+        multiplier_norm(freqs, Multiplier(0, 1, 0))
+    assert unconditional_constants(freqs).real_constant == _norm_at(math.pi, 10**9)
+
+
 class TestMeasureLift:
     def test_identity_at_zero_phase(self):
         lift = lift_to_measure(1, 2, 0.0)

@@ -15,7 +15,7 @@ SOURCES = sorted(Path(trinomax.__file__).parent.glob("*.py"))
 DELETED = {
     "constants": ("geometric_progression_bounds",),
     "extremal": ("NoSolution", "SingularConfiguration", "reconstruct_from_two_points"),
-    "maxmod": ("localization_interval",),
+    "maxmod": ("localization_interval", "_at_phase"),
     "spectrum": ("is_isometry", "ISOMETRY_TAU_TOL"),
 }
 

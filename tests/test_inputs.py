@@ -17,6 +17,7 @@ from trinomax import (
     chebotarev_derivative,
     classify_unit_ball_point,
     fstar,
+    half_derivative,
     hypotrochoid_sample,
     lift_to_measure,
     max_points_global,
@@ -32,6 +33,7 @@ from trinomax import constants, extremal, geometry, maxmod, oracle, phasecurves,
 
 NAN, INF = math.nan, math.inf
 TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
+FORM = ReducedForm(1, 2, 1.0, 2.0, 3.0, 0.4)
 
 
 @pytest.mark.parametrize(
@@ -81,6 +83,18 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         lambda: random_trinomial(np.random.default_rng(0), modulus_range=("a", "b")),
         lambda: ReducedForm(1, 2, "a", 1, 1, 0.1),
         lambda: ReducedForm(1, 2, 1, 1, 1, None),
+        lambda: lift_to_measure(1, 2, "a"),
+        lambda: lift_to_measure(1, 2, None),
+        lambda: lift_to_measure(1, 2, 1j),
+        lambda: fstar(1, 2, 1, 1, 1, "a"),
+        lambda: fstar(1, 2, 1, 1, 1, None),
+        lambda: fstar(1, 2, 1, 1, 1, 1j),
+        lambda: chebotarev_derivative(1, 2, 1, 1, 1, "a"),
+        lambda: chebotarev_derivative(1, 2, 1, 1, 1, None),
+        lambda: chebotarev_derivative(1, 2, 1, 1, 1, 1j),
+        lambda: half_derivative(FORM, 0.3, -1),
+        lambda: half_derivative(FORM, 0.3, 1.5),
+        lambda: half_derivative(FORM, 0.3, "1"),
     ],
     ids=[
         "unit-ball-nan-modulus",
@@ -127,6 +141,18 @@ TRI = Trinomial(-1, 0, 2, 1.0, 2.0, 1.0, 0.1, 0.2, 0.3)
         "random-trinomial-string-modulus-range",
         "reduced-form-string-modulus",
         "reduced-form-none-phase",
+        "lift-string-phase",
+        "lift-none-phase",
+        "lift-complex-phase",
+        "fstar-string-phase",
+        "fstar-none-phase",
+        "fstar-complex-phase",
+        "chebotarev-string-phase",
+        "chebotarev-none-phase",
+        "chebotarev-complex-phase",
+        "half-derivative-negative-order",
+        "half-derivative-fractional-order",
+        "half-derivative-string-order",
     ],
 )
 def test_malformed_input_raises_spectrum_error(call):

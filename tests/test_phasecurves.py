@@ -10,6 +10,7 @@ from trinomax import (
     chebotarev_derivative,
     evaluate,
     fstar,
+    max_points_global,
     sweep_rows,
 )
 from trinomax import find_max_reduced, make_reduced_form
@@ -243,8 +244,9 @@ def test_sweep_matches_scalar_fstar(fam):
     kind, k, l, r1, r2, r3 = fam
     for n in (2, 3, 7, 14, 64, 301):
         rows = sweep_rows(k, l, r1, r2, r3, n)
+        # fstar shares the sweep's path, so the reference is the full solve of each row's checked form
         for row in rows:
-            ref = fstar(k, l, r1, r2, r3, row.t)
+            ref = find_max_reduced(make_reduced_form(k, l, r1, r2, r3, row.t)[0]).value
             assert row.fstar == ref
         if kind in LAST_ROW_CLASS:
             last, _ = make_reduced_form(k, l, r1, r2, r3, rows[-1].t)
@@ -266,6 +268,21 @@ def test_each_input_rule_runs_once(count_rules, call):
     # the sweep's t = 0 and tau = pi rows and the folded phase build their forms unchecked
     rules = ("_check_gaps", "_check_reduced", "_check_moduli")
     assert count_rules(call, *rules) == dict.fromkeys(rules, 1)
+
+
+def test_fstar_reduces_a_large_phase_exactly():
+    # the phases rule reduces t past a turn as Trinomial stores its phase, where
+    # t % (2*pi/D) would carry the rounding of 2*pi times t/(2*pi) turns
+    k, l, r = 1, 2, (1.0, 2.0, 3.0)
+    draws = [(k, l, r, 1e12)]
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        k, l = ((1, 1), (1, 2), (3, 2), (2, 5), (7, 3))[rng.integers(5)]
+        t = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 15.0))
+        draws.append((k, l, tuple(np.exp(rng.uniform(-2.0, 2.0, 3)).tolist()), t))
+    for k, l, r, t in draws:
+        want = max_points_global(Trinomial(-k, 0, l, *r, 0.0, t, 0.0)).value
+        assert fstar(k, l, *r, t) == pytest.approx(want, rel=1e-15, abs=0.0), (k, l, r, t)
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
